@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .core import (
     ball_make,
@@ -26,7 +27,7 @@ from .core import (
     Path,
     Ball,
 )
-from .distributions import Branch, Graft, evaluate
+from .distributions import Branch, Graft, evaluate, evaluate_level
 from .integrate import integrate, parse_polynomial, step_fn_from_json
 from .serialize import load_document_file
 from .verify import (
@@ -37,6 +38,7 @@ from .verify import (
     check_relation,
     distinctness_witness,
     norm_scan,
+    require_budget,
 )
 
 
@@ -90,9 +92,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     prime, expr = _load(args)
-    report = check_relation(
-        expr, prime, args.depth, ball_budget=args.budget, threads=args.threads
-    )
+    report = check_relation(expr, prime, args.depth, ball_budget=args.budget)
     if args.format == "json":
         _emit_json(report.to_json_dict(max_violations=args.max_violations))
     else:
@@ -166,9 +166,7 @@ def cmd_distinct(args: argparse.Namespace) -> int:
 
 def cmd_norms(args: argparse.Namespace) -> int:
     prime, expr = _load(args)
-    report = norm_scan(
-        expr, prime, args.depth, ball_budget=args.budget, threads=args.threads
-    )
+    report = norm_scan(expr, prime, args.depth, ball_budget=args.budget)
     if args.format == "json":
         _emit_json(report.to_json_dict())
     elif args.format == "text":
@@ -200,18 +198,15 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 
 def cmd_dump(args: argparse.Namespace) -> int:
     prime, expr = _load(args)
-    if prime**args.depth > args.budget:
-        raise BallBudgetError(
-            f"refusing to enumerate {prime}^{args.depth} balls (budget {args.budget})"
-        )
+    require_budget(prime, args.depth, args.budget)
     if args.format == "dot":
         lines = ["digraph balls {"]
         for n in range(args.depth + 1):
-            for rep in range(prime**n):
-                value = evaluate(expr, Ball(prime, n, rep))
+            nums, den = evaluate_level(expr, prime, n)
+            for rep, num in enumerate(nums):
                 lines.append(
                     f'  "{rep}/{n}" [label="{rep}+({prime}^{n})\\n'
-                    f'{format_rational(value)}"];'
+                    f'{format_rational(Fraction(num, den))}"];'
                 )
         for n in range(args.depth):
             q = prime**n
@@ -223,8 +218,9 @@ def cmd_dump(args: argparse.Namespace) -> int:
     else:
         print("depth,rep,value,norm")
         for n in range(args.depth + 1):
-            for rep in range(prime**n):
-                value = evaluate(expr, Ball(prime, n, rep))
+            nums, den = evaluate_level(expr, prime, n)
+            for rep, num in enumerate(nums):
+                value = Fraction(num, den)
                 print(
                     f"{n},{rep},{format_rational(value)},"
                     f"{format_rational(norm(value, prime))}"
@@ -318,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
     sub.add_argument("--depth", type=int, required=True)
     sub.add_argument("--max-violations", type=int, default=20)
-    sub.add_argument("--threads", type=int, default=1)
     _add_budget(sub)
     _add_format(sub, ("text", "json"), "text")
     sub.set_defaults(func=cmd_verify)
@@ -347,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("norms", help="per-depth maxima of |value|_p")
     _add_common(sub)
     sub.add_argument("--depth", type=int, required=True)
-    sub.add_argument("--threads", type=int, default=1)
     _add_budget(sub)
     _add_format(sub, ("csv", "json", "text"), "csv")
     sub.set_defaults(func=cmd_norms)

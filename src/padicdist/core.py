@@ -406,6 +406,8 @@ def ball_to_json(ball: Ball) -> dict:
 def ball_from_json(obj: dict, prime: int) -> Ball:
     if not isinstance(obj, dict) or set(obj) != {"a", "n"}:
         raise ValueError(f"a ball must be an object with keys 'a' and 'n', got {obj!r}")
+    if not isinstance(obj["n"], int) or isinstance(obj["n"], bool):
+        raise ValueError(f"a ball's depth 'n' must be an integer, got {obj['n']!r}")
     return ball_make(prime, obj["n"], obj["a"])
 
 

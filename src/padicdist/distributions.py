@@ -6,7 +6,9 @@ additivity law
     mu(B) = sum of mu(C) over the p children C of B,
 
 checked at any finite depth by `padicdist.verify.check_relation`.  This
-module defines the expression language and its exact evaluator:
+module defines the expression language and its two exact evaluators:
+`evaluate` gives the value on one ball, `evaluate_level` the values on many
+balls of one depth at once, as integer numerators over one denominator.
 
 base families
     Dirac(point)      indicator of the point: 1 on balls containing it
@@ -31,8 +33,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import Mapping, Union
+from math import comb, lcm
+from typing import Mapping, Sequence, Union
 
 from .core import (
     Ball,
@@ -44,6 +46,8 @@ from .core import (
     ball_digits,
     ball_make,
     ball_meet,
+    require_padic_integer,
+    require_prime,
     valuation,
 )
 
@@ -277,6 +281,246 @@ def evaluate(expr: DistExpr, ball: Ball) -> Fraction:
         return sum((evaluate(expr, c) for c in ball_children(ball)), _ZERO)
 
     raise TypeError(f"not a distribution expression: {type(expr).__name__}")
+
+
+# =====================================================================
+# Level-wise evaluation
+# =====================================================================
+
+@lru_cache(maxsize=None)
+def _bernoulli_coefficients(k: int) -> tuple[int, tuple[int, ...]]:
+    # (L, (L * C(k, j) * B_j for j = 0..k)), L the lcm of the denominators.
+    terms = [comb(k, j) * _bernoulli_number(j) for j in range(k + 1)]
+    scale = lcm(*(t.denominator for t in terms))
+    return scale, tuple(int(t * scale) for t in terms)
+
+
+def evaluate_level(
+    expr: DistExpr, p: int, n: int, reps: Sequence[int] | None = None
+) -> tuple[list[int], int]:
+    """Exact values on many balls of depth n at once: (nums, den).
+
+    The value on the ball reps[i] + (p^n) is nums[i] / den, with every
+    entry and den a Python int and den > 0; reps=None means the whole level
+    0..p^n-1 in order.  Each node is evaluated once over all the requested
+    balls, so a full level costs O(p^n) integer operations and memory per
+    node (O(p^k) for a Branch at level k > n); nested Regularize nodes cost
+    one inner level each.  Agrees with `evaluate` ball by ball; on input
+    that `evaluate` rejects it raises exactly what `evaluate` raises on the
+    first requested ball that fails.
+    """
+    require_prime(p)
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"depth must be an integer >= 0, got {n!r}")
+    if reps is not None:
+        m = p**n
+        for r in reps:
+            if not isinstance(r, int) or isinstance(r, bool) or not 0 <= r < m:
+                raise ValueError(f"rep must satisfy 0 <= rep < {p}^{n}, got {r!r}")
+    try:
+        return _level(expr, p, n, reps)
+    except (ValueError, TypeError):
+        # Nodes meet their sub-expressions in another order than `evaluate`
+        # does on one ball, so the first error met can differ.  Replay the
+        # balls one by one to raise the error `evaluate` gives.
+        for r in range(p**n) if reps is None else reps:
+            evaluate(expr, Ball(p, n, r))
+        raise
+
+
+def _level(
+    expr: DistExpr, p: int, n: int, reps: Sequence[int] | None
+) -> tuple[list[int], int]:
+    # reps=None stands for range(p^n) without building it.  An empty request
+    # evaluates nothing, so, like `evaluate` on no balls, it raises nothing.
+    if reps is not None and not reps:
+        return [], 1
+    m = p**n
+    rs = range(m) if reps is None else reps
+
+    if isinstance(expr, Dirac):
+        t = require_padic_integer(expr.point, p)
+        at = t.numerator * pow(t.denominator, -1, m) % m
+        if isinstance(rs, range):
+            nums = [0] * len(rs)
+            if at in rs:
+                nums[rs.index(at)] = 1
+            return nums, 1
+        return [int(r == at) for r in rs], 1
+
+    if isinstance(expr, Haar):
+        return [expr.scale.numerator] * len(rs), expr.scale.denominator * m
+
+    if isinstance(expr, Mazur):
+        return [2 * a - m for a in rs], 2 * m
+
+    if isinstance(expr, Bernoulli):
+        # p^(n(k-1)) B_k(a/m) = sum_j C(k,j) B_j a^(k-j) m^j / m, by Horner in a.
+        scale, coeffs = _bernoulli_coefficients(expr.k)
+        nums = [coeffs[0]] * len(rs)
+        for j in range(1, expr.k + 1):
+            c = coeffs[j] * m**j
+            nums = [x * a + c for x, a in zip(nums, rs)]
+        return nums, scale * m
+
+    if isinstance(expr, LinearComb):
+        # Terms are folded in one at a time over the running lcm; every term
+        # is evaluated, zero coefficients included, as `evaluate` does.
+        nums, den = [0] * len(rs), 1
+        for c, e in expr.terms:
+            tn, td = _level(e, p, n, reps)
+            new_den = lcm(den, c.denominator * td)
+            if new_den != den:
+                up = new_den // den
+                nums = [x * up for x in nums]
+                den = new_den
+            f = c.numerator * (den // (c.denominator * td))
+            if f:
+                nums = [x + f * y for x, y in zip(nums, tn)]
+        return nums, den
+
+    if isinstance(expr, Restrict):
+        return _level_restrict(expr, p, n, reps)
+
+    if isinstance(expr, Regularize):
+        return _level_regularize(expr, p, n, reps)
+
+    if isinstance(expr, Graft):
+        return _level_graft(expr, p, n, reps)
+
+    if isinstance(expr, Branch):
+        return _level_branch(expr, p, n, reps)
+
+    raise TypeError(f"not a distribution expression: {type(expr).__name__}")
+
+
+def _level_restrict(
+    expr: Restrict, p: int, n: int, reps: Sequence[int] | None
+) -> tuple[list[int], int]:
+    cell = expr.cell
+    if cell.prime != p:
+        raise PrimeMismatchError("balls over different primes")
+    m = p**n
+    rs = range(m) if reps is None else reps
+    nums = [0] * len(rs)
+    if n < cell.depth:
+        # The one ball containing the cell carries the inner value on the cell.
+        at = cell.rep % m
+        hits = [i for i, r in enumerate(rs) if r == at]
+        if not hits:
+            return nums, 1
+        (value,), den = _level(expr.expr, p, cell.depth, [cell.rep])
+        for i in hits:
+            nums[i] = value
+        return nums, den
+    q = p**cell.depth
+    if reps is None:
+        inner, den = _level(expr.expr, p, n, range(cell.rep, m, q))
+        nums[cell.rep :: q] = inner
+        return nums, den
+    keep = [i for i, r in enumerate(rs) if r % q == cell.rep]
+    inner, den = _level(expr.expr, p, n, [rs[i] for i in keep])
+    for i, value in zip(keep, inner):
+        nums[i] = value
+    return nums, den
+
+
+def _level_regularize(
+    expr: Regularize, p: int, n: int, reps: Sequence[int] | None
+) -> tuple[list[int], int]:
+    alpha = expr.alpha
+    if valuation(alpha, p) != 0:
+        raise ValueError(f"alpha={alpha} is not a unit of Z_p for p={p}")
+    m = p**n
+    scale = alpha.numerator * pow(alpha.denominator, -1, m) % m
+    # mu(B) - alpha^(-k) mu(alpha B) = (u mu(B) - v mu(alpha B)) with
+    # alpha^k = u/v, over u * den; the signs keep the denominator positive.
+    u, v = alpha.numerator**expr.k, alpha.denominator**expr.k
+    if u < 0:
+        u, v = -u, -v
+    if reps is None:
+        # a -> scale * a mod m permutes the level: one inner level suffices.
+        inner, den = _level(expr.expr, p, n, None)
+        return [u * x - v * inner[scale * a % m] for a, x in enumerate(inner)], u * den
+    scaled = [scale * r % m for r in reps]
+    union = sorted(set(reps).union(scaled))
+    inner, den = _level(expr.expr, p, n, union)
+    at = dict(zip(union, inner))
+    return [u * at[r] - v * at[s] for r, s in zip(reps, scaled)], u * den
+
+
+def _level_graft(
+    expr: Graft, p: int, n: int, reps: Sequence[int] | None
+) -> tuple[list[int], int]:
+    path = expr.path
+    if path.prime != p:
+        raise PrimeMismatchError(f"graft path over p={path.prime} evaluated at p={p}")
+    digits = path.digits(n)
+    on_path = sum(d * p**j for j, d in enumerate(digits))
+    m = p**n
+    rs = range(m) if reps is None else reps
+
+    def goes_right(r: int) -> bool:
+        # The first digit leaving the path sits at the p-adic valuation of
+        # r - on_path; a larger digit there sends the ball right.
+        gap = (r - on_path) % m
+        if gap == 0:
+            return False
+        j, q = 0, 1
+        while gap % p == 0:
+            gap //= p
+            j += 1
+            q *= p
+        return r // q % p > digits[j]
+
+    right = [goes_right(r) for r in rs]
+    left_nums, left_den = _level(
+        expr.left, p, n, [r for r, s in zip(rs, right) if not s]
+    )
+    right_nums, right_den = _level(
+        expr.right, p, n, [r for r, s in zip(rs, right) if s]
+    )
+    den = lcm(left_den, right_den)
+    fl, fr = den // left_den, den // right_den
+    li, ri = iter(left_nums), iter(right_nums)
+    return [fr * next(ri) if s else fl * next(li) for s in right], den
+
+
+def _level_branch(
+    expr: Branch, p: int, n: int, reps: Sequence[int] | None
+) -> tuple[list[int], int]:
+    size = _branch_table_size(expr, p)
+    m = p**n
+    if n < expr.k:
+        # Sum over the depth-k descendants r + t * m, t < p^(k-n).
+        if reps is None:
+            deep, den = _level(expr, p, expr.k, None)
+            return [sum(deep[a::m]) for a in range(m)], den
+        q = p ** (expr.k - n)
+        deep, den = _level(expr, p, expr.k, [r + t * m for r in reps for t in range(q)])
+        return [sum(deep[i : i + q]) for i in range(0, len(deep), q)], den
+    if reps is None:
+        parts = {t: range(t, m, size) for t in range(size)}
+    else:
+        parts = {}
+        for i, r in enumerate(reps):
+            parts.setdefault(r % size, []).append(i)
+    values = {}
+    for t in sorted(parts):
+        own = parts[t] if reps is None else [reps[i] for i in parts[t]]
+        values[t] = _level(expr.children[t], p, n, own)
+    den = lcm(*(d for _, d in values.values()))
+    nums = [0] * (m if reps is None else len(reps))
+    for t, (tn, td) in values.items():
+        f = den // td
+        if f != 1:
+            tn = [f * x for x in tn]
+        if reps is None:
+            nums[t::size] = tn
+        else:
+            for i, x in zip(parts[t], tn):
+                nums[i] = x
+    return nums, den
 
 
 # =====================================================================

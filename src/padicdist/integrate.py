@@ -19,9 +19,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .core import Ball, as_rational, format_rational, norm, parse_rational, require_prime
-from .distributions import DistExpr, evaluate
-from .verify import DEFAULT_BALL_BUDGET, _require_budget
+from .core import as_rational, format_rational, norm, parse_rational, require_prime
+from .distributions import DistExpr, evaluate_level
+from .verify import DEFAULT_BALL_BUDGET, require_budget
 
 
 # =====================================================================
@@ -98,16 +98,31 @@ def riemann_sum(
     *,
     ball_budget: int = DEFAULT_BALL_BUDGET,
 ) -> Fraction:
-    """S_depth = sum of f(a) * mu(a + (p^depth)) over canonical reps a."""
+    """S_depth = sum of f(a) * mu(a + (p^depth)) over canonical reps a.
+
+    The level is evaluated once as numerators over one denominator.  A
+    polynomial sum is sum_j c_j * (sum_a a^j * num_a); a step function of
+    period L = len(values) sums to sum_r v_r * (sum of num_a, a = r mod L).
+    The denominator is divided out once at the end.
+    """
     require_prime(prime)
     if depth < 0:
         raise ValueError("depth must be >= 0")
     _validate_fn(fn, prime)
-    _require_budget(prime, depth, ball_budget)
+    require_budget(prime, depth, ball_budget)
+    nums, den = evaluate_level(expr, prime, depth)
     total = Fraction(0)
-    for a in range(prime**depth):
-        total += fn.value_at(a) * evaluate(expr, Ball(prime, depth, a))
-    return total
+    if isinstance(fn, StepFn):
+        period = len(fn.values)
+        for r, v in enumerate(fn.values):
+            total += v * sum(nums[r::period])
+    else:
+        weighted = nums
+        for j, c in enumerate(fn.coeffs):
+            if j:
+                weighted = [w * a for a, w in enumerate(weighted)]
+            total += c * sum(weighted)
+    return total / den
 
 
 class ConvergenceVerdict(Enum):

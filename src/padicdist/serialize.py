@@ -101,6 +101,14 @@ def _require_keys(obj: dict, kind: str, required: set[str]) -> None:
         )
 
 
+def _int_field(obj: dict, key: str) -> int:
+    # JSON true/false would pass as 1/0 through isinstance(_, int).
+    value = obj[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 def expr_from_json(obj: Any, prime: int, defs: dict | None = None) -> DistExpr:
     """Decode an expression object; `defs` supplies named sub-expressions."""
     require_prime(prime)
@@ -132,9 +140,11 @@ def _decode(obj: Any, prime: int, defs: dict, resolving: frozenset) -> DistExpr:
         return Mazur()
     if kind == "bernoulli":
         _require_keys(obj, kind, {"k"})
-        return Bernoulli(obj["k"])
+        return Bernoulli(_int_field(obj, "k"))
     if kind == "lincomb":
         _require_keys(obj, kind, {"terms"})
+        if not isinstance(obj["terms"], list):
+            raise ValueError(f"lincomb terms must be a list, got {obj['terms']!r}")
         terms = []
         for item in obj["terms"]:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
@@ -149,7 +159,7 @@ def _decode(obj: Any, prime: int, defs: dict, resolving: frozenset) -> DistExpr:
     if kind == "regularize":
         _require_keys(obj, kind, {"k", "alpha", "expr"})
         return Regularize(
-            obj["k"],
+            _int_field(obj, "k"),
             parse_rational(obj["alpha"]),
             _decode(obj["expr"], prime, defs, resolving),
         )
@@ -174,7 +184,7 @@ def _decode(obj: Any, prime: int, defs: dict, resolving: frozenset) -> DistExpr:
         children = tuple(
             _decode(keyed[t], prime, defs, resolving) for t in range(len(keyed))
         )
-        return Branch(obj["k"], children)
+        return Branch(_int_field(obj, "k"), children)
     raise ValueError(f"unknown expression type {kind!r}")
 
 

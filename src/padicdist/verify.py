@@ -2,9 +2,10 @@
 
 Every checker enumerates balls in a fixed order (depth ascending, then
 representative ascending) and compares exact rationals, so a report is a
-pure function of its inputs: byte-identical across runs and across thread
-counts.  Work is optionally spread over a thread pool in contiguous
-representative chunks whose results merge back in index order.
+pure function of its inputs: byte-identical across runs.  The checkers that
+cover whole levels (`check_relation`, `norm_scan`) evaluate each depth once
+with `evaluate_level`, as integer numerators over one denominator; the
+witness searches, which can stop early, evaluate ball by ball.
 
 Enumeration size is guarded: a checker refuses to start when p^depth exceeds
 its ball budget (default 10^6) and raises BallBudgetError instead of
@@ -13,15 +14,14 @@ thrashing.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, TypeVar
+from math import gcd
+from typing import Sequence
 
 from .core import (
     Ball,
     Path,
-    ball_children,
     ball_to_json,
     format_rational,
     norm,
@@ -34,36 +34,23 @@ from .distributions import (
     DistExpr,
     boundedness_flag,
     evaluate,
+    evaluate_level,
 )
 
 DEFAULT_BALL_BUDGET = 10**6
-
-_T = TypeVar("_T")
 
 
 class BallBudgetError(RuntimeError):
     """The requested depth would enumerate more balls than the budget allows."""
 
 
-def _require_budget(prime: int, depth: int, ball_budget: int) -> None:
+def require_budget(prime: int, depth: int, ball_budget: int) -> None:
+    """Raise BallBudgetError when a depth-`depth` level exceeds the budget."""
     if prime**depth > ball_budget:
         raise BallBudgetError(
             f"refusing to enumerate {prime}^{depth} balls "
             f"(budget {ball_budget}); raise the ball budget to proceed"
         )
-
-
-def _map_ordered(fn: Callable[[int], _T], count: int, threads: int) -> list[_T]:
-    # Pure map over 0..count-1.  Threads split the range into contiguous
-    # chunks; pool.map returns chunk results in submission order, so the
-    # merged list is independent of scheduling.
-    if threads <= 1 or count < 2:
-        return [fn(i) for i in range(count)]
-    chunk = max(1, -(-count // (threads * 4)))
-    spans = [range(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(lambda span: [fn(i) for i in span], spans)
-        return [item for part in parts for item in part]
 
 
 def _rows_to_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -106,11 +93,16 @@ class RelationReport:
     def passed(self) -> bool:
         return not self.violations
 
+    def _shown(
+        self, max_violations: int | None
+    ) -> tuple[tuple[RelationViolation, ...], bool]:
+        # The violations to render, and whether some were left out.
+        if max_violations is None or len(self.violations) <= max_violations:
+            return self.violations, False
+        return self.violations[:max_violations], True
+
     def to_json_dict(self, max_violations: int | None = None) -> dict:
-        shown = list(self.violations)
-        truncated = max_violations is not None and len(shown) > max_violations
-        if truncated:
-            shown = shown[:max_violations]
+        shown, truncated = self._shown(max_violations)
         return {
             "prime": self.prime,
             "max_depth": self.max_depth,
@@ -134,10 +126,7 @@ class RelationReport:
             f"prime={self.prime} max_depth={self.max_depth} "
             f"balls_checked={self.checked_count} violations={len(self.violations)}",
         ]
-        shown = list(self.violations)
-        truncated = max_violations is not None and len(shown) > max_violations
-        if truncated:
-            shown = shown[:max_violations]
+        shown, truncated = self._shown(max_violations)
         if shown:
             rows = [
                 [str(v.ball.depth), str(v.ball.rep), format_rational(v.lhs),
@@ -159,29 +148,35 @@ def check_relation(
     max_depth: int,
     *,
     ball_budget: int = DEFAULT_BALL_BUDGET,
-    threads: int = 1,
 ) -> RelationReport:
-    """Verify the additivity relation on every ball of depth < max_depth."""
+    """Verify the additivity relation on every ball of depth < max_depth.
+
+    Each level is evaluated once, serving first as the children of the
+    level above and then as parents.  The children of a + (p^n) are
+    a + b p^n + (p^(n+1)), b < p: entry a of the child level's p
+    consecutive blocks of length p^n.
+    """
     require_prime(prime)
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    _require_budget(prime, max_depth, ball_budget)
+    require_budget(prime, max_depth, ball_budget)
 
     violations: list[RelationViolation] = []
     checked = 0
+    nums, den = evaluate_level(expr, prime, 0)
     for n in range(max_depth):
-        def probe(rep: int, n: int = n) -> RelationViolation | None:
-            ball = Ball(prime, n, rep)
-            lhs = evaluate(expr, ball)
-            rhs = sum(
-                (evaluate(expr, child) for child in ball_children(ball)), Fraction(0)
-            )
-            return None if lhs == rhs else RelationViolation(ball, lhs, rhs)
-
-        for outcome in _map_ordered(probe, prime**n, threads):
-            checked += 1
-            if outcome is not None:
-                violations.append(outcome)
+        m = prime**n
+        child_nums, child_den = evaluate_level(expr, prime, n + 1)
+        blocks = (child_nums[b * m : (b + 1) * m] for b in range(prime))
+        for a, (lhs, rhs) in enumerate(zip(nums, map(sum, zip(*blocks)))):
+            if lhs * child_den != rhs * den:
+                violations.append(
+                    RelationViolation(
+                        Ball(prime, n, a), Fraction(lhs, den), Fraction(rhs, child_den)
+                    )
+                )
+        checked += m
+        nums, den = child_nums, child_den
     return RelationReport(prime, max_depth, checked, tuple(violations))
 
 
@@ -353,7 +348,7 @@ def check_branch_hypothesis(
     table = tuple(children)
     if len(table) != prime**k:
         raise ValueError(f"need {prime**k} children for p={prime}, k={k}, got {len(table)}")
-    _require_budget(prime, search_depth, ball_budget)
+    require_budget(prime, search_depth, ball_budget)
     for t in range(len(table)):
         for s in range(t + 1, len(table)):
             if table[t] == table[s]:
@@ -383,7 +378,7 @@ def distinctness_witness(
     require_prime(prime)
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    _require_budget(prime, max_depth, ball_budget)
+    require_budget(prime, max_depth, ball_budget)
     for n in range(max_depth + 1):
         for rep in range(prime**n):
             ball = Ball(prime, n, rep)
@@ -451,21 +446,29 @@ def norm_scan(
     max_depth: int,
     *,
     ball_budget: int = DEFAULT_BALL_BUDGET,
-    threads: int = 1,
 ) -> NormScanReport:
-    """Exact per-depth maxima of |value|_p over all balls of depth 0..max_depth."""
+    """Exact per-depth maxima of |value|_p over all balls of depth 0..max_depth.
+
+    Over one common denominator the largest norm belongs to the numerator of
+    least p-adic valuation, which is the valuation of their gcd; the first
+    rep attaining it is the argmax (rep 0 when the whole level is zero).
+    """
     require_prime(prime)
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    _require_budget(prime, max_depth, ball_budget)
+    require_budget(prime, max_depth, ball_budget)
     entries: list[NormScanEntry] = []
     for n in range(max_depth + 1):
-        def probe(rep: int, n: int = n) -> Fraction:
-            return norm(evaluate(expr, Ball(prime, n, rep)), prime)
-
-        norms = _map_ordered(probe, prime**n, threads)
-        best_rep = max(range(len(norms)), key=lambda r: (norms[r], -r))
-        entries.append(NormScanEntry(n, norms[best_rep], Ball(prime, n, best_rep)))
+        nums, den = evaluate_level(expr, prime, n)
+        best_rep = 0
+        common = gcd(*nums)
+        if common:
+            step = prime
+            while common % step == 0:
+                step *= prime
+            best_rep = next(r for r, x in enumerate(nums) if x % step)
+        value = Fraction(nums[best_rep], den)
+        entries.append(NormScanEntry(n, norm(value, prime), Ball(prime, n, best_rep)))
     return NormScanReport(prime, max_depth, tuple(entries))
 
 
@@ -496,11 +499,10 @@ def boundedness_verdict(
     max_depth: int,
     *,
     ball_budget: int = DEFAULT_BALL_BUDGET,
-    threads: int = 1,
 ) -> BoundednessVerdict:
     """Pair boundedness_flag(expr) with a norm scan to max_depth."""
     flag = boundedness_flag(expr)
-    scan = norm_scan(expr, prime, max_depth, ball_budget=ball_budget, threads=threads)
+    scan = norm_scan(expr, prime, max_depth, ball_budget=ball_budget)
     maxima = [e.max_norm for e in scan.entries]
     note = None
     if (

@@ -1,0 +1,237 @@
+"""The level-wise evaluator against the scalar one, on random expressions.
+
+`evaluate` is the oracle: `evaluate_level` must give the same exact value on
+every requested ball, and where `evaluate` raises on some requested ball,
+`evaluate_level` must raise what `evaluate` raises on the first such ball.
+"""
+
+from fractions import Fraction as F
+from functools import lru_cache
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from padicdist import (
+    Ball,
+    Bernoulli,
+    Branch,
+    Dirac,
+    Graft,
+    Haar,
+    LinearComb,
+    Mazur,
+    Path,
+    Regularize,
+    Restrict,
+    check_relation,
+    evaluate,
+    evaluate_level,
+    expr_from_json,
+    expr_to_json,
+)
+
+PRIMES = (2, 3, 5, 7)
+MAX_DEPTH = 4
+# Kept small: nested Regularize costs the scalar oracle 2^nesting per ball.
+MAX_LEAVES = 6
+SETTINGS = settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def _other_prime(p):
+    return 3 if p == 2 else 2
+
+
+def coefficients():
+    return st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+def points(p):
+    dens = [d for d in range(1, 10) if d % p]
+    return st.builds(F, st.integers(-40, 40), st.sampled_from(dens))
+
+
+def units(p):
+    return st.builds(
+        F,
+        st.integers(-12, 12).filter(lambda u: u % p),
+        st.sampled_from([d for d in range(1, 6) if d % p]),
+    ).filter(lambda a: a != 1)
+
+
+def cells(p, prime=None):
+    # Depths up to 6 put some cells deeper than any level evaluated here.
+    return st.integers(0, 6).flatmap(
+        lambda n: st.builds(Ball, st.just(prime or p), st.just(n), st.integers(0, p**n - 1))
+    )
+
+
+def paths(p, prime=None):
+    digits = st.lists(st.integers(0, p - 1), max_size=3)
+    return st.builds(
+        lambda pre, per: Path(prime or p, tuple(pre), tuple(per)),
+        digits,
+        digits.filter(bool),
+    )
+
+
+def branch_levels(p):
+    # k ranges past the deepest level checked where the table stays small.
+    return st.integers(1, max(k for k in range(1, 7) if p**k <= 64))
+
+
+def branches(p, inner, misfit=False):
+    def build(k, pool, extra):
+        size = p**k + extra
+        return Branch(k, tuple(pool[t % len(pool)] for t in range(size)))
+
+    extra = st.sampled_from([-1, 1]) if misfit else st.just(0)
+    return st.builds(build, branch_levels(p), st.lists(inner, min_size=1, max_size=3), extra)
+
+
+def faulty_leaves(p):
+    """Nodes that raise on every ball they are evaluated on."""
+    q = _other_prime(p)
+    return st.one_of(
+        st.builds(lambda u: Dirac(F(u, p)), st.integers(1, 9).filter(lambda u: u % p)),
+        st.builds(Regularize, st.integers(1, 2), st.sampled_from([F(p), F(1, p), F(0)]),
+                  st.just(Mazur())),
+        st.builds(Restrict, cells(q, prime=q), st.just(Mazur())),
+        st.builds(Graft, paths(q, prime=q), st.just(Mazur()), st.just(Haar())),
+        branches(p, st.just(Mazur()), misfit=True),
+    )
+
+
+@lru_cache(maxsize=None)
+def expressions(p, grafts=True, faults=False):
+    leaves = st.one_of(
+        points(p).map(Dirac),
+        coefficients().map(Haar),
+        st.just(Mazur()),
+        st.integers(1, 4).map(Bernoulli),
+    )
+    if faults:
+        leaves = st.one_of(leaves, faulty_leaves(p))
+
+    def regularized(inner):
+        return st.builds(Regularize, st.integers(1, 3), units(p), inner)
+
+    def extend(inner):
+        options = [
+            st.lists(st.tuples(coefficients(), inner), max_size=3).map(
+                lambda terms: LinearComb(tuple(terms))
+            ),
+            st.builds(Restrict, cells(p), inner),
+            regularized(inner),
+            regularized(regularized(inner)),
+            branches(p, inner),
+        ]
+        if grafts:
+            options.append(st.builds(Graft, paths(p), inner, inner))
+        return st.one_of(options)
+
+    return st.recursive(leaves, extend, max_leaves=MAX_LEAVES)
+
+
+@st.composite
+def cases(draw, faults=False):
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(0, MAX_DEPTH))
+    expr = draw(expressions(p, faults=faults))
+    m = p**n
+    whole = m <= 125 and draw(st.booleans())
+    reps = None if whole else draw(st.lists(st.integers(0, m - 1), max_size=12))
+    return expr, p, n, reps
+
+
+def _scalar(expr, p, n, reps):
+    """Per-ball values from `evaluate`, or the first error it raises."""
+    values = []
+    for r in range(p**n) if reps is None else reps:
+        try:
+            values.append(evaluate(expr, Ball(p, n, r)))
+        except (ValueError, TypeError) as exc:
+            return None, exc
+    return values, None
+
+
+def _assert_agrees(expr, p, n, reps):
+    values, error = _scalar(expr, p, n, reps)
+    if error is not None:
+        with pytest.raises((ValueError, TypeError)) as info:
+            evaluate_level(expr, p, n, reps)
+        assert type(info.value) is type(error)
+        assert str(info.value) == str(error)
+        return
+    nums, den = evaluate_level(expr, p, n, reps)
+    assert isinstance(den, int) and den > 0
+    assert all(isinstance(x, int) for x in nums)
+    assert [F(x, den) for x in nums] == values
+
+
+@SETTINGS
+@given(cases())
+def test_level_agrees_with_scalar_evaluate(case):
+    _assert_agrees(*case)
+
+
+@SETTINGS
+@given(cases(faults=True))
+def test_level_raises_what_scalar_evaluate_raises(case):
+    _assert_agrees(*case)
+
+
+@SETTINGS
+@given(st.sampled_from(PRIMES).flatmap(
+    lambda p: st.tuples(st.just(p), expressions(p, grafts=False), st.integers(1, 3))
+))
+def test_graft_free_expressions_are_additive(case):
+    p, expr, depth = case
+    report = check_relation(expr, p, depth)
+    assert report.passed, report.violations[:1]
+    assert expr_from_json(expr_to_json(expr), p) == expr
+
+
+def _nested_regularize(depth):
+    expr = Mazur()
+    for i in range(depth):
+        expr = Regularize(1 + i % 2, F(2) if i % 3 else F(-3, 2), expr)
+    return expr
+
+
+@pytest.mark.parametrize(
+    "expr, p, n, reps",
+    [
+        # 2^10 scalar calls per ball; one inner level per node on the level path
+        (_nested_regularize(10), 5, 3, [0, 7, 124]),
+        # the one ball containing a deeper cell carries the value on the cell
+        (Restrict(Ball(3, 3, 14), Mazur()), 3, 1, None),
+        # a branch below the level sums its depth-k subtrees
+        (Branch(2, tuple(Dirac(t) if t % 2 else Haar(t) for t in range(9))), 3, 0, None),
+        # `evaluate` meets table entry 2 (digits 0, 1) before entry 1 on Z_2,
+        # the level path meets entry 1 first: the error is still entry 2's
+        (Branch(2, (Haar(), Regularize(1, F(2), Mazur()), Dirac(F(1, 2)), Haar())), 2, 0, None),
+    ],
+)
+def test_named_cases(expr, p, n, reps):
+    _assert_agrees(expr, p, n, reps)
+
+
+@pytest.mark.parametrize(
+    "p, n, reps",
+    [(4, 1, None), (5, -1, None), (5, True, None), (5, 1, [5]), (5, 1, [-1]), (5, 1, [True])],
+)
+def test_level_rejects_bad_requests(p, n, reps):
+    with pytest.raises(ValueError):
+        evaluate_level(Mazur(), p, n, reps)
+
+
+def test_level_rejects_non_expressions():
+    with pytest.raises(TypeError):
+        evaluate_level("mazur", 5, 1)
+
+
+def test_empty_request_evaluates_nothing():
+    assert evaluate_level(Dirac(F(1, 5)), 5, 2, []) == ([], 1)

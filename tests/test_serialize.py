@@ -104,6 +104,13 @@ def test_cyclic_refs_are_an_error():
         {"type": "restrict", "cell": {"a": 1}, "expr": {"type": "mazur"}},  # bad ball
         {"type": "graft", "path": {"period": [1]}, "left": {"type": "mazur"},
          "right": {"type": "mazur"}},  # bad path
+        # JSON booleans are not integers
+        {"type": "bernoulli", "k": True},
+        {"type": "regularize", "k": True, "alpha": "2", "expr": {"type": "mazur"}},
+        {"type": "branch", "k": True, "children": {str(t): {"type": "mazur"} for t in range(5)}},
+        {"type": "restrict", "cell": {"a": 0, "n": True}, "expr": {"type": "mazur"}},
+        {"type": "lincomb", "terms": {}},  # terms not a list
+        {"type": "lincomb", "terms": "ab"},
     ],
 )
 def test_malformed_nodes_are_rejected(obj):
