@@ -29,7 +29,7 @@ from .core import (
 )
 from .distributions import Branch, Graft, evaluate, evaluate_level
 from .integrate import integrate, parse_polynomial, step_fn_from_json
-from .serialize import load_document_file
+from .serialize import load_document_file, load_json_file
 from .verify import (
     BallBudgetError,
     DEFAULT_BALL_BUDGET,
@@ -183,11 +183,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     if args.fn is not None:
         fn = parse_polynomial(args.fn)
     else:
-        with open(args.step_fn, "r", encoding="utf-8") as handle:
-            try:
-                fn = step_fn_from_json(json.load(handle))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"invalid JSON in {args.step_fn}: {exc}") from None
+        fn = step_fn_from_json(load_json_file(args.step_fn))
     report = integrate(expr, fn, prime, args.depth, ball_budget=args.budget)
     if args.format == "json":
         _emit_json(report.to_json_dict())

@@ -42,6 +42,11 @@ class PrimeMismatchError(ValueError):
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
+def is_int(x: object) -> bool:
+    """True for an int that is not a bool (True and False pass as 1 and 0)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -180,7 +185,7 @@ class Path:
         if not self.period:
             raise ValueError("period must be nonempty")
         for d in self.preperiod + self.period:
-            if not isinstance(d, int) or isinstance(d, bool) or not 0 <= d < self.prime:
+            if not is_int(d) or not 0 <= d < self.prime:
                 raise ValueError(f"digit {d!r} out of range for p={self.prime}")
 
     def digit(self, i: int) -> int:
@@ -272,9 +277,14 @@ class Ball:
 
     def __post_init__(self) -> None:
         require_prime(self.prime)
-        if not isinstance(self.depth, int) or self.depth < 0:
+        # Inline bool checks: Ball is built once per ball on the scalar path.
+        if not isinstance(self.depth, int) or isinstance(self.depth, bool) or self.depth < 0:
             raise ValueError(f"depth must be an integer >= 0, got {self.depth!r}")
-        if not isinstance(self.rep, int) or not 0 <= self.rep < self.prime**self.depth:
+        if (
+            not isinstance(self.rep, int)
+            or isinstance(self.rep, bool)
+            or not 0 <= self.rep < self.prime**self.depth
+        ):
             raise ValueError(
                 f"rep must satisfy 0 <= rep < {self.prime}^{self.depth}, got {self.rep!r}"
             )
@@ -290,7 +300,7 @@ def ball_make(p: int, n: int, a: Fraction | int) -> Ball:
     if n < 0:
         raise ValueError("depth must be >= 0")
     m = p**n
-    if isinstance(a, int) and not isinstance(a, bool):
+    if is_int(a):
         return Ball(p, n, a % m)
     t = require_padic_integer(a, p)
     return Ball(p, n, (t.numerator * pow(t.denominator, -1, m)) % m)
@@ -406,7 +416,7 @@ def ball_to_json(ball: Ball) -> dict:
 def ball_from_json(obj: dict, prime: int) -> Ball:
     if not isinstance(obj, dict) or set(obj) != {"a", "n"}:
         raise ValueError(f"a ball must be an object with keys 'a' and 'n', got {obj!r}")
-    if not isinstance(obj["n"], int) or isinstance(obj["n"], bool):
+    if not is_int(obj["n"]):
         raise ValueError(f"a ball's depth 'n' must be an integer, got {obj['n']!r}")
     return ball_make(prime, obj["n"], obj["a"])
 

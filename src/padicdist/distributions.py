@@ -34,7 +34,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .core import (
     Ball,
@@ -46,6 +46,7 @@ from .core import (
     ball_digits,
     ball_make,
     ball_meet,
+    is_int,
     require_padic_integer,
     require_prime,
     valuation,
@@ -73,7 +74,7 @@ def bernoulli_polynomial(k: int, x: Fraction | int) -> Fraction:
 
     B_0(x) = 1, B_1(x) = x - 1/2, B_2(x) = x^2 - x + 1/6, ...
     """
-    if not isinstance(k, int) or k < 0:
+    if not is_int(k) or k < 0:
         raise ValueError(f"polynomial index must be an integer >= 0, got {k!r}")
     t = as_rational(x)
     return sum(
@@ -118,7 +119,7 @@ class Bernoulli:
     k: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 1:
+        if not is_int(self.k) or self.k < 1:
             raise ValueError(f"Bernoulli index must be an integer >= 1, got {self.k!r}")
 
 
@@ -155,7 +156,7 @@ class Regularize:
     expr: "DistExpr"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 1:
+        if not is_int(self.k) or self.k < 1:
             raise ValueError(f"regularization weight must be an integer >= 1, got {self.k!r}")
         object.__setattr__(self, "alpha", as_rational(self.alpha))
         if self.alpha == 1:
@@ -192,7 +193,7 @@ class Branch:
     children: tuple["DistExpr", ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 1:
+        if not is_int(self.k) or self.k < 1:
             raise ValueError(f"branch level must be an integer >= 1, got {self.k!r}")
         ch = self.children
         if isinstance(ch, Mapping):
@@ -310,13 +311,17 @@ def evaluate_level(
     first requested ball that fails.
     """
     require_prime(p)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not is_int(n) or n < 0:
         raise ValueError(f"depth must be an integer >= 0, got {n!r}")
     if reps is not None:
         m = p**n
-        for r in reps:
-            if not isinstance(r, int) or isinstance(r, bool) or not 0 <= r < m:
-                raise ValueError(f"rep must satisfy 0 <= rep < {p}^{n}, got {r!r}")
+        # A range holds ints between its two ends: when both are valid, so
+        # is every entry, and the per-rep check can be skipped.
+        ends = (reps[0], reps[-1]) if isinstance(reps, range) and reps else ()
+        if not ends or not all(0 <= r < m for r in ends):
+            for r in reps:
+                if not is_int(r) or not 0 <= r < m:
+                    raise ValueError(f"rep must satisfy 0 <= rep < {p}^{n}, got {r!r}")
     try:
         return _level(expr, p, n, reps)
     except (ValueError, TypeError):
@@ -566,20 +571,21 @@ def boundedness_flag(expr: DistExpr) -> BoundednessFlag:
     if isinstance(expr, Regularize):
         return BoundednessFlag.UNKNOWN
     if isinstance(expr, Graft):
-        sides = {boundedness_flag(expr.left), boundedness_flag(expr.right)}
-        if sides == {BoundednessFlag.BOUNDED}:
-            return BoundednessFlag.BOUNDED
-        if BoundednessFlag.UNBOUNDED in sides:
-            return BoundednessFlag.UNBOUNDED
-        return BoundednessFlag.UNKNOWN
+        return _join_flags(map(boundedness_flag, (expr.left, expr.right)))
     if isinstance(expr, Branch):
-        flags = {boundedness_flag(c) for c in expr.children}
-        if flags == {BoundednessFlag.BOUNDED}:
-            return BoundednessFlag.BOUNDED
-        if BoundednessFlag.UNBOUNDED in flags:
-            return BoundednessFlag.UNBOUNDED
-        return BoundednessFlag.UNKNOWN
+        return _join_flags(map(boundedness_flag, expr.children))
     raise TypeError(f"not a distribution expression: {type(expr).__name__}")
+
+
+def _join_flags(parts: Iterable[BoundednessFlag]) -> BoundednessFlag:
+    # Pieces that each carry a part of the balls: bounded iff all are,
+    # unbounded if any is.
+    flags = set(parts)
+    if flags == {BoundednessFlag.BOUNDED}:
+        return BoundednessFlag.BOUNDED
+    if BoundednessFlag.UNBOUNDED in flags:
+        return BoundednessFlag.UNBOUNDED
+    return BoundednessFlag.UNKNOWN
 
 
 # =====================================================================

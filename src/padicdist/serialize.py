@@ -18,6 +18,12 @@ sub-expressions:
 
 `{"type": "ref", "name": ...}` nodes are resolved against "defs" at load
 time; unknown or cyclic references are errors.
+
+Expressions nest at most MAX_NESTING levels: the root is at level 1, and
+each node, `ref` nodes included, is one level below its parent, so a chain
+of references counts as deep as the tree it stands for.  Deeper input, and
+JSON nested too deeply for the parser, is refused with ValueError before
+any evaluator recurses into it.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .core import (
     ball_from_json,
     ball_to_json,
     format_rational,
+    is_int,
     parse_rational,
     path_from_json,
     path_to_json,
@@ -46,6 +53,8 @@ from .distributions import (
     Regularize,
     Restrict,
 )
+
+MAX_NESTING = 100
 
 
 def expr_to_json(expr: DistExpr) -> dict:
@@ -102,9 +111,8 @@ def _require_keys(obj: dict, kind: str, required: set[str]) -> None:
 
 
 def _int_field(obj: dict, key: str) -> int:
-    # JSON true/false would pass as 1/0 through isinstance(_, int).
     value = obj[key]
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_int(value):
         raise ValueError(f"{key!r} must be an integer, got {value!r}")
     return value
 
@@ -112,12 +120,20 @@ def _int_field(obj: dict, key: str) -> int:
 def expr_from_json(obj: Any, prime: int, defs: dict | None = None) -> DistExpr:
     """Decode an expression object; `defs` supplies named sub-expressions."""
     require_prime(prime)
-    return _decode(obj, prime, defs or {}, frozenset())
+    return _decode(obj, prime, defs or {}, frozenset(), 1)
 
 
-def _decode(obj: Any, prime: int, defs: dict, resolving: frozenset) -> DistExpr:
+def _decode(
+    obj: Any, prime: int, defs: dict, resolving: frozenset, level: int
+) -> DistExpr:
+    if level > MAX_NESTING:
+        raise ValueError(f"expression nests deeper than {MAX_NESTING} levels")
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError(f"an expression must be an object with a 'type' field, got {obj!r}")
+
+    def inner(child: Any) -> DistExpr:
+        return _decode(child, prime, defs, resolving, level + 1)
+
     kind = obj["type"]
     if kind == "ref":
         _require_keys(obj, kind, {"name"})
@@ -126,7 +142,7 @@ def _decode(obj: Any, prime: int, defs: dict, resolving: frozenset) -> DistExpr:
             raise ValueError(f"reference to undefined name {name!r}")
         if name in resolving:
             raise ValueError(f"cyclic reference through {name!r}")
-        return _decode(defs[name], prime, defs, resolving | {name})
+        return _decode(defs[name], prime, defs, resolving | {name}, level + 1)
     if kind == "dirac":
         _require_keys(obj, kind, {"point"})
         return Dirac(parse_rational(obj["point"]))
@@ -149,27 +165,19 @@ def _decode(obj: Any, prime: int, defs: dict, resolving: frozenset) -> DistExpr:
         for item in obj["terms"]:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise ValueError(f"a lincomb term must be a [coef, expr] pair, got {item!r}")
-            terms.append((parse_rational(item[0]), _decode(item[1], prime, defs, resolving)))
+            terms.append((parse_rational(item[0]), inner(item[1])))
         return LinearComb(tuple(terms))
     if kind == "restrict":
         _require_keys(obj, kind, {"cell", "expr"})
-        return Restrict(
-            ball_from_json(obj["cell"], prime), _decode(obj["expr"], prime, defs, resolving)
-        )
+        return Restrict(ball_from_json(obj["cell"], prime), inner(obj["expr"]))
     if kind == "regularize":
         _require_keys(obj, kind, {"k", "alpha", "expr"})
         return Regularize(
-            _int_field(obj, "k"),
-            parse_rational(obj["alpha"]),
-            _decode(obj["expr"], prime, defs, resolving),
+            _int_field(obj, "k"), parse_rational(obj["alpha"]), inner(obj["expr"])
         )
     if kind == "graft":
         _require_keys(obj, kind, {"path", "left", "right"})
-        return Graft(
-            path_from_json(obj["path"], prime),
-            _decode(obj["left"], prime, defs, resolving),
-            _decode(obj["right"], prime, defs, resolving),
-        )
+        return Graft(path_from_json(obj["path"], prime), inner(obj["left"]), inner(obj["right"]))
     if kind == "branch":
         _require_keys(obj, kind, {"k", "children"})
         table = obj["children"]
@@ -181,9 +189,7 @@ def _decode(obj: Any, prime: int, defs: dict, resolving: frozenset) -> DistExpr:
             raise ValueError("branch children keys must be decimal integers") from None
         if sorted(keyed) != list(range(len(keyed))):
             raise ValueError("branch children keys must be exactly 0..len-1")
-        children = tuple(
-            _decode(keyed[t], prime, defs, resolving) for t in range(len(keyed))
-        )
+        children = tuple(inner(keyed[t]) for t in range(len(keyed)))
         return Branch(_int_field(obj, "k"), children)
     raise ValueError(f"unknown expression type {kind!r}")
 
@@ -217,13 +223,22 @@ def load_document(obj: dict, cli_prime: int | None = None) -> tuple[int, DistExp
     return prime, expr_from_json(obj["expr"], prime, defs)
 
 
-def load_document_file(path: str, cli_prime: int | None = None) -> tuple[int, DistExpr]:
+def load_json_file(path: str) -> Any:
+    """Parse a JSON file; malformed or too deeply nested JSON is a ValueError."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            obj = json.load(handle)
+            return json.load(handle)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid JSON in {path}: {exc}") from None
-    return load_document(obj, cli_prime)
+        except RecursionError:
+            raise ValueError(
+                f"JSON in {path} nests too deeply to parse "
+                f"(expressions nest at most {MAX_NESTING} levels)"
+            ) from None
+
+
+def load_document_file(path: str, cli_prime: int | None = None) -> tuple[int, DistExpr]:
+    return load_document(load_json_file(path), cli_prime)
 
 
 def dump_document(prime: int, expr: DistExpr) -> dict:

@@ -2,10 +2,16 @@
 
 Every checker enumerates balls in a fixed order (depth ascending, then
 representative ascending) and compares exact rationals, so a report is a
-pure function of its inputs: byte-identical across runs.  The checkers that
-cover whole levels (`check_relation`, `norm_scan`) evaluate each depth once
-with `evaluate_level`, as integer numerators over one denominator; the
-witness searches, which can stop early, evaluate ball by ball.
+pure function of its inputs: byte-identical across runs.  All of them
+evaluate with `evaluate_level`, as integer numerators over one denominator,
+and compare by cross-multiplying; a Fraction is built only for what a
+report shows.  The checkers that cover whole levels (`check_relation`,
+`norm_scan`) evaluate each depth once.  The witness searches, which stop at
+the first witness, scan each depth in consecutive rep ranges that double in
+length, so the work before a witness stays within a small multiple of the
+balls up to it.  Where the level path raises, the searches replay that
+level or range ball by ball with `evaluate`, so they return the same
+witness or raise the same error as a ball-by-ball search.
 
 Enumeration size is guarded: a checker refuses to start when p^depth exceeds
 its ball budget (default 10^6) and raises BallBudgetError instead of
@@ -278,34 +284,77 @@ class GraftPreconditionReport:
 def check_graft_precondition(
     left: DistExpr, right: DistExpr, path: Path, max_depth: int
 ) -> GraftPreconditionReport:
-    """Check on-path agreement and tail sums at levels 0..max_depth."""
+    """Check on-path agreement and tail sums at levels 0..max_depth.
+
+    Level n evaluates both sides once on the p children of P_n, as integer
+    numerators over one denominator per side; the on-path child is P_(n+1),
+    whose values the next level compares.
+    """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     p = path.prime
     on_path: list[OnPathFailure] = []
     tails: list[TailSumFailure] = []
     rep = 0
+    here = None  # (left num, left den, right num, right den) on P_n, once known
     for n in range(max_depth + 1):
-        here = Ball(p, n, rep)
-        lv, rv = evaluate(left, here), evaluate(right, here)
-        if lv != rv:
-            on_path.append(OnPathFailure(n, lv, rv))
         i_n = path.digit(n)
         q = p**n
-        below = above = Fraction(0)
-        for b in range(p):
-            if b == i_n:
-                continue
-            child = Ball(p, n + 1, rep + b * q)
-            diff = evaluate(left, child) - evaluate(right, child)
-            if b < i_n:
-                below += diff
-            else:
-                above += diff
-        if below != 0 or above != 0:
-            tails.append(TailSumFailure(n, below, above))
+        try:
+            if here is None:
+                (lv,), ld = evaluate_level(left, p, n, [rep])
+                (rv,), rd = evaluate_level(right, p, n, [rep])
+                here = lv, ld, rv, rd
+            children = [rep + b * q for b in range(p)]
+            lnums, ld = evaluate_level(left, p, n + 1, children)
+            rnums, rd = evaluate_level(right, p, n + 1, children)
+        except (ValueError, TypeError):
+            _graft_level_by_ball(left, right, path, n, rep, on_path, tails)
+            here = None
+        else:
+            lv, lden, rv, rden = here
+            if lv * rden != rv * lden:
+                on_path.append(OnPathFailure(n, Fraction(lv, lden), Fraction(rv, rden)))
+            diffs = [x * rd - y * ld for x, y in zip(lnums, rnums)]
+            below, above = sum(diffs[:i_n]), sum(diffs[i_n + 1 :])
+            if below or above:
+                den = ld * rd
+                tails.append(TailSumFailure(n, Fraction(below, den), Fraction(above, den)))
+            here = lnums[i_n], ld, rnums[i_n], rd
         rep += i_n * q
     return GraftPreconditionReport(p, path, max_depth, tuple(on_path), tuple(tails))
+
+
+def _graft_level_by_ball(
+    left: DistExpr,
+    right: DistExpr,
+    path: Path,
+    n: int,
+    rep: int,
+    on_path: list[OnPathFailure],
+    tails: list[TailSumFailure],
+) -> None:
+    # Level n of the precondition with `evaluate`, in its order: raises what
+    # a ball-by-ball check raises where the level path failed.
+    p = path.prime
+    here = Ball(p, n, rep)
+    lv, rv = evaluate(left, here), evaluate(right, here)
+    if lv != rv:
+        on_path.append(OnPathFailure(n, lv, rv))
+    i_n = path.digit(n)
+    q = p**n
+    below = above = Fraction(0)
+    for b in range(p):
+        if b == i_n:
+            continue
+        child = Ball(p, n + 1, rep + b * q)
+        diff = evaluate(left, child) - evaluate(right, child)
+        if b < i_n:
+            below += diff
+        else:
+            above += diff
+    if below != 0 or above != 0:
+        tails.append(TailSumFailure(n, below, above))
 
 
 # =====================================================================
@@ -336,6 +385,12 @@ def check_branch_hypothesis(
     balls ordered by depth then representative, or None when no two children
     differ on any ball of depth k..search_depth.  A None result means "no
     witness up to search_depth", never that the children coincide.
+
+    The first witness always has t = 0: if children t and s differ on a
+    ball, child 0 differs there from at least one of them.  So only child 0
+    is compared, against s = 1, 2, ... in turn, skipping children
+    structurally equal to it (they evaluate identically), and the work is
+    linear in the number of children.
     """
     require_prime(prime)
     if isinstance(children, Branch):
@@ -349,16 +404,12 @@ def check_branch_hypothesis(
     if len(table) != prime**k:
         raise ValueError(f"need {prime**k} children for p={prime}, k={k}, got {len(table)}")
     require_budget(prime, search_depth, ball_budget)
-    for t in range(len(table)):
-        for s in range(t + 1, len(table)):
-            if table[t] == table[s]:
-                # structurally equal children evaluate identically
-                continue
-            for n in range(k, search_depth + 1):
-                for rep in range(prime**n):
-                    ball = Ball(prime, n, rep)
-                    if evaluate(table[t], ball) != evaluate(table[s], ball):
-                        return BranchWitness(t, s, ball)
+    for s in range(1, len(table)):
+        if table[0] == table[s]:
+            continue
+        ball = _first_difference(table[0], table[s], prime, k, search_depth)
+        if ball is not None:
+            return BranchWitness(0, s, ball)
     return None
 
 
@@ -379,11 +430,50 @@ def distinctness_witness(
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     require_budget(prime, max_depth, ball_budget)
-    for n in range(max_depth + 1):
-        for rep in range(prime**n):
-            ball = Ball(prime, n, rep)
-            if evaluate(first, ball) != evaluate(second, ball):
+    return _first_difference(first, second, prime, 0, max_depth)
+
+
+def _first_difference(
+    first: DistExpr, second: DistExpr, p: int, lo: int, hi: int
+) -> Ball | None:
+    """First ball of depth lo..hi, by depth then rep, where the two differ.
+
+    Depth n is scanned in consecutive rep ranges: the first holds p^(n-1)
+    reps, each later one as many as the level has scanned so far.  The
+    range holding the first differing rep r is no longer than
+    max(r, p^(n-1)), so from lo = 0 the search evaluates fewer than twice
+    the balls a ball-by-ball search visits, whatever p is.
+    """
+    for n in range(lo, hi + 1):
+        m = p**n
+        start, stop = 0, max(1, m // p)
+        while start < m:
+            reps = range(start, stop)
+            try:
+                xs, dx = evaluate_level(first, p, n, reps)
+                ys, dy = evaluate_level(second, p, n, reps)
+            except (ValueError, TypeError):
+                ball = _first_difference_by_ball(first, second, p, n, reps)
+            else:
+                ball = next(
+                    (Ball(p, n, r) for r, x, y in zip(reps, xs, ys) if x * dy != y * dx),
+                    None,
+                )
+            if ball is not None:
                 return ball
+            start, stop = stop, min(2 * stop, m)
+    return None
+
+
+def _first_difference_by_ball(
+    first: DistExpr, second: DistExpr, p: int, n: int, reps: range
+) -> Ball | None:
+    # The search with `evaluate`, in its order: returns the earlier witness
+    # or raises what a ball-by-ball search raises where the level path failed.
+    for rep in reps:
+        ball = Ball(p, n, rep)
+        if evaluate(first, ball) != evaluate(second, ball):
+            return ball
     return None
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from padicdist.cli import main
+from padicdist.serialize import MAX_NESTING
 
 MAZUR5 = {"prime": 5, "expr": {"type": "mazur"}}
 HAAR_NO_PRIME = {"expr": {"type": "haar"}}
@@ -485,3 +486,80 @@ def test_missing_required_flag_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--ball", "0/1"])
     assert exc.value.code == 2
+
+
+# ------------------------------------------------------------- deep nesting
+
+def _nest(depth, refs):
+    # An expression `depth` levels deep, equal in value to Mazur; with refs,
+    # every other level is a ref to a def holding the level below.
+    defs, node = {}, {"type": "mazur"}
+    for level in range(2, depth + 1):
+        if refs and level % 2:
+            defs[f"d{level}"] = node
+            node = {"type": "ref", "name": f"d{level}"}
+        else:
+            node = {"type": "lincomb", "terms": [["1", node]]}
+    return node, defs
+
+
+def _deep_doc(depth, refs, root):
+    inner, defs = _nest(depth - 1, refs)
+    mazur = {"type": "mazur"}
+    expr = {
+        "lincomb": {"type": "lincomb", "terms": [["1", inner]]},
+        "graft": {"type": "graft", "path": {"preperiod": [], "period": [2]},
+                  "left": inner, "right": mazur},
+        "branch": {"type": "branch", "k": 1,
+                   "children": {str(t): inner if t == 0 else mazur for t in range(5)}},
+    }[root]
+    return {"prime": 5, "defs": defs, "expr": expr}
+
+
+DEEP_COMMANDS = [
+    ("lincomb", ["eval", "--ball", "3/1"], 0),
+    ("lincomb", ["verify", "--depth", "2"], 0),
+    ("graft", ["graft-check", "--depth", "2"], 0),
+    ("branch", ["branch-check", "--depth", "2"], 1),
+    ("lincomb", ["distinct", "--other", "{other}", "--depth", "2"], 1),
+    ("lincomb", ["norms", "--depth", "2"], 0),
+    ("lincomb", ["integrate", "--fn", "x", "--depth", "2"], 0),
+    ("lincomb", ["dump", "--depth", "1"], 0),
+]
+
+
+@pytest.mark.parametrize("refs", [False, True], ids=["literal", "defs-chain"])
+@pytest.mark.parametrize("root, argv, code", DEEP_COMMANDS, ids=[c[1][0] for c in DEEP_COMMANDS])
+def test_nesting_cap(doc, capsys, refs, root, argv, code):
+    argv = [a.replace("{other}", doc(MAZUR5, "other.json")) for a in argv]
+    spec = doc(_deep_doc(MAX_NESTING, refs, root))
+    got, out, err = run(capsys, argv[0], "--spec", spec, *argv[1:])
+    assert (got, err) == (code, "")
+    assert out
+    spec = doc(_deep_doc(MAX_NESTING + 1, refs, root))
+    got, out, err = run(capsys, argv[0], "--spec", spec, *argv[1:])
+    assert (got, out) == (2, "")
+    assert err == f"error: expression nests deeper than {MAX_NESTING} levels\n"
+
+
+def test_json_too_deep_to_parse_exits_2(tmp_path, capsys):
+    # Nested far past the interpreter's recursion limit, so the JSON parser
+    # itself gives up before the expression decoder sees the document.
+    depth = 5000
+    spec = tmp_path / "deep.json"
+    spec.write_text(
+        '{"prime": 5, "expr": ' + '{"type": "lincomb", "terms": [["1", ' * depth
+        + '{"type": "mazur"}' + "]]}" * depth + "}",
+        encoding="utf-8",
+    )
+    step = tmp_path / "step.json"
+    step.write_text("[" * depth + "]" * depth, encoding="utf-8")
+    mazur = tmp_path / "mazur.json"
+    mazur.write_text(json.dumps(MAZUR5), encoding="utf-8")
+    for argv in (
+        ["eval", "--spec", str(spec), "--ball", "1/1"],
+        ["integrate", "--spec", str(mazur), "--step-fn", str(step), "--depth", "1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: JSON in ") and err.count("\n") == 1

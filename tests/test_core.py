@@ -227,6 +227,11 @@ def test_ball_validation():
         Ball(3, 1, 3)  # rep must be < p**depth
     with pytest.raises(ValueError):
         Ball(6, 1, 0)
+    # bools are not depths or reps, though True == 1
+    with pytest.raises(ValueError):
+        Ball(5, True, 3)
+    with pytest.raises(ValueError):
+        Ball(5, 1, True)
 
 
 def test_ball_make_canonicalizes():

@@ -91,6 +91,8 @@ def test_bernoulli_multiplication_identity():
 def test_bernoulli_polynomial_rejects_negative_index():
     with pytest.raises(ValueError):
         bernoulli_polynomial(-1, 0)
+    with pytest.raises(ValueError):
+        bernoulli_polynomial(True, 0)
 
 
 # ----------------------------------------------------------- base families
@@ -141,6 +143,8 @@ def test_bernoulli_index_validation():
         Bernoulli(0)
     with pytest.raises(ValueError):
         Bernoulli("2")
+    with pytest.raises(ValueError):
+        Bernoulli(True)
 
 
 def test_base_families_are_additive():
@@ -216,6 +220,8 @@ def test_regularize_validation():
         Regularize(0, F(3), Mazur())
     with pytest.raises(ValueError):
         Regularize(1, F(1), Mazur())
+    with pytest.raises(ValueError):
+        Regularize(True, F(2), Mazur())
     # alpha must be a unit for the prime in play: |3|_3 < 1
     with pytest.raises(ValueError):
         evaluate(Regularize(1, F(3), Mazur()), Ball(3, 1, 0))
@@ -295,6 +301,8 @@ def test_branch_validation():
         Branch(1, ())
     with pytest.raises(ValueError):
         Branch(1, {0: Mazur(), 2: Haar()})
+    with pytest.raises(ValueError):
+        Branch(True, (Mazur(), Haar()))
     # table size is checked against the prime at evaluation time
     with pytest.raises(ValueError):
         evaluate(Branch(2, tuple(Dirac(t) for t in range(8))), Ball(3, 2, 0))

@@ -22,6 +22,7 @@ from padicdist import (
     expr_to_json,
     load_document,
 )
+from padicdist.serialize import MAX_NESTING
 
 SAMPLES = [
     Dirac(F(-7, 8)),
@@ -86,6 +87,20 @@ def test_cyclic_refs_are_an_error():
         expr_from_json({"type": "ref", "name": "a"}, 5, loop)
     with pytest.raises(ValueError, match="cyclic"):
         expr_from_json({"type": "ref", "name": "s"}, 5, {"s": {"type": "ref", "name": "s"}})
+
+
+def test_ref_chains_count_toward_the_nesting_cap():
+    # A chain of plain aliases decodes to one node, but each ref resolved is
+    # a level: without the cap a long chain exhausts the interpreter's stack.
+    defs = {"r0": {"type": "mazur"}}
+    for i in range(1, 5000):
+        defs[f"r{i}"] = {"type": "ref", "name": f"r{i - 1}"}
+    chain = {"type": "ref", "name": f"r{MAX_NESTING - 2}"}
+    assert expr_from_json(chain, 5, defs) == Mazur()
+    with pytest.raises(ValueError, match="nests deeper"):
+        expr_from_json({"type": "ref", "name": f"r{MAX_NESTING - 1}"}, 5, defs)
+    with pytest.raises(ValueError, match="nests deeper"):
+        expr_from_json({"type": "ref", "name": "r4999"}, 5, defs)
 
 
 @pytest.mark.parametrize(
