@@ -142,23 +142,18 @@ def cmd_distinct(args: argparse.Namespace) -> int:
     if other_prime != prime:
         raise ValueError(f"prime mismatch between specs: {prime} vs {other_prime}")
     witness = distinctness_witness(expr, other, prime, args.depth, ball_budget=args.budget)
+    if witness is not None:
+        values = [format_rational(evaluate(e, witness)) for e in (expr, other)]
     if args.format == "json":
         payload = {"prime": prime, "max_depth": args.depth, "found": witness is not None}
         if witness is not None:
             payload["ball"] = ball_to_json(witness)
-            payload["values"] = [
-                format_rational(evaluate(expr, witness)),
-                format_rational(evaluate(other, witness)),
-            ]
+            payload["values"] = values
         else:
             payload["note"] = f"no differing ball up to depth {args.depth}"
         _emit_json(payload)
     elif witness is not None:
-        left, right = evaluate(expr, witness), evaluate(other, witness)
-        print(
-            f"distinct on ball {witness.rep}/{witness.depth}: "
-            f"{format_rational(left)} vs {format_rational(right)}"
-        )
+        print(f"distinct on ball {witness.rep}/{witness.depth}: {values[0]} vs {values[1]}")
     else:
         print(f"no differing ball up to depth {args.depth}")
     return 0 if witness is not None else 1

@@ -13,9 +13,9 @@ On top of the digit picture this module provides:
 * eventually periodic digit paths with lexicographic comparison and
   divergence bookkeeping (`Path`, `path_compare`, `divergence_index`).
 
-Rationals, balls and paths also carry their plain-text and JSON forms here
-("num/den" strings, {"a": ..., "n": ...}, {"preperiod": ..., "period": ...}),
-so every other module serializes through this one.
+Rationals, balls, paths and tables also carry their plain-text and JSON forms
+here ("num/den" strings, {"a": ..., "n": ...}, {"preperiod": ..., "period":
+...}, {"0": ..., "1": ...}), so every other module serializes through this one.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import inf, lcm
 
 
@@ -47,23 +48,36 @@ def is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below 3317044064679887385961981, the least strong pseudoprime to all of
+# them (Sorenson and Webster, arXiv:1509.00864).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+@lru_cache(maxsize=256)
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= _MR_LIMIT:
+        raise ValueError(f"p must be below {_MR_LIMIT}, got {n}")
+    if n < 2 or any(n % q == 0 for q in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        f += 2
     return True
 
 
 def require_prime(p: int) -> int:
-    """Return p, or raise ValueError if p is not a prime integer."""
+    """Return p, or raise ValueError if p is not a prime integer below 3.3 * 10^24."""
     if not isinstance(p, int) or isinstance(p, bool) or not _is_prime(p):
         raise ValueError(f"p must be a prime integer, got {p!r}")
     return p
@@ -431,3 +445,20 @@ def path_from_json(obj: dict, prime: int) -> Path:
             f"a path must be an object with keys 'preperiod' and 'period', got {obj!r}"
         )
     return Path(prime, tuple(obj["preperiod"]), tuple(obj["period"]))
+
+
+def table_from_json(table: object, what: str) -> list:
+    """The entries of a JSON object keyed "0", "1", ..., in key order.
+
+    Only the keys str(t) are accepted: under int(), "01", "+1" or " 1" would
+    name entry 1 too, and one of them would silently replace the other.
+    """
+    if not isinstance(table, dict):
+        raise ValueError(f"{what} must be an object keyed by '0', '1', ...")
+    keys = [str(t) for t in range(len(table))]
+    if set(table) != set(keys):
+        raise ValueError(
+            f"{what} keys must be exactly '0', '1', ..., '{len(table) - 1}', "
+            "with no sign, space or leading zero"
+        )
+    return [table[key] for key in keys]

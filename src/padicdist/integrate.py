@@ -19,7 +19,15 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .core import as_rational, format_rational, norm, parse_rational, require_prime
+from .core import (
+    as_rational,
+    format_rational,
+    is_int,
+    norm,
+    parse_rational,
+    require_prime,
+    table_from_json,
+)
 from .distributions import DistExpr, evaluate_level
 from .verify import DEFAULT_BALL_BUDGET, require_budget
 
@@ -58,7 +66,7 @@ class StepFn:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.depth, int) or self.depth < 0:
+        if not is_int(self.depth) or self.depth < 0:
             raise ValueError(f"step depth must be an integer >= 0, got {self.depth!r}")
         table = self.values
         if isinstance(table, Mapping):
@@ -250,11 +258,9 @@ def step_fn_from_json(obj: dict) -> StepFn:
     """Decode {"depth": d, "values": {"0": "1/2", ...}} into a StepFn."""
     if not isinstance(obj, dict) or set(obj) != {"depth", "values"}:
         raise ValueError("a step function needs exactly 'depth' and 'values'")
-    table = obj["values"]
-    if not isinstance(table, dict):
-        raise ValueError("step values must be an object keyed by '0', '1', ...")
+    entries = table_from_json(obj["values"], "step values")
     try:
-        keyed = {int(k): parse_rational(v) for k, v in table.items()}
+        values = tuple(parse_rational(v) for v in entries)
     except ValueError as exc:
         raise ValueError(f"bad step table: {exc}") from None
-    return StepFn(obj["depth"], keyed)
+    return StepFn(obj["depth"], values)

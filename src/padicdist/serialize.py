@@ -40,6 +40,7 @@ from .core import (
     path_from_json,
     path_to_json,
     require_prime,
+    table_from_json,
 )
 from .distributions import (
     Bernoulli,
@@ -180,16 +181,7 @@ def _decode(
         return Graft(path_from_json(obj["path"], prime), inner(obj["left"]), inner(obj["right"]))
     if kind == "branch":
         _require_keys(obj, kind, {"k", "children"})
-        table = obj["children"]
-        if not isinstance(table, dict):
-            raise ValueError("branch children must be an object keyed by '0', '1', ...")
-        try:
-            keyed = {int(key): value for key, value in table.items()}
-        except ValueError:
-            raise ValueError("branch children keys must be decimal integers") from None
-        if sorted(keyed) != list(range(len(keyed))):
-            raise ValueError("branch children keys must be exactly 0..len-1")
-        children = tuple(inner(keyed[t]) for t in range(len(keyed)))
+        children = tuple(inner(c) for c in table_from_json(obj["children"], "branch children"))
         return Branch(_int_field(obj, "k"), children)
     raise ValueError(f"unknown expression type {kind!r}")
 

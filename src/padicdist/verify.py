@@ -9,9 +9,9 @@ report shows.  The checkers that cover whole levels (`check_relation`,
 `norm_scan`) evaluate each depth once.  The witness searches, which stop at
 the first witness, scan each depth in consecutive rep ranges that double in
 length, so the work before a witness stays within a small multiple of the
-balls up to it.  Where the level path raises, the searches replay that
-level or range ball by ball with `evaluate`, so they return the same
-witness or raise the same error as a ball-by-ball search.
+balls up to it.  Where a request raises, the searches request its balls
+again one at a time, so they return the same witness or raise the same
+error as a ball-by-ball search.
 
 Enumeration size is guarded: a checker refuses to start when p^depth exceeds
 its ball budget (default 10^6) and raises BallBudgetError instead of
@@ -39,7 +39,6 @@ from .distributions import (
     BoundednessFlag,
     DistExpr,
     boundedness_flag,
-    evaluate,
     evaluate_level,
 )
 
@@ -286,9 +285,12 @@ def check_graft_precondition(
 ) -> GraftPreconditionReport:
     """Check on-path agreement and tail sums at levels 0..max_depth.
 
-    Level n evaluates both sides once on the p children of P_n, as integer
-    numerators over one denominator per side; the on-path child is P_(n+1),
-    whose values the next level compares.
+    Balls are requested in the order a ball-by-ball check reads them: P_0,
+    then at each level n the off-path children of P_n in digit order, and
+    last, when n < max_depth, the on-path child P_(n+1), whose values the
+    next level compares.  Each request is one `evaluate_level` call per
+    side, as integer numerators over one denominator; see `_both` for how a
+    faulty request is narrowed to the ball that fails.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
@@ -296,65 +298,43 @@ def check_graft_precondition(
     on_path: list[OnPathFailure] = []
     tails: list[TailSumFailure] = []
     rep = 0
-    here = None  # (left num, left den, right num, right den) on P_n, once known
+    (lnums, ld), (rnums, rd) = _both(left, right, p, 0, [rep])
     for n in range(max_depth + 1):
+        # The last ball of the previous request is P_n.
+        lv, rv = lnums[-1], rnums[-1]
+        if lv * rd != rv * ld:
+            on_path.append(OnPathFailure(n, Fraction(lv, ld), Fraction(rv, rd)))
         i_n = path.digit(n)
         q = p**n
-        try:
-            if here is None:
-                (lv,), ld = evaluate_level(left, p, n, [rep])
-                (rv,), rd = evaluate_level(right, p, n, [rep])
-                here = lv, ld, rv, rd
-            children = [rep + b * q for b in range(p)]
-            lnums, ld = evaluate_level(left, p, n + 1, children)
-            rnums, rd = evaluate_level(right, p, n + 1, children)
-        except (ValueError, TypeError):
-            _graft_level_by_ball(left, right, path, n, rep, on_path, tails)
-            here = None
-        else:
-            lv, lden, rv, rden = here
-            if lv * rden != rv * lden:
-                on_path.append(OnPathFailure(n, Fraction(lv, lden), Fraction(rv, rden)))
-            diffs = [x * rd - y * ld for x, y in zip(lnums, rnums)]
-            below, above = sum(diffs[:i_n]), sum(diffs[i_n + 1 :])
-            if below or above:
-                den = ld * rd
-                tails.append(TailSumFailure(n, Fraction(below, den), Fraction(above, den)))
-            here = lnums[i_n], ld, rnums[i_n], rd
+        balls = [rep + b * q for b in range(p) if b != i_n]
         rep += i_n * q
+        if n < max_depth:
+            balls.append(rep)
+        (lnums, ld), (rnums, rd) = _both(left, right, p, n + 1, balls)
+        diffs = [x * rd - y * ld for x, y in zip(lnums[: p - 1], rnums)]
+        below, above = sum(diffs[:i_n]), sum(diffs[i_n:])
+        if below or above:
+            den = ld * rd
+            tails.append(TailSumFailure(n, Fraction(below, den), Fraction(above, den)))
     return GraftPreconditionReport(p, path, max_depth, tuple(on_path), tuple(tails))
 
 
-def _graft_level_by_ball(
-    left: DistExpr,
-    right: DistExpr,
-    path: Path,
-    n: int,
-    rep: int,
-    on_path: list[OnPathFailure],
-    tails: list[TailSumFailure],
-) -> None:
-    # Level n of the precondition with `evaluate`, in its order: raises what
-    # a ball-by-ball check raises where the level path failed.
-    p = path.prime
-    here = Ball(p, n, rep)
-    lv, rv = evaluate(left, here), evaluate(right, here)
-    if lv != rv:
-        on_path.append(OnPathFailure(n, lv, rv))
-    i_n = path.digit(n)
-    q = p**n
-    below = above = Fraction(0)
-    for b in range(p):
-        if b == i_n:
-            continue
-        child = Ball(p, n + 1, rep + b * q)
-        diff = evaluate(left, child) - evaluate(right, child)
-        if b < i_n:
-            below += diff
-        else:
-            above += diff
-    if below != 0 or above != 0:
-        tails.append(TailSumFailure(n, below, above))
+def _both(
+    first: DistExpr, second: DistExpr, p: int, n: int, reps: Sequence[int]
+) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
+    """Values of both sides on the balls r + (p^n), r in reps, in order.
+
+    One `evaluate_level` call per side, first side before second.  If that
+    raises, the balls are requested again one at a time, first side before
+    second, so the error raised is the one a ball-by-ball check meets first.
+    """
+    try:
+        return evaluate_level(first, p, n, reps), evaluate_level(second, p, n, reps)
+    except (ValueError, TypeError):
+        for r in reps:
+            evaluate_level(first, p, n, [r])
+            evaluate_level(second, p, n, [r])
+        raise
 
 
 # =====================================================================
@@ -442,7 +422,9 @@ def _first_difference(
     reps, each later one as many as the level has scanned so far.  The
     range holding the first differing rep r is no longer than
     max(r, p^(n-1)), so from lo = 0 the search evaluates fewer than twice
-    the balls a ball-by-ball search visits, whatever p is.
+    the balls a ball-by-ball search visits, whatever p is.  A range that
+    raises is scanned again one rep at a time, which returns a witness
+    before its first faulty ball or raises what that ball raises.
     """
     for n in range(lo, hi + 1):
         m = p**n
@@ -450,31 +432,22 @@ def _first_difference(
         while start < m:
             reps = range(start, stop)
             try:
-                xs, dx = evaluate_level(first, p, n, reps)
-                ys, dy = evaluate_level(second, p, n, reps)
+                r = _first_differing(first, second, p, n, reps)
             except (ValueError, TypeError):
-                ball = _first_difference_by_ball(first, second, p, n, reps)
-            else:
-                ball = next(
-                    (Ball(p, n, r) for r, x, y in zip(reps, xs, ys) if x * dy != y * dx),
-                    None,
-                )
-            if ball is not None:
-                return ball
+                alone = (r for r in reps if _first_differing(first, second, p, n, [r]) is not None)
+                r = next(alone, None)
+            if r is not None:
+                return Ball(p, n, r)
             start, stop = stop, min(2 * stop, m)
     return None
 
 
-def _first_difference_by_ball(
-    first: DistExpr, second: DistExpr, p: int, n: int, reps: range
-) -> Ball | None:
-    # The search with `evaluate`, in its order: returns the earlier witness
-    # or raises what a ball-by-ball search raises where the level path failed.
-    for rep in reps:
-        ball = Ball(p, n, rep)
-        if evaluate(first, ball) != evaluate(second, ball):
-            return ball
-    return None
+def _first_differing(
+    first: DistExpr, second: DistExpr, p: int, n: int, reps: Sequence[int]
+) -> int | None:
+    # The first rep in reps where the two differ; the first side is evaluated first.
+    (xs, dx), (ys, dy) = evaluate_level(first, p, n, reps), evaluate_level(second, p, n, reps)
+    return next((r for r, x, y in zip(reps, xs, ys) if x * dy != y * dx), None)
 
 
 # =====================================================================

@@ -474,6 +474,15 @@ def test_path_usage_errors(capsys):
     assert code == 2
 
 
+def test_path_at_a_large_prime(capsys):
+    # Primality of p ~ 10^18 is decided at once, prime or not.
+    code, out, _ = run(capsys, "path", "--prime", "1000000000000000003", "--point", "1/3")
+    assert code == 0 and out.startswith("digits: ")
+    code, out, err = run(capsys, "path", "--prime", "1000000016000000063", "--point", "1/3")
+    assert (code, out) == (2, "")
+    assert "prime" in err and err.count("\n") == 1
+
+
 # -------------------------------------------------------------------- parsing
 
 def test_unknown_command_exits_with_usage_error(capsys):

@@ -51,14 +51,50 @@ def expand_by_single_inverse(t, p, count):
 # ---------------------------------------------------------------- primes
 
 def test_require_prime_accepts_primes():
-    for p in (2, 3, 5, 7, 11, 13, 97):
+    for p in (2, 3, 5, 7, 11, 13, 97, 10**18 + 3):
         require_prime(p)
 
 
-@pytest.mark.parametrize("bad", [0, 1, 4, 6, 9, -3, -7, 15, 100])
+@pytest.mark.parametrize(
+    "bad",
+    [0, 1, 4, 6, 9, -3, -7, 15, 100,
+     1000000016000000063,  # (10^9 + 7)(10^9 + 9)
+     3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+     561],  # Carmichael number
+)
 def test_require_prime_rejects_composites(bad):
     with pytest.raises(ValueError):
         require_prime(bad)
+
+
+def test_require_prime_agrees_with_trial_division():
+    def by_trial(n):
+        return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+    for n in range(-2, 20000):
+        try:
+            got = require_prime(n) == n
+        except ValueError:
+            got = False
+        assert got == by_trial(n)
+
+
+# psi_1 .. psi_12: the least strong pseudoprimes to the first j prime bases
+# (several j share one), each caught only by a later base.
+@pytest.mark.parametrize(
+    "n",
+    [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+     341550071728321, 3825123056546413051, 318665857834031151167461],
+)
+def test_require_prime_rejects_strong_pseudoprimes(n):
+    with pytest.raises(ValueError, match="must be a prime integer"):
+        require_prime(n)
+
+
+def test_require_prime_refuses_primes_beyond_the_proven_range():
+    # 2^89 - 1 is prime, but above 3.3 * 10^24 the test is not proven exact.
+    with pytest.raises(ValueError, match="must be below"):
+        require_prime(2**89 - 1)
 
 
 def test_require_prime_rejects_bool():

@@ -218,6 +218,27 @@ def test_parse_polynomial_rejects(bad):
         parse_polynomial(bad)
 
 
+def test_step_fn_rejects_bool_depth():
+    with pytest.raises(ValueError):
+        StepFn(True, (F(1), F(2)))
+    with pytest.raises(ValueError):
+        step_fn_from_json({"depth": True, "values": {"0": "1", "1": "2"}})
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"0": "1", "1": "2", "+1": "5"},  # "+1" would replace "1"
+        {"0": "1", "1": "2", "01": "5"},
+        {"0": "1", " 1": "2"},
+        {**{str(t): "0" for t in range(10)}, "1_0": "1"},  # int("1_0") == 10
+    ],
+)
+def test_step_table_keys_must_be_canonical(values):
+    with pytest.raises(ValueError, match="keys must be exactly"):
+        step_fn_from_json({"depth": 1, "values": values})
+
+
 def test_parse_polynomial_evaluates_like_written():
     poly = parse_polynomial("1/2+3*x-x^2")
     for x in (F(0), F(2), F(-1, 3)):

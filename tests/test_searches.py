@@ -25,6 +25,7 @@ from padicdist import (
     Mazur,
     NotPAdicIntegerError,
     Path,
+    Regularize,
     check_branch_hypothesis,
     check_graft_precondition,
     distinctness_witness,
@@ -323,3 +324,40 @@ def test_graft_fault_on_the_next_on_path_ball_only(depth):
     got = outcome(check_graft_precondition, FAULT_ON_P1, Mazur(), PI_200, depth)
     assert got == outcome(scalar_graft_precondition, FAULT_ON_P1, Mazur(), PI_200, depth)
     assert got[0] == ("returned" if depth == 0 else "raised")
+
+
+# Along the path 2, 0, 0, ... the children of P_0 read by the check are
+# 0 + (3), 1 + (3) off the path and 2 + (3) = P_1 on it.  This left side
+# sends both 1 + (3) and 2 + (3) into faulty Branch children with different
+# errors: a ball-by-ball check reads the off-path child first, so the check
+# must request P_1 after it.
+FAULTS_ON_P1_AND_ITS_SIBLING = Graft(
+    Path(3, (), (0,)),
+    Haar(),
+    Branch(1, (Haar(), Regularize(1, F(3), Mazur()), Dirac(F(1, 3)))),
+)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_graft_reads_the_off_path_child_before_the_next_on_path_ball(depth):
+    args = FAULTS_ON_P1_AND_ITS_SIBLING, Mazur(), PI_200, depth
+    got = outcome(check_graft_precondition, *args)
+    assert got == outcome(scalar_graft_precondition, *args)
+    assert got == ("raised", ValueError, "alpha=3 is not a unit of Z_p for p=3")
+
+
+def _fault_at(t, fault):
+    # Faulty on t + (9) only, of the balls the check reads along PI_200:
+    # the graft sends only 5 + (9) and 8 + (9) to its Branch.
+    return Graft(PI_200, Haar(), Branch(2, tuple(fault if s == t else Haar() for s in range(9))))
+
+
+def test_graft_reads_the_right_side_before_the_next_ball():
+    # Level 1 reads the off-path children 5 + (9), then 8 + (9), each on
+    # the left and then the right: the right side's fault on 5 + (9) comes
+    # first, though the left side alone would raise at 8 + (9).
+    left = _fault_at(8, Regularize(1, F(3), Mazur()))
+    right = _fault_at(5, Dirac(F(1, 3)))
+    got = outcome(check_graft_precondition, left, right, PI_200, 1)
+    assert got == outcome(scalar_graft_precondition, left, right, PI_200, 1)
+    assert got == ("raised", NotPAdicIntegerError, "1/3 is not a p-adic integer for p=3")

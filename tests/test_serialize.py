@@ -126,6 +126,16 @@ def test_ref_chains_count_toward_the_nesting_cap():
         {"type": "restrict", "cell": {"a": 0, "n": True}, "expr": {"type": "mazur"}},
         {"type": "lincomb", "terms": {}},  # terms not a list
         {"type": "lincomb", "terms": "ab"},
+        # Branch keys other than str(t): under int() they collide or alias
+        {"type": "branch", "k": 1,
+         "children": {**{str(t): {"type": "haar"} for t in range(5)},
+                      "01": {"type": "dirac", "point": "0"}}},
+        {"type": "branch", "k": 1,
+         "children": {("+1" if t == 1 else str(t)): {"type": "mazur"} for t in range(5)}},
+        {"type": "branch", "k": 1,
+         "children": {(" 1" if t == 1 else str(t)): {"type": "mazur"} for t in range(5)}},
+        {"type": "branch", "k": 2,
+         "children": {("1_0" if t == 10 else str(t)): {"type": "mazur"} for t in range(25)}},
     ],
 )
 def test_malformed_nodes_are_rejected(obj):
