@@ -189,6 +189,8 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 
 def cmd_dump(args: argparse.Namespace) -> int:
     prime, expr = _load(args)
+    if args.depth < 0:
+        raise ValueError("depth must be >= 0")
     require_budget(prime, args.depth, args.budget)
     if args.format == "dot":
         lines = ["digraph balls {"]

@@ -211,6 +211,9 @@ class Path:
         return self.period[(i - len(self.preperiod)) % len(self.period)]
 
     def digits(self, count: int) -> list[int]:
+        """The first `count` digits of the stream."""
+        if count < 0:
+            raise ValueError(f"digit count must be >= 0, got {count}")
         return [self.digit(i) for i in range(count)]
 
 

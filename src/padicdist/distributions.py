@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -357,6 +358,8 @@ def _level(
         return [expr.scale.numerator] * len(rs), expr.scale.denominator * m
 
     if isinstance(expr, Mazur):
+        if isinstance(rs, range):
+            return list(range(2 * rs.start - m, 2 * rs.stop - m, 2 * rs.step)), 2 * m
         return [2 * a - m for a in rs], 2 * m
 
     if isinstance(expr, Bernoulli):
@@ -461,9 +464,10 @@ def _level_graft(
     if path.prime != p:
         raise PrimeMismatchError(f"graft path over p={path.prime} evaluated at p={p}")
     digits = path.digits(n)
-    on_path = sum(d * p**j for j, d in enumerate(digits))
+    if reps is None:
+        return _level_graft_classes(expr, p, n, digits)
     m = p**n
-    rs = range(m) if reps is None else reps
+    on_path = sum(d * p**j for j, d in enumerate(digits))
 
     def goes_right(r: int) -> bool:
         # The first digit leaving the path sits at the p-adic valuation of
@@ -478,17 +482,53 @@ def _level_graft(
             q *= p
         return r // q % p > digits[j]
 
-    right = [goes_right(r) for r in rs]
+    right = [goes_right(r) for r in reps]
     left_nums, left_den = _level(
-        expr.left, p, n, [r for r, s in zip(rs, right) if not s]
+        expr.left, p, n, [r for r, s in zip(reps, right) if not s]
     )
     right_nums, right_den = _level(
-        expr.right, p, n, [r for r, s in zip(rs, right) if s]
+        expr.right, p, n, [r for r, s in zip(reps, right) if s]
     )
     den = lcm(left_den, right_den)
     fl, fr = den // left_den, den // right_den
     li, ri = iter(left_nums), iter(right_nums)
     return [fr * next(ri) if s else fl * next(li) for s in right], den
+
+
+def _level_graft_classes(
+    expr: Graft, p: int, n: int, digits: Sequence[int]
+) -> tuple[list[int], int]:
+    # The whole level, side by side.  The balls that first leave the path at
+    # digit j with digit d form the residue class range(P_j + d p^j, m,
+    # p^(j+1)), P_j the path's first j digits: left if d < digits[j], right
+    # if larger.  The on-path ball goes left.  Each side is evaluated once,
+    # on its classes one after another, and the values are put back class by
+    # class with slice assignment.
+    m = p**n
+    classes: tuple[list[range], list[range]] = ([], [])
+    head, q = 0, 1
+    for dj in digits:
+        for d in range(p):
+            if d != dj:
+                classes[d > dj].append(range(head + d * q, m, q * p))
+        head += dj * q
+        q *= p
+    classes[0].append(range(head, m, m))
+    sides = [
+        (_level(side, p, n, list(chain.from_iterable(own))), own)
+        for side, own in zip((expr.left, expr.right), classes)
+    ]
+    den = lcm(*(d for (_, d), _ in sides))
+    nums = [0] * m
+    for (values, d), own in sides:
+        if d != den:
+            f = den // d
+            values = [f * x for x in values]
+        i = 0
+        for c in own:
+            nums[c.start :: c.step] = values[i : i + len(c)]
+            i += len(c)
+    return nums, den
 
 
 def _level_branch(

@@ -6,12 +6,14 @@ pure function of its inputs: byte-identical across runs.  All of them
 evaluate with `evaluate_level`, as integer numerators over one denominator,
 and compare by cross-multiplying; a Fraction is built only for what a
 report shows.  The checkers that cover whole levels (`check_relation`,
-`norm_scan`) evaluate each depth once.  The witness searches, which stop at
-the first witness, scan each depth in consecutive rep ranges that double in
-length, so the work before a witness stays within a small multiple of the
-balls up to it.  Where a request raises, the searches request its balls
-again one at a time, so they return the same witness or raise the same
-error as a ball-by-ball search.
+`norm_scan`) evaluate each depth once; `check_relation` compares a whole
+level with one list comparison and goes ball by ball only through a level
+that holds a violation.  The witness searches, which stop at the first
+witness, scan each depth in consecutive rep ranges that double in length,
+so the work before a witness stays within a small multiple of the balls up
+to it.  Where a request raises, the searches request its balls again one at
+a time, so they return the same witness or raise the same error as a
+ball-by-ball search.
 
 Enumeration size is guarded: a checker refuses to start when p^depth exceeds
 its ball budget (default 10^6) and raises BallBudgetError instead of
@@ -23,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add
 from typing import Sequence
 
 from .core import (
@@ -102,6 +105,8 @@ class RelationReport:
         self, max_violations: int | None
     ) -> tuple[tuple[RelationViolation, ...], bool]:
         # The violations to render, and whether some were left out.
+        if max_violations is not None and max_violations < 0:
+            raise ValueError(f"max_violations must be >= 0, got {max_violations}")
         if max_violations is None or len(self.violations) <= max_violations:
             return self.violations, False
         return self.violations[:max_violations], True
@@ -159,7 +164,10 @@ def check_relation(
     Each level is evaluated once, serving first as the children of the
     level above and then as parents.  The children of a + (p^n) are
     a + b p^n + (p^(n+1)), b < p: entry a of the child level's p
-    consecutive blocks of length p^n.
+    consecutive blocks of length p^n, which are added block to block.  A
+    level is checked with one comparison of whole lists, parent numerators
+    and children's sums brought to one denominator; only a level where the
+    lists differ is gone through ball by ball to list its violations.
     """
     require_prime(prime)
     if max_depth < 1:
@@ -172,14 +180,22 @@ def check_relation(
     for n in range(max_depth):
         m = prime**n
         child_nums, child_den = evaluate_level(expr, prime, n + 1)
-        blocks = (child_nums[b * m : (b + 1) * m] for b in range(prime))
-        for a, (lhs, rhs) in enumerate(zip(nums, map(sum, zip(*blocks)))):
-            if lhs * child_den != rhs * den:
-                violations.append(
-                    RelationViolation(
-                        Ball(prime, n, a), Fraction(lhs, den), Fraction(rhs, child_den)
+        sums = child_nums[:m]
+        for b in range(1, prime):
+            sums = list(map(add, sums, child_nums[b * m : (b + 1) * m]))
+        if child_den % den == 0:
+            f = child_den // den
+            agree = [x * f for x in nums] == sums
+        else:
+            agree = [x * child_den for x in nums] == [y * den for y in sums]
+        if not agree:
+            for a, (lhs, rhs) in enumerate(zip(nums, sums)):
+                if lhs * child_den != rhs * den:
+                    violations.append(
+                        RelationViolation(
+                            Ball(prime, n, a), Fraction(lhs, den), Fraction(rhs, child_den)
+                        )
                     )
-                )
         checked += m
         nums, den = child_nums, child_den
     return RelationReport(prime, max_depth, checked, tuple(violations))

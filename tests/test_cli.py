@@ -403,6 +403,24 @@ def test_dump_dot(doc, capsys):
     assert '  "0/0" -> "3/1";' in lines
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("norms", "--depth", "-1"),
+        ("dump", "--depth", "-1"),
+        ("dump", "--depth", "-1", "--format", "dot"),
+        ("verify", "--depth", "2", "--max-violations", "-1"),
+        ("verify", "--depth", "2", "--max-violations", "-1", "--format", "json"),
+    ],
+    ids=["norms", "dump-csv", "dump-dot", "verify-text", "verify-json"],
+)
+@pytest.mark.parametrize("spec", [MAZUR5, BAD_GRAFT], ids=["passing", "failing"])
+def test_negative_counts_exit_2(doc, capsys, argv, spec):
+    code, out, err = run(capsys, argv[0], "--spec", doc(spec), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_dump_budget(doc, capsys):
     code, _, err = run(
         capsys, "dump", "--spec", doc(MAZUR5), "--depth", "3", "--budget", "100"
@@ -472,6 +490,9 @@ def test_path_usage_errors(capsys):
     # the point must lie in Z_p
     code, _, err = run(capsys, "path", "--prime", "3", "--point", "1/3")
     assert code == 2
+    code, out, err = run(capsys, "path", "--prime", "3", "--point", "1", "--digits", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_path_at_a_large_prime(capsys):

@@ -219,6 +219,9 @@ def test_path_digit_indexing():
     assert pi.digits(6) == [1, 2, 0, 2, 0, 2]
     assert pi.digit(0) == 1
     assert pi.digit(5) == 2
+    assert pi.digits(0) == []
+    with pytest.raises(ValueError):
+        pi.digits(-1)
 
 
 def test_point_to_path_fixtures():

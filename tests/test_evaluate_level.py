@@ -3,6 +3,8 @@
 `evaluate` is the oracle: `evaluate_level` must give the same exact value on
 every requested ball, and where `evaluate` raises on some requested ball,
 `evaluate_level` must raise what `evaluate` raises on the first such ball.
+Requests are whole levels, rep lists and rep ranges.  `check_relation` must
+report the violations a ball-by-ball check with `evaluate` finds, in order.
 """
 
 from fractions import Fraction as F
@@ -135,14 +137,33 @@ def expressions(p, grafts=True, faults=False):
     return st.recursive(leaves, extend, max_leaves=MAX_LEAVES)
 
 
+def rep_ranges(m):
+    """Short ranges of reps below m: step 1 or more, empty, or ending at m."""
+
+    def build(step, length, to_end, start):
+        if to_end:
+            return range(max(0, m - length * step), m, step)
+        return range(start, min(m, start + length * step), step)
+
+    return st.builds(
+        build, st.integers(1, 3), st.integers(0, 12), st.booleans(), st.integers(0, m)
+    )
+
+
 @st.composite
 def cases(draw, faults=False):
     p = draw(st.sampled_from(PRIMES))
     n = draw(st.integers(0, MAX_DEPTH))
     expr = draw(expressions(p, faults=faults))
     m = p**n
-    whole = m <= 125 and draw(st.booleans())
-    reps = None if whole else draw(st.lists(st.integers(0, m - 1), max_size=12))
+    kinds = ["list", "range"] + (["whole"] if m <= 125 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "whole":
+        reps = None
+    elif kind == "range":
+        reps = draw(rep_ranges(m))
+    else:
+        reps = draw(st.lists(st.integers(0, m - 1), max_size=12))
     return expr, p, n, reps
 
 
@@ -213,10 +234,68 @@ def _nested_regularize(depth):
         # `evaluate` meets table entry 2 (digits 0, 1) before entry 1 on Z_2,
         # the level path meets entry 1 first: the error is still entry 2's
         (Branch(2, (Haar(), Regularize(1, F(2), Mazur()), Dirac(F(1, 2)), Haar())), 2, 0, None),
+        # every path digit is p - 1, so no ball goes right: the faulty right
+        # side is never evaluated, on a whole level or on a range
+        (Graft(Path(5, (), (4,)), Mazur(), Dirac(F(1, 5))), 5, 3, None),
+        (Graft(Path(5, (), (4,)), Mazur(), Dirac(F(1, 5))), 5, 3, range(4, 125, 5)),
     ],
 )
 def test_named_cases(expr, p, n, reps):
     _assert_agrees(expr, p, n, reps)
+
+
+def _scalar_violations(expr, p, depth):
+    """(ball, value, children's sum) where additivity fails, ball by ball."""
+    found = []
+    for n in range(depth):
+        q = p**n
+        for a in range(q):
+            lhs = evaluate(expr, Ball(p, n, a))
+            rhs = sum((evaluate(expr, Ball(p, n + 1, a + b * q)) for b in range(p)), F(0))
+            if lhs != rhs:
+                found.append((Ball(p, n, a), lhs, rhs))
+    return found
+
+
+def _assert_violations_match(expr, p, depth):
+    report = check_relation(expr, p, depth)
+    got = [(v.ball, v.lhs, v.rhs_sum) for v in report.violations]
+    assert got == _scalar_violations(expr, p, depth)
+
+
+@SETTINGS
+@given(st.sampled_from(PRIMES).flatmap(
+    lambda p: st.tuples(
+        expressions(p), st.just(p), st.integers(1, max(d for d in (1, 2, 3) if p**d <= 125))
+    )
+))
+def test_relation_violations_match_scalar_oracle(case):
+    # Grafts of arbitrary sides are often not additive: the violations, their
+    # order and their values must be those of a ball-by-ball check.
+    _assert_violations_match(*case)
+
+
+@pytest.mark.parametrize(
+    "expr, p, depth",
+    [
+        # the deep cell leaves the left side at level 1, so the level-1
+        # denominator (1) is no multiple of the level-0 one (250); the
+        # numerators agree (-123 both) while the values do not
+        (
+            Graft(
+                Path(5, (), (0,)),
+                Restrict(Ball(5, 3, 1), Mazur()),
+                LinearComb(((F(-123), Dirac(2)),)),
+            ),
+            5,
+            2,
+        ),
+        # violations on two on-path balls only, at depths 0 and 2
+        (Graft(Path(3, (1,), (2, 0)), Haar(), Mazur()), 3, 4),
+    ],
+)
+def test_relation_violations_named_cases(expr, p, depth):
+    _assert_violations_match(expr, p, depth)
 
 
 @pytest.mark.parametrize(

@@ -87,7 +87,14 @@ def test_relation_report_truncation():
     text = report.to_text(max_violations=2)
     assert "(truncated: showing 2 of 4 violations)" in text
     assert text.endswith("result: FAIL")
-    assert check_relation(Mazur(), 3, 2).to_text().endswith("result: PASS")
+    passing = check_relation(Mazur(), 3, 2)
+    assert passing.to_text().endswith("result: PASS")
+    # A negative count is refused, failing report or passing.
+    for shown in (report, passing):
+        with pytest.raises(ValueError):
+            shown.to_json_dict(max_violations=-1)
+        with pytest.raises(ValueError):
+            shown.to_text(max_violations=-1)
 
 
 def test_relation_validation():
