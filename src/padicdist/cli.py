@@ -57,7 +57,8 @@ def _parse_ball(text: str, prime: int) -> Ball:
     if len(parts) != 2:
         raise ValueError(f"a ball is written a/n (rep slash depth), got {text!r}")
     try:
-        rep, depth = int(parts[0]), int(parts[1])
+        # parse_rational, not int(): int() also takes "1_0" and non-ASCII digits.
+        rep, depth = (int(parse_rational(part)) for part in parts)
     except ValueError:
         raise ValueError(f"a ball is written a/n with integer parts, got {text!r}") from None
     return ball_make(prime, depth, rep)

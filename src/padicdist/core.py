@@ -40,7 +40,8 @@ class PrimeMismatchError(ValueError):
 # Rationals
 # =====================================================================
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+# ASCII digits only: \d would also accept the digits of other scripts.
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
 
 
 def is_int(x: object) -> bool:
@@ -294,7 +295,7 @@ class Ball:
 
     def __post_init__(self) -> None:
         require_prime(self.prime)
-        # Inline bool checks: Ball is built once per ball on the scalar path.
+        # Inline bool checks: callers that go ball by ball build one Ball per ball.
         if not isinstance(self.depth, int) or isinstance(self.depth, bool) or self.depth < 0:
             raise ValueError(f"depth must be an integer >= 0, got {self.depth!r}")
         if (

@@ -6,9 +6,10 @@ additivity law
     mu(B) = sum of mu(C) over the p children C of B,
 
 checked at any finite depth by `padicdist.verify.check_relation`.  This
-module defines the expression language and its two exact evaluators:
-`evaluate` gives the value on one ball, `evaluate_level` the values on many
-balls of one depth at once, as integer numerators over one denominator.
+module defines the expression language and its exact evaluator:
+`evaluate_level` gives the values on many balls of one depth at once, as
+integer numerators over one denominator, and `evaluate` is its one-ball
+request.
 
 base families
     Dirac(point)      indicator of the point: 1 on balls containing it
@@ -42,11 +43,6 @@ from .core import (
     Path,
     PrimeMismatchError,
     as_rational,
-    ball_children,
-    ball_contains,
-    ball_digits,
-    ball_make,
-    ball_meet,
     is_int,
     require_padic_integer,
     require_prime,
@@ -228,61 +224,21 @@ def _branch_table_size(expr: Branch, p: int) -> int:
 
 
 def evaluate(expr: DistExpr, ball: Ball) -> Fraction:
-    """Exact value of the distribution on the ball.
+    """Exact value of the distribution on the ball: a one-ball level request.
 
     Prime consistency between the expression and the ball is enforced here:
     an embedded path or cell over a different prime raises
     PrimeMismatchError, a Dirac point outside Z_p raises
     NotPAdicIntegerError, and a Regularize alpha that is not a unit for the
-    ball's prime raises ValueError.
+    ball's prime, or a Branch table of the wrong size, raises ValueError.
+    Where several sub-expressions are at fault, the error raised is the one
+    met first in scalar order, walking the definitions on this one ball:
+    LinearComb terms left to right, Regularize on B before alpha * B, and a
+    Branch below its level through the children of B in digit order, depth
+    first down to level k.
     """
-    p, n, a = ball.prime, ball.depth, ball.rep
-
-    if isinstance(expr, Dirac):
-        return _ONE if ball_contains(ball, expr.point) else _ZERO
-
-    if isinstance(expr, Haar):
-        return expr.scale / p**n
-
-    if isinstance(expr, Mazur):
-        return Fraction(a, p**n) - Fraction(1, 2)
-
-    if isinstance(expr, Bernoulli):
-        return p ** (n * (expr.k - 1)) * bernoulli_polynomial(expr.k, Fraction(a, p**n))
-
-    if isinstance(expr, LinearComb):
-        return sum((c * evaluate(e, ball) for c, e in expr.terms), _ZERO)
-
-    if isinstance(expr, Restrict):
-        meet = ball_meet(ball, expr.cell)
-        return evaluate(expr.expr, meet) if meet is not None else _ZERO
-
-    if isinstance(expr, Regularize):
-        if valuation(expr.alpha, p) != 0:
-            raise ValueError(f"alpha={expr.alpha} is not a unit of Z_p for p={p}")
-        scaled = ball_make(p, n, expr.alpha * a)
-        return evaluate(expr.expr, ball) - expr.alpha ** (-expr.k) * evaluate(
-            expr.expr, scaled
-        )
-
-    if isinstance(expr, Graft):
-        if expr.path.prime != p:
-            raise PrimeMismatchError(
-                f"graft path over p={expr.path.prime} evaluated at p={p}"
-            )
-        for j, d in enumerate(ball_digits(ball)):
-            pd = expr.path.digit(j)
-            if d != pd:
-                return evaluate(expr.left if d < pd else expr.right, ball)
-        return evaluate(expr.left, ball)
-
-    if isinstance(expr, Branch):
-        size = _branch_table_size(expr, p)
-        if n >= expr.k:
-            return evaluate(expr.children[a % size], ball)
-        return sum((evaluate(expr, c) for c in ball_children(ball)), _ZERO)
-
-    raise TypeError(f"not a distribution expression: {type(expr).__name__}")
+    (num,), den = _level(expr, ball.prime, ball.depth, [ball.rep])
+    return Fraction(num, den)
 
 
 # =====================================================================
@@ -307,9 +263,8 @@ def evaluate_level(
     0..p^n-1 in order.  Each node is evaluated once over all the requested
     balls, so a full level costs O(p^n) integer operations and memory per
     node (O(p^k) for a Branch at level k > n); nested Regularize nodes cost
-    one inner level each.  Agrees with `evaluate` ball by ball; on input
-    that `evaluate` rejects it raises exactly what `evaluate` raises on the
-    first requested ball that fails.
+    one inner level each.  On input that `evaluate` rejects it raises
+    exactly what `evaluate` raises on the first requested ball that fails.
     """
     require_prime(p)
     if not is_int(n) or n < 0:
@@ -326,11 +281,11 @@ def evaluate_level(
     try:
         return _level(expr, p, n, reps)
     except (ValueError, TypeError):
-        # Nodes meet their sub-expressions in another order than `evaluate`
-        # does on one ball, so the first error met can differ.  Replay the
-        # balls one by one to raise the error `evaluate` gives.
+        # A node meets its sub-expressions for all the balls at once, so the
+        # first error met can belong to a later ball.  Replay the balls one
+        # by one to raise the first failing ball's error.
         for r in range(p**n) if reps is None else reps:
-            evaluate(expr, Ball(p, n, r))
+            _level(expr, p, n, [r])
         raise
 
 
@@ -452,7 +407,16 @@ def _level_regularize(
         return [u * x - v * inner[scale * a % m] for a, x in enumerate(inner)], u * den
     scaled = [scale * r % m for r in reps]
     union = sorted(set(reps).union(scaled))
-    inner, den = _level(expr.expr, p, n, union)
+    try:
+        inner, den = _level(expr.expr, p, n, union)
+    except (ValueError, TypeError):
+        if len(reps) == 1 < len(union):
+            # One ball meets the errors on B before those on alpha * B.
+            # Where alpha * B = B the union was the one-ball request itself;
+            # replaying it would double the work per nesting level.
+            _level(expr.expr, p, n, reps)
+            _level(expr.expr, p, n, scaled)
+        raise
     at = dict(zip(union, inner))
     return [u * at[r] - v * at[s] for r, s in zip(reps, scaled)], u * den
 
@@ -541,8 +505,13 @@ def _level_branch(
         if reps is None:
             deep, den = _level(expr, p, expr.k, None)
             return [sum(deep[a::m]) for a in range(m)], den
-        q = p ** (expr.k - n)
-        deep, den = _level(expr, p, expr.k, [r + t * m for r in reps for t in range(q)])
+        # t in the order a walk down the children in digit order meets them:
+        # the first digit of t, of weight 1, varies slowest.
+        ts = [0]
+        for j in reversed(range(expr.k - n)):
+            ts = [d * p**j + t for d in range(p) for t in ts]
+        q = len(ts)
+        deep, den = _level(expr, p, expr.k, [r + t * m for r in reps for t in ts])
         return [sum(deep[i : i + q]) for i in range(0, len(deep), q)], den
     if reps is None:
         parts = {t: range(t, m, size) for t in range(size)}
@@ -550,8 +519,10 @@ def _level_branch(
         parts = {}
         for i, r in enumerate(reps):
             parts.setdefault(r % size, []).append(i)
+    # Children in the order their balls are first requested, which for one
+    # ball below the level is the order the scalar walk meets them in.
     values = {}
-    for t in sorted(parts):
+    for t in parts:
         own = parts[t] if reps is None else [reps[i] for i in parts[t]]
         values[t] = _level(expr.children[t], p, n, own)
     den = lcm(*(d for _, d in values.values()))

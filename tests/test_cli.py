@@ -1,11 +1,13 @@
 """End-to-end command tests driving main() in process."""
 
 import json
+from fractions import Fraction as F
 
 import pytest
 
+from padicdist import evaluate_level, format_rational, norm
 from padicdist.cli import main
-from padicdist.serialize import MAX_NESTING
+from padicdist.serialize import MAX_NESTING, load_document
 
 MAZUR5 = {"prime": 5, "expr": {"type": "mazur"}}
 HAAR_NO_PRIME = {"expr": {"type": "haar"}}
@@ -128,11 +130,11 @@ def test_eval_prime_flag_supplies_missing_prime(doc, capsys):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("ball", ["abc", "1/2/3", "x/1", "3"])
+@pytest.mark.parametrize("ball", ["abc", "1/2/3", "x/1", "3", "1_0/2", "٣/1"])
 def test_eval_rejects_bad_ball_syntax(doc, capsys, ball):
     code, _, err = run(capsys, "eval", "--spec", doc(MAZUR5), "--ball", ball)
     assert code == 2
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_eval_input_errors(doc, capsys, tmp_path):
@@ -154,6 +156,11 @@ def test_eval_input_errors(doc, capsys, tmp_path):
         capsys, "eval", "--spec", doc(HAAR_NO_PRIME), "--ball", "0/1", "--prime", "6"
     )
     assert code == 2
+    # a rational written with a non-ASCII digit
+    dirac = {"prime": 5, "expr": {"type": "dirac", "point": "٣"}}
+    code, out, err = run(capsys, "eval", "--spec", doc(dirac), "--ball", "0/1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -570,6 +577,33 @@ def test_nesting_cap(doc, capsys, refs, root, argv, code):
     got, out, err = run(capsys, argv[0], "--spec", spec, *argv[1:])
     assert (got, out) == (2, "")
     assert err == f"error: expression nests deeper than {MAX_NESTING} levels\n"
+
+
+def _regularize_chain(leaf):
+    # At the nesting cap: MAX_NESTING - 1 Regularize nodes, each with its own
+    # unit, over the leaf.  A scalar walk of one ball would make 2^99 calls.
+    units = [a for a in range(2, 5 * MAX_NESTING) if a % 5][: MAX_NESTING - 1]
+    node = leaf
+    for i, alpha in enumerate(units):
+        node = {"type": "regularize", "k": 1 + i % 3, "alpha": str(alpha), "expr": node}
+    return {"prime": 5, "expr": node}
+
+
+# On the ball 0/0 every alpha maps the ball to itself.
+@pytest.mark.parametrize("ball", ["3/3", "0/0"])
+def test_nesting_cap_regularize_chain(doc, capsys, ball):
+    document = _regularize_chain({"type": "mazur"})
+    code, out, err = run(capsys, "eval", "--spec", doc(document), "--ball", ball)
+    assert (code, err) == (0, "")
+    # the whole level goes through each node by a permutation, not by unions
+    rep, depth = map(int, ball.split("/"))
+    nums, den = evaluate_level(load_document(document)[1], 5, depth)
+    value = F(nums[rep], den)
+    assert out == f"{format_rational(value)} norm={format_rational(norm(value, 5))}\n"
+    document = _regularize_chain({"type": "dirac", "point": "1/5"})
+    code, out, err = run(capsys, "eval", "--spec", doc(document), "--ball", ball)
+    assert (code, out) == (2, "")
+    assert err == "error: 1/5 is not a p-adic integer for p=5\n"
 
 
 def test_json_too_deep_to_parse_exits_2(tmp_path, capsys):

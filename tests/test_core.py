@@ -118,7 +118,7 @@ def test_as_rational_rejects_float_and_bool():
         as_rational(True)
 
 
-@pytest.mark.parametrize("bad", ["", "abc", "0.5", "1/0", "1//2", "1 /2"])
+@pytest.mark.parametrize("bad", ["", "abc", "0.5", "1/0", "1//2", "1 /2", "٣", "1/٣", "1_0"])
 def test_parse_rational_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

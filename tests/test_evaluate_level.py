@@ -1,10 +1,11 @@
 """The level-wise evaluator against the scalar one, on random expressions.
 
-`evaluate` is the oracle: `evaluate_level` must give the same exact value on
-every requested ball, and where `evaluate` raises on some requested ball,
-`evaluate_level` must raise what `evaluate` raises on the first such ball.
-Requests are whole levels, rep lists and rep ranges.  `check_relation` must
-report the violations a ball-by-ball check with `evaluate` finds, in order.
+The scalar `evaluate` of `scalar_oracle` is the oracle: `evaluate_level` must
+give the same exact value on every requested ball, and where the oracle
+raises on some requested ball, `evaluate_level` must raise what it raises on
+the first such ball.  Requests are whole levels, rep lists and rep ranges;
+a one-ball request is what `padicdist.evaluate` makes.  `check_relation` must
+report the violations a ball-by-ball check with the oracle finds, in order.
 """
 
 from fractions import Fraction as F
@@ -13,6 +14,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scalar_oracle import evaluate
 
 from padicdist import (
     Ball,
@@ -27,7 +29,6 @@ from padicdist import (
     Regularize,
     Restrict,
     check_relation,
-    evaluate,
     evaluate_level,
     expr_from_json,
     expr_to_json,
@@ -238,6 +239,25 @@ def _nested_regularize(depth):
         # side is never evaluated, on a whole level or on a range
         (Graft(Path(5, (), (4,)), Mazur(), Dirac(F(1, 5))), 5, 3, None),
         (Graft(Path(5, (), (4,)), Mazur(), Dirac(F(1, 5))), 5, 3, range(4, 125, 5)),
+        # Regularize asks its inner expression for B = 1 and alpha * B = 3
+        # in one request, where the first term sends ball 3 to a faulty
+        # Dirac; on ball 1 alone, the error is the second term's alpha=5
+        (
+            Regularize(1, 3, LinearComb((
+                (1, Graft(Path(5, (), (2,)), Mazur(), Dirac(F(1, 5)))),
+                (1, Graft(Path(5, (), (2,)), Regularize(1, 5, Mazur()), Mazur())),
+            ))),
+            5, 1, [1],
+        ),
+        # one ball of depth 0 meets the depth-3 cells in the order t = 0, 4,
+        # 2, 6, ...: t = 6 (digits 0, 1, 1) raises before t = 1 does
+        (
+            Branch(3, tuple(
+                Haar() if t == 0 else Regularize(1, 2, Mazur()) if t % 3 == 0
+                else Dirac(F(t, 2)) for t in range(8)
+            )),
+            2, 0, [0],
+        ),
     ],
 )
 def test_named_cases(expr, p, n, reps):

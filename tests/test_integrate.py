@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from scalar_oracle import evaluate
 
 from padicdist import (
     Ball,
@@ -16,7 +17,6 @@ from padicdist import (
     Regularize,
     StepFn,
     classify_tail,
-    evaluate,
     integrate,
     parse_polynomial,
     riemann_sum,

@@ -13,6 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_oracle import evaluate
 from test_evaluate_level import PRIMES, SETTINGS, expressions, paths, points
 
 from padicdist import (
@@ -29,7 +30,6 @@ from padicdist import (
     check_branch_hypothesis,
     check_graft_precondition,
     distinctness_witness,
-    evaluate,
 )
 from padicdist import verify
 from padicdist.verify import (
