@@ -52,13 +52,19 @@ def _emit_json(obj: dict) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def integer(text: str) -> int:
+    """A decimal integer in ASCII digits: int() also takes "1_0" and "٣"."""
+    if "/" in text:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(parse_rational(text))
+
+
 def _parse_ball(text: str, prime: int) -> Ball:
     parts = text.split("/")
     if len(parts) != 2:
         raise ValueError(f"a ball is written a/n (rep slash depth), got {text!r}")
     try:
-        # parse_rational, not int(): int() also takes "1_0" and non-ASCII digits.
-        rep, depth = (int(parse_rational(part)) for part in parts)
+        rep, depth = (integer(part) for part in parts)
     except ValueError:
         raise ValueError(f"a ball is written a/n with integer parts, got {text!r}") from None
     return ball_make(prime, depth, rep)
@@ -265,7 +271,7 @@ def cmd_path(args: argparse.Namespace) -> int:
 
 def _parse_digit_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part != "")
+        return tuple(integer(part) for part in text.split(",") if part != "")
     except ValueError:
         raise ValueError(f"digit lists are comma-separated integers, got {text!r}") from None
 
@@ -277,12 +283,12 @@ def _parse_digit_list(text: str) -> tuple[int, ...]:
 def _add_common(sub: argparse.ArgumentParser, *, spec: bool = True) -> None:
     if spec:
         sub.add_argument("--spec", required=True, help="spec document (JSON file)")
-    sub.add_argument("--prime", type=int, default=None, help="prime p (or from the spec)")
+    sub.add_argument("--prime", type=integer, default=None, help="prime p (or from the spec)")
 
 
 def _add_budget(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--budget", type=int, default=DEFAULT_BALL_BUDGET,
+        "--budget", type=integer, default=DEFAULT_BALL_BUDGET,
         help="largest p^depth the command may enumerate",
     )
 
@@ -306,21 +312,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("verify", help="check the additivity relation")
     _add_common(sub)
-    sub.add_argument("--depth", type=int, required=True)
-    sub.add_argument("--max-violations", type=int, default=20)
+    sub.add_argument("--depth", type=integer, required=True)
+    sub.add_argument("--max-violations", type=integer, default=20)
     _add_budget(sub)
     _add_format(sub, ("text", "json"), "text")
     sub.set_defaults(func=cmd_verify)
 
     sub = commands.add_parser("graft-check", help="check the graft precondition")
     _add_common(sub)
-    sub.add_argument("--depth", type=int, required=True)
+    sub.add_argument("--depth", type=integer, required=True)
     _add_format(sub, ("text", "json"), "text")
     sub.set_defaults(func=cmd_graft_check)
 
     sub = commands.add_parser("branch-check", help="search for a separating ball")
     _add_common(sub)
-    sub.add_argument("--depth", type=int, required=True)
+    sub.add_argument("--depth", type=integer, required=True)
     _add_budget(sub)
     _add_format(sub, ("text", "json"), "text")
     sub.set_defaults(func=cmd_branch_check)
@@ -328,21 +334,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("distinct", help="first ball where two specs differ")
     _add_common(sub)
     sub.add_argument("--other", required=True, help="second spec document")
-    sub.add_argument("--depth", type=int, required=True)
+    sub.add_argument("--depth", type=integer, required=True)
     _add_budget(sub)
     _add_format(sub, ("text", "json"), "text")
     sub.set_defaults(func=cmd_distinct)
 
     sub = commands.add_parser("norms", help="per-depth maxima of |value|_p")
     _add_common(sub)
-    sub.add_argument("--depth", type=int, required=True)
+    sub.add_argument("--depth", type=integer, required=True)
     _add_budget(sub)
     _add_format(sub, ("csv", "json", "text"), "csv")
     sub.set_defaults(func=cmd_norms)
 
     sub = commands.add_parser("integrate", help="riemann sums against a test function")
     _add_common(sub)
-    sub.add_argument("--depth", type=int, required=True)
+    sub.add_argument("--depth", type=integer, required=True)
     sub.add_argument("--fn", default=None, help='polynomial, e.g. "1/2 + 3*x - x^2"')
     sub.add_argument("--step-fn", default=None, help="step function (JSON file)")
     _add_budget(sub)
@@ -351,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("dump", help="all ball values to a depth")
     _add_common(sub)
-    sub.add_argument("--depth", type=int, required=True)
+    sub.add_argument("--depth", type=integer, required=True)
     _add_budget(sub)
     _add_format(sub, ("csv", "dot"), "csv")
     sub.set_defaults(func=cmd_dump)
@@ -361,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--point", default=None, help="rational point of Z_p")
     sub.add_argument("--preperiod", default=None, help="comma-separated digits")
     sub.add_argument("--period", default=None, help="comma-separated digits")
-    sub.add_argument("--digits", type=int, default=12)
+    sub.add_argument("--digits", type=integer, default=12)
     sub.add_argument("--compare", default=None, help="second point to compare against")
     _add_format(sub, ("text", "json"), "text")
     sub.set_defaults(func=cmd_path)

@@ -327,19 +327,20 @@ def _level(
         return nums, scale * m
 
     if isinstance(expr, LinearComb):
-        # Terms are folded in one at a time over the running lcm; every term
-        # is evaluated, zero coefficients included, as `evaluate` does.
+        # Terms fold in over the running lcm, starting from the first term's
+        # values; every term is evaluated, zero coefficients included.
         nums, den = [0] * len(rs), 1
-        for c, e in expr.terms:
+        for i, (c, e) in enumerate(expr.terms):
             tn, td = _level(e, p, n, reps)
             new_den = lcm(den, c.denominator * td)
-            if new_den != den:
-                up = new_den // den
-                nums = [x * up for x in nums]
-                den = new_den
-            f = c.numerator * (den // (c.denominator * td))
-            if f:
+            up, f = new_den // den, c.numerator * (new_den // (c.denominator * td))
+            if i == 0:
+                nums = tn if f == 1 else [f * y for y in tn]
+            elif up != 1:
+                nums = [x * up + f * y for x, y in zip(nums, tn)]
+            elif f:
                 nums = [x + f * y for x, y in zip(nums, tn)]
+            den = new_den
         return nums, den
 
     if isinstance(expr, Restrict):

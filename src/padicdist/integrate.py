@@ -224,8 +224,9 @@ def integrate(
 # Plain-text / JSON forms for the CLI
 # =====================================================================
 
+# ASCII digits only (\d also takes other scripts' digits); no zero denominator.
 _TERM_RE = re.compile(
-    r"^(?P<coef>\d+(?:/\d+)?)?(?P<star>\*)?(?P<var>x(?:\^(?P<power>\d+))?)?$"
+    r"^(?P<coef>[0-9]+(?:/[1-9][0-9]*)?)?(?P<star>\*)?(?P<var>x(?:\^(?P<power>[0-9]+))?)?$"
 )
 
 

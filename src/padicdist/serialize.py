@@ -1,13 +1,19 @@
 """JSON encoding of distribution expressions and spec documents.
 
-An expression is a typed JSON object, e.g.
+An expression is a JSON object whose "type" names the node and whose other
+keys are the node constructor's field names, in field order, e.g.
 
     {"type": "dirac", "point": "-7/8"}
-    {"type": "lincomb", "terms": [["1", {...}], ["-2/3", {...}]]}
     {"type": "branch", "k": 1, "children": {"0": {...}, "1": {...}, "2": {...}}}
 
-Rationals are "num/den" strings ("num" when the denominator is 1), balls are
-{"a": ..., "n": ...}, paths are {"preperiod": [...], "period": [...]}.
+Each kind of field has one JSON form, whichever node carries it (`_FIELDS`):
+rationals (point, scale, alpha) are "num/den" strings, "num" when the
+denominator is 1; k is an integer; a cell is {"a": ..., "n": ...}; a path is
+{"preperiod": [...], "period": [...]}; a sub-expression (expr, left, right)
+is an expression object; terms are [coef, expr] pairs; children are an
+object keyed "0", "1", ....  A field with a default (Haar's scale) may be
+left out.  A new node type whose fields reuse these kinds needs only an
+entry in `_TYPES`.
 
 A spec document wraps one expression with its prime and optional named
 sub-expressions:
@@ -29,13 +35,13 @@ any evaluator recurses into it.
 from __future__ import annotations
 
 import json
-from typing import Any
+from dataclasses import MISSING, fields
+from typing import Any, Callable
 
 from .core import (
     ball_from_json,
     ball_to_json,
     format_rational,
-    is_int,
     parse_rational,
     path_from_json,
     path_to_json,
@@ -57,65 +63,74 @@ from .distributions import (
 
 MAX_NESTING = 100
 
+_TYPES = {
+    "dirac": Dirac,
+    "haar": Haar,
+    "mazur": Mazur,
+    "bernoulli": Bernoulli,
+    "lincomb": LinearComb,
+    "restrict": Restrict,
+    "regularize": Regularize,
+    "graft": Graft,
+    "branch": Branch,
+}
+
+
+def _terms_from_json(terms: Any, prime: int, inner: Callable) -> tuple:
+    if not isinstance(terms, list):
+        raise ValueError(f"lincomb terms must be a list, got {terms!r}")
+    decoded = []
+    for item in terms:
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise ValueError(f"a lincomb term must be a [coef, expr] pair, got {item!r}")
+        decoded.append((parse_rational(item[0]), inner(item[1])))
+    return tuple(decoded)
+
+
+# Field name -> (encode(value), decode(obj, prime, inner)), inner decoding a
+# sub-expression one level down.  k is checked by the node constructors.
+_RATIONAL = (format_rational, lambda obj, prime, inner: parse_rational(obj))
+_EXPR = (lambda e: expr_to_json(e), lambda obj, prime, inner: inner(obj))
+_FIELDS = {
+    "point": _RATIONAL, "scale": _RATIONAL, "alpha": _RATIONAL,
+    "k": (lambda k: k, lambda obj, prime, inner: obj),
+    "cell": (ball_to_json, lambda obj, prime, inner: ball_from_json(obj, prime)),
+    "path": (path_to_json, lambda obj, prime, inner: path_from_json(obj, prime)),
+    "expr": _EXPR, "left": _EXPR, "right": _EXPR,
+    "terms": (
+        lambda terms: [[format_rational(c), expr_to_json(e)] for c, e in terms],
+        _terms_from_json,
+    ),
+    "children": (
+        lambda children: {str(t): expr_to_json(c) for t, c in enumerate(children)},
+        lambda obj, prime, inner: tuple(map(inner, table_from_json(obj, "branch children"))),
+    ),
+}
+
+# Class -> (JSON name, its fields' (name, encode, decode) in field order,
+# the keys its object may have, the keys it must have: "type" and every
+# field without a default), precomputed once.
+_SCHEMA = {
+    cls: (
+        name,
+        tuple((f.name, *_FIELDS[f.name]) for f in fields(cls)),
+        {"type"}.union(f.name for f in fields(cls)),
+        {"type"}.union(f.name for f in fields(cls) if f.default is f.default_factory is MISSING),
+    )
+    for name, cls in _TYPES.items()
+}
+
 
 def expr_to_json(expr: DistExpr) -> dict:
     """The JSON object form of an expression tree."""
-    if isinstance(expr, Dirac):
-        return {"type": "dirac", "point": format_rational(expr.point)}
-    if isinstance(expr, Haar):
-        return {"type": "haar", "scale": format_rational(expr.scale)}
-    if isinstance(expr, Mazur):
-        return {"type": "mazur"}
-    if isinstance(expr, Bernoulli):
-        return {"type": "bernoulli", "k": expr.k}
-    if isinstance(expr, LinearComb):
-        return {
-            "type": "lincomb",
-            "terms": [[format_rational(c), expr_to_json(e)] for c, e in expr.terms],
-        }
-    if isinstance(expr, Restrict):
-        return {
-            "type": "restrict",
-            "cell": ball_to_json(expr.cell),
-            "expr": expr_to_json(expr.expr),
-        }
-    if isinstance(expr, Regularize):
-        return {
-            "type": "regularize",
-            "k": expr.k,
-            "alpha": format_rational(expr.alpha),
-            "expr": expr_to_json(expr.expr),
-        }
-    if isinstance(expr, Graft):
-        return {
-            "type": "graft",
-            "path": path_to_json(expr.path),
-            "left": expr_to_json(expr.left),
-            "right": expr_to_json(expr.right),
-        }
-    if isinstance(expr, Branch):
-        return {
-            "type": "branch",
-            "k": expr.k,
-            "children": {str(t): expr_to_json(c) for t, c in enumerate(expr.children)},
-        }
-    raise TypeError(f"not a distribution expression: {type(expr).__name__}")
-
-
-def _require_keys(obj: dict, kind: str, required: set[str]) -> None:
-    missing = required - set(obj)
-    extra = set(obj) - required - {"type"}
-    if missing or extra:
-        raise ValueError(
-            f"malformed {kind!r} node: missing {sorted(missing)}, unexpected {sorted(extra)}"
-        )
-
-
-def _int_field(obj: dict, key: str) -> int:
-    value = obj[key]
-    if not is_int(value):
-        raise ValueError(f"{key!r} must be an integer, got {value!r}")
-    return value
+    schema = _SCHEMA.get(type(expr))
+    if schema is None:
+        raise TypeError(f"not a distribution expression: {type(expr).__name__}")
+    name, codecs, _, _ = schema
+    obj = {"type": name}
+    for key, encode, _ in codecs:
+        obj[key] = encode(getattr(expr, key))
+    return obj
 
 
 def expr_from_json(obj: Any, prime: int, defs: dict | None = None) -> DistExpr:
@@ -137,53 +152,27 @@ def _decode(
 
     kind = obj["type"]
     if kind == "ref":
-        _require_keys(obj, kind, {"name"})
+        if obj.keys() != {"type", "name"}:
+            raise ValueError(f"malformed 'ref' node: needs exactly 'name', got {sorted(obj)}")
         name = obj["name"]
-        if name not in defs:
+        if not isinstance(name, str) or name not in defs:
             raise ValueError(f"reference to undefined name {name!r}")
         if name in resolving:
             raise ValueError(f"cyclic reference through {name!r}")
         return _decode(defs[name], prime, defs, resolving | {name}, level + 1)
-    if kind == "dirac":
-        _require_keys(obj, kind, {"point"})
-        return Dirac(parse_rational(obj["point"]))
-    if kind == "haar":
-        if set(obj) - {"type", "scale"}:
-            _require_keys(obj, kind, {"scale"})
-        scale = parse_rational(obj["scale"]) if "scale" in obj else 1
-        return Haar(scale)
-    if kind == "mazur":
-        _require_keys(obj, kind, set())
-        return Mazur()
-    if kind == "bernoulli":
-        _require_keys(obj, kind, {"k"})
-        return Bernoulli(_int_field(obj, "k"))
-    if kind == "lincomb":
-        _require_keys(obj, kind, {"terms"})
-        if not isinstance(obj["terms"], list):
-            raise ValueError(f"lincomb terms must be a list, got {obj['terms']!r}")
-        terms = []
-        for item in obj["terms"]:
-            if not isinstance(item, (list, tuple)) or len(item) != 2:
-                raise ValueError(f"a lincomb term must be a [coef, expr] pair, got {item!r}")
-            terms.append((parse_rational(item[0]), inner(item[1])))
-        return LinearComb(tuple(terms))
-    if kind == "restrict":
-        _require_keys(obj, kind, {"cell", "expr"})
-        return Restrict(ball_from_json(obj["cell"], prime), inner(obj["expr"]))
-    if kind == "regularize":
-        _require_keys(obj, kind, {"k", "alpha", "expr"})
-        return Regularize(
-            _int_field(obj, "k"), parse_rational(obj["alpha"]), inner(obj["expr"])
+    # A non-string type is unknown, not unhashable.
+    cls = _TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown expression type {kind!r}")
+    _, codecs, allowed, required = _SCHEMA[cls]
+    if not required <= obj.keys() <= allowed:
+        missing, extra = required - obj.keys(), obj.keys() - allowed
+        raise ValueError(
+            f"malformed {kind!r} node: missing {sorted(missing)}, unexpected {sorted(extra)}"
         )
-    if kind == "graft":
-        _require_keys(obj, kind, {"path", "left", "right"})
-        return Graft(path_from_json(obj["path"], prime), inner(obj["left"]), inner(obj["right"]))
-    if kind == "branch":
-        _require_keys(obj, kind, {"k", "children"})
-        children = tuple(inner(c) for c in table_from_json(obj["children"], "branch children"))
-        return Branch(_int_field(obj, "k"), children)
-    raise ValueError(f"unknown expression type {kind!r}")
+    # Fields decode in declaration order, so the error reported for a node
+    # with several bad fields does not depend on set iteration order.
+    return cls(**{key: decode(obj[key], prime, inner) for key, _, decode in codecs if key in obj})
 
 
 # =====================================================================

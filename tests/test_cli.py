@@ -525,6 +525,34 @@ def test_missing_required_flag_exits_with_usage_error(capsys):
     assert exc.value.code == 2
 
 
+# int() takes "1_0" and the digits of other scripts; the CLI takes ASCII only.
+# A flag's type is checked by argparse (SystemExit), the rest by the command.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("norms", "--depth", "٣"),
+        ("verify", "--depth", "2", "--budget", "1_000"),
+        ("verify", "--depth", "2", "--max-violations", "٣"),
+        ("dump", "--depth", "1", "--prime", "٥"),
+        ("dump", "--depth", "1", "--prime", "5/1"),
+        ("integrate", "--depth", "2", "--fn", "١*x"),
+        ("integrate", "--depth", "2", "--fn", "x^٢"),
+        ("path", "--prime", "5", "--point", "1", "--digits", "1_0"),
+        ("path", "--prime", "5", "--preperiod", "١", "--period", "2"),
+        ("path", "--prime", "5", "--period", "0_1"),
+    ],
+)
+def test_integers_take_ascii_digits_only(doc, capsys, argv):
+    if argv[0] != "path":
+        argv = (argv[0], "--spec", doc(MAZUR5), *argv[1:])
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
 # ------------------------------------------------------------- deep nesting
 
 def _nest(depth, refs):

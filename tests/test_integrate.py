@@ -211,7 +211,7 @@ def test_parse_polynomial(text, coeffs):
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "x +", "- x -", "2**x", "x^", "*x", "3*", "y", "x^-2", "1.5*x"],
+    ["", "x +", "- x -", "2**x", "x^", "*x", "3*", "y", "x^-2", "1.5*x", "1/0*x", "1/0"],
 )
 def test_parse_polynomial_rejects(bad):
     with pytest.raises(ValueError):

@@ -4,6 +4,9 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_evaluate_level import expressions
 
 from padicdist import (
     Ball,
@@ -136,11 +139,51 @@ def test_ref_chains_count_toward_the_nesting_cap():
          "children": {(" 1" if t == 1 else str(t)): {"type": "mazur"} for t in range(5)}},
         {"type": "branch", "k": 2,
          "children": {("1_0" if t == 10 else str(t)): {"type": "mazur"} for t in range(25)}},
+        # A type or ref name that is not a string is unknown, not an unhashable key
+        {"type": ["dirac"], "point": "1"},
+        {"type": {}},
+        {"type": 3},
+        {"type": "ref", "name": ["m"]},
+        {"type": "ref", "name": "m", "x": 1},  # ref keeps its own key check
+        # An optional field does not open the node to other keys
+        {"type": "haar", "scale": "1", "x": 1},
+        # k must be a JSON integer, not a float or a string
+        {"type": "bernoulli", "k": 1.0},
+        {"type": "bernoulli", "k": "1"},
+        {"type": "regularize", "k": "1", "alpha": "2", "expr": {"type": "mazur"}},
+        {"type": "branch", "k": 1.0, "children": {str(t): {"type": "mazur"} for t in range(5)}},
+        # Bad path and bad left: the path comes first in field order
+        {"type": "graft", "path": {"period": [1]}, "left": {"type": "nonesuch"},
+         "right": {"type": "mazur"}},
     ],
 )
 def test_malformed_nodes_are_rejected(obj):
     with pytest.raises(ValueError):
         expr_from_json(obj, 5)
+
+
+def test_fields_decode_in_declaration_order():
+    # Each node reports the error of its first bad field, the same in every
+    # process: a graft's path before its left side, a regularize's alpha
+    # (parsed here) before its k (checked by the constructor).
+    graft = {"type": "graft", "path": {"period": [1]}, "left": {"type": "nonesuch"},
+             "right": {"type": "mazur"}}
+    with pytest.raises(ValueError, match="a path must be an object"):
+        expr_from_json(graft, 5)
+    regularize = {"type": "regularize", "k": "1", "alpha": "x", "expr": {"type": "mazur"}}
+    with pytest.raises(ValueError, match="not a rational literal"):
+        expr_from_json(regularize, 5)
+    with pytest.raises(ValueError, match="regularization weight"):
+        expr_from_json({**regularize, "alpha": "2"}, 5)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from((2, 3, 5, 7)).flatmap(lambda p: st.tuples(st.just(p), expressions(p))))
+def test_every_node_type_round_trips(case):
+    # Grafts, branches, restricts and nested regularizes included.  Faulty
+    # leaves are left out: a cell or path over another prime cannot decode.
+    p, expr = case
+    assert expr_from_json(json.loads(json.dumps(expr_to_json(expr))), p) == expr
 
 
 def test_rationals_serialize_as_strings():
