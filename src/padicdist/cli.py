@@ -28,7 +28,7 @@ from .core import (
     Ball,
 )
 from .distributions import Branch, Graft, evaluate, evaluate_level
-from .integrate import integrate, parse_polynomial, step_fn_from_json
+from .integrate import Polynomial, integrate, parse_polynomial_terms, step_fn_from_json
 from .serialize import load_document_file, load_json_file
 from .verify import (
     BallBudgetError,
@@ -183,7 +183,10 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     if (args.fn is None) == (args.step_fn is None):
         raise ValueError("pass exactly one of --fn or --step-fn")
     if args.fn is not None:
-        fn = parse_polynomial(args.fn)
+        terms = parse_polynomial_terms(args.fn)
+        # Refuse a degree past the budget before its coefficients are built.
+        require_budget(prime, args.depth, args.budget, max(terms) + 1)
+        fn = Polynomial.from_terms(terms)
     else:
         fn = step_fn_from_json(load_json_file(args.step_fn))
     report = integrate(expr, fn, prime, args.depth, ball_budget=args.budget)

@@ -30,13 +30,14 @@ Values are exact Fractions; no node ever rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import comb, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from operator import add, is_
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .core import (
     Ball,
@@ -261,77 +262,211 @@ def evaluate_level(
     The value on the ball reps[i] + (p^n) is nums[i] / den, with every
     entry and den a Python int and den > 0; reps=None means the whole level
     0..p^n-1 in order.  Each node is evaluated once over all the requested
-    balls, so a full level costs O(p^n) integer operations and memory per
+    balls, so a request costs O(balls) integer operations and memory per
     node (O(p^k) for a Branch at level k > n); nested Regularize nodes cost
-    one inner level each.  On input that `evaluate` rejects it raises
-    exactly what `evaluate` raises on the first requested ball that fails.
+    one inner request each.  Restrict, Graft and Branch serve a whole level
+    or any step-1 range of reps by residue classes and slice assignment.
+    A node the expression holds in several places is evaluated once per
+    place here; `evaluate_shared` evaluates it once per request.  On input
+    that `evaluate` rejects it raises exactly what `evaluate` raises on the
+    first requested ball that fails.
     """
     require_prime(p)
     if not is_int(n) or n < 0:
         raise ValueError(f"depth must be an integer >= 0, got {n!r}")
-    if reps is not None:
-        m = p**n
-        # A range holds ints between its two ends: when both are valid, so
-        # is every entry, and the per-rep check can be skipped.
-        ends = (reps[0], reps[-1]) if isinstance(reps, range) and reps else ()
-        if not ends or not all(0 <= r < m for r in ends):
-            for r in reps:
-                if not is_int(r) or not 0 <= r < m:
-                    raise ValueError(f"rep must satisfy 0 <= rep < {p}^{n}, got {r!r}")
+    m = p**n
+    if reps is None:
+        reps = range(m)
+    # A range holds ints between its two ends: when both are valid, so is
+    # every entry, and the per-rep check can be skipped.
+    ends = (reps[0], reps[-1]) if isinstance(reps, range) and reps else ()
+    if not ends or not all(0 <= r < m for r in ends):
+        for r in reps:
+            if not is_int(r) or not 0 <= r < m:
+                raise ValueError(f"rep must satisfy 0 <= rep < {p}^{n}, got {r!r}")
     try:
         return _level(expr, p, n, reps)
     except (ValueError, TypeError):
         # A node meets its sub-expressions for all the balls at once, so the
         # first error met can belong to a later ball.  Replay the balls one
         # by one to raise the first failing ball's error.
-        for r in range(p**n) if reps is None else reps:
+        for r in reps:
             _level(expr, p, n, [r])
         raise
 
 
-def _level(
-    expr: DistExpr, p: int, n: int, reps: Sequence[int] | None
+# =====================================================================
+# Shared sub-expressions
+# =====================================================================
+
+# Each node type's fields in order, with what they hold: a plain value
+# (None), a rational, one sub-expression, (coef, sub-expression) pairs
+# (terms) or a tuple of sub-expressions (children).  Rationals are keyed by
+# numerator and denominator: hashing a Fraction costs more than a node.
+_HOLDS = {
+    "point": "rational", "scale": "rational", "alpha": "rational",
+    "expr": "expr", "left": "expr", "right": "expr", "terms": "terms", "children": "children",
+}
+_NODE_FIELDS = {
+    cls: tuple((f.name, _HOLDS.get(f.name)) for f in fields(cls))
+    for cls in (Dirac, Haar, Mazur, Bernoulli, LinearComb, Restrict, Regularize, Graft, Branch)
+}
+
+
+def share(*exprs: DistExpr) -> tuple[tuple[DistExpr, ...], frozenset[int]]:
+    """The expressions with equal sub-expressions merged into one node.
+
+    One pass over all the expressions together visits each input object
+    once, so a DAG costs its distinct nodes.  Each node is keyed by its
+    type, its plain fields and the ids of its merged children.  Returns the
+    merged roots and the ids of the merged nodes that have sub-expressions
+    and are met more than once: in several parents, twice in one parent, or
+    as several roots.  Those are the nodes `evaluate_shared` evaluates once
+    per request; a leaf costs no more to evaluate again than to look up.
+    Anything that is not a node is kept as it is, for evaluation to reject.
+    """
+    seen: dict[int, DistExpr] = {}
+    merged: dict[tuple, DistExpr] = {}
+    uses: dict[int, int] = {}
+
+    def node(e: DistExpr) -> DistExpr:
+        got = seen.get(id(e))
+        if got is not None:
+            return got
+        spec = _NODE_FIELDS.get(type(e))
+        if spec is None:
+            return e
+        key: list = [type(e)]
+        kids = []
+        for name, holds in spec:
+            value = getattr(e, name)
+            if holds is None:
+                key.append(value)
+            elif holds == "rational":
+                key += value.numerator, value.denominator
+            elif holds == "expr":
+                kids.append(value)
+            elif holds == "terms":
+                for c, x in value:
+                    key.append((c.numerator, c.denominator))
+                    kids.append(x)
+            else:
+                kids += value
+        new_kids = list(map(node, kids))
+        key += map(id, new_kids)
+        got = merged.get(key := tuple(key))
+        if got is None:
+            same = all(map(is_, new_kids, kids))
+            got = merged[key] = e if same else _rebuilt(e, spec, iter(new_kids))
+            if kids:
+                uses[id(got)] = 0
+            for kid in new_kids:
+                if id(kid) in uses:
+                    uses[id(kid)] += 1
+        seen[id(e)] = got
+        return got
+
+    roots = tuple(map(node, exprs))
+    for root in roots:
+        if id(root) in uses:
+            uses[id(root)] += 1
+    return roots, frozenset(i for i, count in uses.items() if count > 1)
+
+
+def _rebuilt(e: DistExpr, spec: tuple, kids: Iterator[DistExpr]) -> DistExpr:
+    # e with its sub-expressions replaced by `kids`, in field order.
+    values = []
+    for name, holds in spec:
+        value = getattr(e, name)
+        if holds == "expr":
+            value = next(kids)
+        elif holds == "terms":
+            value = tuple((c, next(kids)) for c, _ in value)
+        elif holds == "children":
+            value = tuple(next(kids) for _ in value)
+        values.append(value)
+    return type(e)(*values)
+
+
+def evaluate_shared(
+    exprs: Sequence[DistExpr], shared: frozenset[int], p: int, n: int, reps: Sequence[int]
+) -> list[tuple[list[int], int]]:
+    """`evaluate_level` of each expression, first to last, on one request.
+
+    `exprs` and `shared` come from `share`; reps is a list or a step-1
+    range of valid reps.  Each shared node is evaluated once per depth and
+    rep set it is asked for, through a memo that lives for this call only,
+    so the request costs its distinct sub-expressions times its balls.
+    Unlike `evaluate_level`, a raising request is not narrowed to its first
+    failing ball: request that ball alone to get its error.
+    """
+    memo = dict.fromkeys(shared) if shared else None
+    return [_level(e, p, n, reps, memo) for e in exprs]
+
+
+def _level_once(
+    expr: DistExpr, p: int, n: int, reps: Sequence[int], memo: dict
 ) -> tuple[list[int], int]:
-    # reps=None stands for range(p^n) without building it.  An empty request
-    # evaluates nothing, so, like `evaluate` on no balls, it raises nothing.
-    if reps is not None and not reps:
+    # A shared node: its values are kept per (depth, reps) for the rest of
+    # the request.  It leaves the memo while its kernel runs, so the call
+    # below evaluates it rather than asking the memo again.
+    cache = memo.pop(id(expr)) or {}
+    at = (n, reps if type(reps) is range else tuple(reps))
+    try:
+        if at not in cache:
+            cache[at] = _level(expr, p, n, reps, memo)
+        return cache[at]
+    finally:
+        memo[id(expr)] = cache
+
+
+# =====================================================================
+# Level kernels
+# =====================================================================
+
+def _level(
+    expr: DistExpr, p: int, n: int, reps: Sequence[int], memo: dict | None = None
+) -> tuple[list[int], int]:
+    # reps is a list or a range of valid reps; a whole level is range(p^n).
+    # An empty request evaluates nothing, so, like `evaluate` on no balls,
+    # it raises nothing.  memo maps the ids of shared nodes to their values
+    # so far in one `evaluate_shared` request.
+    if not reps:
         return [], 1
+    if memo is not None and id(expr) in memo:
+        return _level_once(expr, p, n, reps, memo)
     m = p**n
-    rs = range(m) if reps is None else reps
 
     if isinstance(expr, Dirac):
         t = require_padic_integer(expr.point, p)
-        at = t.numerator * pow(t.denominator, -1, m) % m
-        if isinstance(rs, range):
-            nums = [0] * len(rs)
-            if at in rs:
-                nums[rs.index(at)] = 1
-            return nums, 1
-        return [int(r == at) for r in rs], 1
+        nums = [0] * len(reps)
+        for i in _positions(reps, t.numerator * pow(t.denominator, -1, m) % m):
+            nums[i] = 1
+        return nums, 1
 
     if isinstance(expr, Haar):
-        return [expr.scale.numerator] * len(rs), expr.scale.denominator * m
+        return [expr.scale.numerator] * len(reps), expr.scale.denominator * m
 
     if isinstance(expr, Mazur):
-        if isinstance(rs, range):
-            return list(range(2 * rs.start - m, 2 * rs.stop - m, 2 * rs.step)), 2 * m
-        return [2 * a - m for a in rs], 2 * m
+        if type(reps) is range:
+            return list(range(2 * reps.start - m, 2 * reps.stop - m, 2 * reps.step)), 2 * m
+        return [2 * a - m for a in reps], 2 * m
 
     if isinstance(expr, Bernoulli):
         # p^(n(k-1)) B_k(a/m) = sum_j C(k,j) B_j a^(k-j) m^j / m, by Horner in a.
         scale, coeffs = _bernoulli_coefficients(expr.k)
-        nums = [coeffs[0]] * len(rs)
+        nums = [coeffs[0]] * len(reps)
         for j in range(1, expr.k + 1):
             c = coeffs[j] * m**j
-            nums = [x * a + c for x, a in zip(nums, rs)]
+            nums = [x * a + c for x, a in zip(nums, reps)]
         return nums, scale * m
 
     if isinstance(expr, LinearComb):
         # Terms fold in over the running lcm, starting from the first term's
         # values; every term is evaluated, zero coefficients included.
-        nums, den = [0] * len(rs), 1
+        nums, den = [0] * len(reps), 1
         for i, (c, e) in enumerate(expr.terms):
-            tn, td = _level(e, p, n, reps)
+            tn, td = _level(e, p, n, reps, memo)
             new_den = lcm(den, c.denominator * td)
             up, f = new_den // den, c.numerator * (new_den // (c.denominator * td))
             if i == 0:
@@ -344,53 +479,73 @@ def _level(
         return nums, den
 
     if isinstance(expr, Restrict):
-        return _level_restrict(expr, p, n, reps)
+        return _level_restrict(expr, p, n, reps, memo)
 
     if isinstance(expr, Regularize):
-        return _level_regularize(expr, p, n, reps)
+        return _level_regularize(expr, p, n, reps, memo)
 
     if isinstance(expr, Graft):
-        return _level_graft(expr, p, n, reps)
+        return _level_graft(expr, p, n, reps, memo)
 
     if isinstance(expr, Branch):
-        return _level_branch(expr, p, n, reps)
+        return _level_branch(expr, p, n, reps, memo)
 
     raise TypeError(f"not a distribution expression: {type(expr).__name__}")
 
 
+def _positions(reps: Sequence[int], at: int) -> list[int]:
+    # The indices of `at` in reps, found at C speed.
+    if type(reps) is range:
+        return [reps.index(at)] if at in reps else []
+    found, i = [], -1
+    for _ in range(reps.count(at)):
+        i = reps.index(at, i + 1)
+        found.append(i)
+    return found
+
+
+def _slices(reps: Sequence[int]) -> bool:
+    # Whether reps is a step-1 range, which the kernels serve by residue
+    # classes clipped to it and slice assignment.
+    return type(reps) is range and reps.step == 1
+
+
+def _clip(start: int, step: int, reps: range) -> range:
+    # The class start + step Z (0 <= start < step) within the step-1 range reps.
+    return range(reps.start + (start - reps.start) % step, reps.stop, step)
+
+
 def _level_restrict(
-    expr: Restrict, p: int, n: int, reps: Sequence[int] | None
+    expr: Restrict, p: int, n: int, reps: Sequence[int], memo: dict | None
 ) -> tuple[list[int], int]:
     cell = expr.cell
     if cell.prime != p:
         raise PrimeMismatchError("balls over different primes")
-    m = p**n
-    rs = range(m) if reps is None else reps
-    nums = [0] * len(rs)
+    nums = [0] * len(reps)
     if n < cell.depth:
         # The one ball containing the cell carries the inner value on the cell.
-        at = cell.rep % m
-        hits = [i for i, r in enumerate(rs) if r == at]
+        hits = _positions(reps, cell.rep % p**n)
         if not hits:
             return nums, 1
-        (value,), den = _level(expr.expr, p, cell.depth, [cell.rep])
+        (value,), den = _level(expr.expr, p, cell.depth, [cell.rep], memo)
         for i in hits:
             nums[i] = value
         return nums, den
     q = p**cell.depth
-    if reps is None:
-        inner, den = _level(expr.expr, p, n, range(cell.rep, m, q))
-        nums[cell.rep :: q] = inner
+    if _slices(reps):
+        own = _clip(cell.rep, q, reps)
+        inner, den = _level(expr.expr, p, n, own, memo)
+        nums[own.start - reps.start :: q] = inner
         return nums, den
-    keep = [i for i, r in enumerate(rs) if r % q == cell.rep]
-    inner, den = _level(expr.expr, p, n, [rs[i] for i in keep])
+    keep = [i for i, r in enumerate(reps) if r % q == cell.rep]
+    inner, den = _level(expr.expr, p, n, [reps[i] for i in keep], memo)
     for i, value in zip(keep, inner):
         nums[i] = value
     return nums, den
 
 
 def _level_regularize(
-    expr: Regularize, p: int, n: int, reps: Sequence[int] | None
+    expr: Regularize, p: int, n: int, reps: Sequence[int], memo: dict | None
 ) -> tuple[list[int], int]:
     alpha = expr.alpha
     if valuation(alpha, p) != 0:
@@ -402,35 +557,35 @@ def _level_regularize(
     u, v = alpha.numerator**expr.k, alpha.denominator**expr.k
     if u < 0:
         u, v = -u, -v
-    if reps is None:
+    if len(reps) == m and _slices(reps):
         # a -> scale * a mod m permutes the level: one inner level suffices.
-        inner, den = _level(expr.expr, p, n, None)
+        inner, den = _level(expr.expr, p, n, reps, memo)
         return [u * x - v * inner[scale * a % m] for a, x in enumerate(inner)], u * den
     scaled = [scale * r % m for r in reps]
-    union = sorted(set(reps).union(scaled))
+    union = list(dict.fromkeys(chain(reps, scaled)))
     try:
-        inner, den = _level(expr.expr, p, n, union)
+        inner, den = _level(expr.expr, p, n, union, memo)
     except (ValueError, TypeError):
         if len(reps) == 1 < len(union):
             # One ball meets the errors on B before those on alpha * B.
             # Where alpha * B = B the union was the one-ball request itself;
             # replaying it would double the work per nesting level.
-            _level(expr.expr, p, n, reps)
-            _level(expr.expr, p, n, scaled)
+            _level(expr.expr, p, n, reps, memo)
+            _level(expr.expr, p, n, scaled, memo)
         raise
     at = dict(zip(union, inner))
     return [u * at[r] - v * at[s] for r, s in zip(reps, scaled)], u * den
 
 
 def _level_graft(
-    expr: Graft, p: int, n: int, reps: Sequence[int] | None
+    expr: Graft, p: int, n: int, reps: Sequence[int], memo: dict | None
 ) -> tuple[list[int], int]:
     path = expr.path
     if path.prime != p:
         raise PrimeMismatchError(f"graft path over p={path.prime} evaluated at p={p}")
     digits = path.digits(n)
-    if reps is None:
-        return _level_graft_classes(expr, p, n, digits)
+    if _slices(reps):
+        return _level_graft_classes(expr, p, n, digits, reps, memo)
     m = p**n
     on_path = sum(d * p**j for j, d in enumerate(digits))
 
@@ -449,10 +604,10 @@ def _level_graft(
 
     right = [goes_right(r) for r in reps]
     left_nums, left_den = _level(
-        expr.left, p, n, [r for r, s in zip(reps, right) if not s]
+        expr.left, p, n, [r for r, s in zip(reps, right) if not s], memo
     )
     right_nums, right_den = _level(
-        expr.right, p, n, [r for r, s in zip(reps, right) if s]
+        expr.right, p, n, [r for r, s in zip(reps, right) if s], memo
     )
     den = lcm(left_den, right_den)
     fl, fr = den // left_den, den // right_den
@@ -461,81 +616,90 @@ def _level_graft(
 
 
 def _level_graft_classes(
-    expr: Graft, p: int, n: int, digits: Sequence[int]
+    expr: Graft, p: int, n: int, digits: Sequence[int], reps: range, memo: dict | None
 ) -> tuple[list[int], int]:
-    # The whole level, side by side.  The balls that first leave the path at
-    # digit j with digit d form the residue class range(P_j + d p^j, m,
-    # p^(j+1)), P_j the path's first j digits: left if d < digits[j], right
-    # if larger.  The on-path ball goes left.  Each side is evaluated once,
-    # on its classes one after another, and the values are put back class by
-    # class with slice assignment.
+    # A step-1 range, side by side.  The balls that first leave the path at
+    # digit j with digit d form the residue class P_j + d p^j + p^(j+1) Z,
+    # P_j the path's first j digits: left if d < digits[j], right if
+    # larger.  The on-path ball goes left.  Each side is evaluated once, on
+    # its classes within reps one after another, and the values are put
+    # back class by class with slice assignment.
     m = p**n
     classes: tuple[list[range], list[range]] = ([], [])
     head, q = 0, 1
     for dj in digits:
         for d in range(p):
             if d != dj:
-                classes[d > dj].append(range(head + d * q, m, q * p))
+                classes[d > dj].append(_clip(head + d * q, q * p, reps))
         head += dj * q
         q *= p
-    classes[0].append(range(head, m, m))
+    classes[0].append(_clip(head, m, reps))
     sides = [
-        (_level(side, p, n, list(chain.from_iterable(own))), own)
+        (_level(side, p, n, list(chain.from_iterable(own)), memo), own)
         for side, own in zip((expr.left, expr.right), classes)
     ]
     den = lcm(*(d for (_, d), _ in sides))
-    nums = [0] * m
+    nums = [0] * len(reps)
     for (values, d), own in sides:
         if d != den:
             f = den // d
             values = [f * x for x in values]
         i = 0
         for c in own:
-            nums[c.start :: c.step] = values[i : i + len(c)]
+            nums[c.start - reps.start :: c.step] = values[i : i + len(c)]
             i += len(c)
     return nums, den
 
 
 def _level_branch(
-    expr: Branch, p: int, n: int, reps: Sequence[int] | None
+    expr: Branch, p: int, n: int, reps: Sequence[int], memo: dict | None
 ) -> tuple[list[int], int]:
     size = _branch_table_size(expr, p)
     m = p**n
     if n < expr.k:
         # Sum over the depth-k descendants r + t * m, t < p^(k-n).
-        if reps is None:
-            deep, den = _level(expr, p, expr.k, None)
-            return [sum(deep[a::m]) for a in range(m)], den
+        if len(reps) == m and _slices(reps):
+            # The whole level: the descendants are p^(k-n) blocks of length
+            # m, added block to block.
+            deep, den = _level(expr, p, expr.k, range(p**expr.k), memo)
+            sums = deep[:m]
+            for i in range(m, len(deep), m):
+                sums = list(map(add, sums, deep[i : i + m]))
+            return sums, den
         # t in the order a walk down the children in digit order meets them:
         # the first digit of t, of weight 1, varies slowest.
         ts = [0]
         for j in reversed(range(expr.k - n)):
             ts = [d * p**j + t for d in range(p) for t in ts]
         q = len(ts)
-        deep, den = _level(expr, p, expr.k, [r + t * m for r in reps for t in ts])
+        deep, den = _level(expr, p, expr.k, [r + t * m for r in reps for t in ts], memo)
         return [sum(deep[i : i + q]) for i in range(0, len(deep), q)], den
-    if reps is None:
-        parts = {t: range(t, m, size) for t in range(size)}
-    else:
-        parts = {}
-        for i, r in enumerate(reps):
-            parts.setdefault(r % size, []).append(i)
     # Children in the order their balls are first requested, which for one
-    # ball below the level is the order the scalar walk meets them in.
-    values = {}
-    for t in parts:
-        own = parts[t] if reps is None else [reps[i] for i in parts[t]]
-        values[t] = _level(expr.children[t], p, n, own)
-    den = lcm(*(d for _, d in values.values()))
-    nums = [0] * (m if reps is None else len(reps))
-    for t, (tn, td) in values.items():
-        f = den // td
-        if f != 1:
+    # ball below the level is the order the scalar walk meets them in.  On
+    # a step-1 range child t takes every size-th position: one slice.
+    if _slices(reps):
+        parts = [
+            ((reps.start + i) % size, slice(i, None, size)) for i in range(min(size, len(reps)))
+        ]
+        values = [_level(expr.children[t], p, n, reps[own], memo) for t, own in parts]
+    else:
+        groups: dict[int, list[int]] = {}
+        for i, r in enumerate(reps):
+            groups.setdefault(r % size, []).append(i)
+        parts = list(groups.items())
+        values = [
+            _level(expr.children[t], p, n, [reps[i] for i in own], memo) for t, own in parts
+        ]
+    den = lcm(*(d for _, d in values))
+    nums = [0] * len(reps)
+    for (_, own), (tn, td) in zip(parts, values):
+        if td != den:
+            f = den // td
             tn = [f * x for x in tn]
-        if reps is None:
-            nums[t::size] = tn
+        if type(own) is slice:
+            nums[own] = tn
         else:
-            for i, x in zip(parts[t], tn):
+            for i, x in zip(own, tn):
                 nums[i] = x
     return nums, den
 

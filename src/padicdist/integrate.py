@@ -45,6 +45,11 @@ class Polynomial:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(as_rational(c) for c in self.coeffs))
 
+    @classmethod
+    def from_terms(cls, terms: Mapping[int, Fraction]) -> "Polynomial":
+        """The polynomial with coefficient terms[j] on x^j, 0 where absent."""
+        return cls(tuple(terms.get(j, 0) for j in range(max(terms) + 1)))
+
     def value_at(self, x: Fraction | int) -> Fraction:
         t = as_rational(x)
         acc = Fraction(0)
@@ -109,15 +114,17 @@ def riemann_sum(
     """S_depth = sum of f(a) * mu(a + (p^depth)) over canonical reps a.
 
     The level is evaluated once as numerators over one denominator.  A
-    polynomial sum is sum_j c_j * (sum_a a^j * num_a); a step function of
-    period L = len(values) sums to sum_r v_r * (sum of num_a, a = r mod L).
-    The denominator is divided out once at the end.
+    polynomial sum is sum_j c_j * (sum_a a^j * num_a), one pass per
+    coefficient, so the budget counts (degree + 1) * p^depth; a step
+    function of period L = len(values) sums to sum_r v_r * (sum of num_a,
+    a = r mod L).  The denominator is divided out once at the end.
     """
     require_prime(prime)
     if depth < 0:
         raise ValueError("depth must be >= 0")
     _validate_fn(fn, prime)
-    require_budget(prime, depth, ball_budget)
+    passes = len(fn.coeffs) if isinstance(fn, Polynomial) else 1
+    require_budget(prime, depth, ball_budget, passes)
     nums, den = evaluate_level(expr, prime, depth)
     total = Fraction(0)
     if isinstance(fn, StepFn):
@@ -232,6 +239,12 @@ _TERM_RE = re.compile(
 
 def parse_polynomial(text: str) -> Polynomial:
     """Parse "c0 + c1*x + c2*x^2" style syntax with rational coefficients."""
+    return Polynomial.from_terms(parse_polynomial_terms(text))
+
+
+def parse_polynomial_terms(text: str) -> dict[int, Fraction]:
+    """The coefficients of parse_polynomial's input by power, without the
+    dense tuple: its degree can be checked against a budget first."""
     squeezed = text.replace(" ", "")
     if not squeezed or squeezed[-1] in "+-":
         raise ValueError(f"not a polynomial: {text!r}")
@@ -251,8 +264,7 @@ def parse_polynomial(text: str) -> Polynomial:
         if match.group("var"):
             power = int(match.group("power") or 1)
         coeffs[power] = coeffs.get(power, Fraction(0)) + coef
-    top = max(coeffs)
-    return Polynomial(tuple(coeffs.get(i, Fraction(0)) for i in range(top + 1)))
+    return coeffs
 
 
 def step_fn_from_json(obj: dict) -> StepFn:

@@ -23,13 +23,16 @@ sub-expressions:
               "expr": {"type": "ref", "name": "m"}}}
 
 `{"type": "ref", "name": ...}` nodes are resolved against "defs" at load
-time; unknown or cyclic references are errors.
+time; unknown or cyclic references are errors.  Each def is decoded once,
+and every `ref` to it is the same object, so a spec that names a
+sub-expression and uses it many times decodes in time linear in its size.
 
 Expressions nest at most MAX_NESTING levels: the root is at level 1, and
 each node, `ref` nodes included, is one level below its parent, so a chain
-of references counts as deep as the tree it stands for.  Deeper input, and
-JSON nested too deeply for the parser, is refused with ValueError before
-any evaluator recurses into it.
+of references counts as deep as the tree it stands for: a `ref` at level L
+to a def of height h reaches level L + h.  Deeper input, and JSON nested
+too deeply for the parser, is refused with ValueError before any evaluator
+recurses into it.
 """
 
 from __future__ import annotations
@@ -136,19 +139,30 @@ def expr_to_json(expr: DistExpr) -> dict:
 def expr_from_json(obj: Any, prime: int, defs: dict | None = None) -> DistExpr:
     """Decode an expression object; `defs` supplies named sub-expressions."""
     require_prime(prime)
-    return _decode(obj, prime, defs or {}, frozenset(), 1)
+    return _decode(obj, prime, defs or {}, {}, frozenset(), 1, [1])
 
 
 def _decode(
-    obj: Any, prime: int, defs: dict, resolving: frozenset, level: int
+    obj: Any,
+    prime: int,
+    defs: dict,
+    decoded: dict,
+    resolving: frozenset,
+    level: int,
+    deepest: list[int],
 ) -> DistExpr:
+    # `decoded` maps each def decoded so far to (expression, height),
+    # `resolving` holds the defs being decoded, and deepest[0] is the
+    # deepest level reached so far, which gives a def its height.
     if level > MAX_NESTING:
         raise ValueError(f"expression nests deeper than {MAX_NESTING} levels")
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError(f"an expression must be an object with a 'type' field, got {obj!r}")
+    if level > deepest[0]:
+        deepest[0] = level
 
     def inner(child: Any) -> DistExpr:
-        return _decode(child, prime, defs, resolving, level + 1)
+        return _decode(child, prime, defs, decoded, resolving, level + 1, deepest)
 
     kind = obj["type"]
     if kind == "ref":
@@ -157,9 +171,22 @@ def _decode(
         name = obj["name"]
         if not isinstance(name, str) or name not in defs:
             raise ValueError(f"reference to undefined name {name!r}")
-        if name in resolving:
-            raise ValueError(f"cyclic reference through {name!r}")
-        return _decode(defs[name], prime, defs, resolving | {name}, level + 1)
+        if name not in decoded:
+            if name in resolving:
+                raise ValueError(f"cyclic reference through {name!r}")
+            # Decoded where it is first met, so the cap still bounds the
+            # recursion; a later ref checks the def's height instead.
+            outer, deepest[0] = deepest[0], level
+            expr = _decode(
+                defs[name], prime, defs, decoded, resolving | {name}, level + 1, deepest
+            )
+            decoded[name] = expr, deepest[0] - level
+            deepest[0] = max(outer, deepest[0])
+        expr, height = decoded[name]
+        if level + height > MAX_NESTING:
+            raise ValueError(f"expression nests deeper than {MAX_NESTING} levels")
+        deepest[0] = max(deepest[0], level + height)
+        return expr
     # A non-string type is unknown, not unhashable.
     cls = _TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:

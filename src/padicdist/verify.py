@@ -3,16 +3,21 @@
 Every checker enumerates balls in a fixed order (depth ascending, then
 representative ascending) and compares exact rationals, so a report is a
 pure function of its inputs: byte-identical across runs.  All of them
-evaluate with `evaluate_level`, as integer numerators over one denominator,
-and compare by cross-multiplying; a Fraction is built only for what a
-report shows.  The checkers that cover whole levels (`check_relation`,
+evaluate level-wise, as integer numerators over one denominator, and
+compare by cross-multiplying; a Fraction is built only for what a report
+shows.  The checkers that cover whole levels (`check_relation`,
 `norm_scan`) evaluate each depth once; `check_relation` compares a whole
 level with one list comparison and goes ball by ball only through a level
-that holds a violation.  The witness searches, which stop at the first
-witness, scan each depth in consecutive rep ranges that double in length,
-so the work before a witness stays within a small multiple of the balls up
-to it.  Where a request raises, the searches request its balls again one at
-a time, so they return the same witness or raise the same error as a
+that holds a violation.  The witness searches first merge their inputs
+with `share`, so equal sub-expressions are one node, and request values
+with `evaluate_shared`, which evaluates each node met more than once a
+single time per request: a request costs the distinct sub-expressions times
+its balls.  The searches that stop at the first witness scan each depth in
+consecutive step-1 rep ranges that double in length, which the kernels
+serve by residue classes and slices as they do a whole level, so the work
+before a witness stays within a small multiple of the balls up to it.
+Where a request raises, the searches request its balls again one at a
+time, so they return the same witness or raise the same error as a
 ball-by-ball search.
 
 Enumeration size is guarded: a checker refuses to start when p^depth exceeds
@@ -43,6 +48,8 @@ from .distributions import (
     DistExpr,
     boundedness_flag,
     evaluate_level,
+    evaluate_shared,
+    share,
 )
 
 DEFAULT_BALL_BUDGET = 10**6
@@ -52,11 +59,18 @@ class BallBudgetError(RuntimeError):
     """The requested depth would enumerate more balls than the budget allows."""
 
 
-def require_budget(prime: int, depth: int, ball_budget: int) -> None:
-    """Raise BallBudgetError when a depth-`depth` level exceeds the budget."""
-    if prime**depth > ball_budget:
+def require_budget(prime: int, depth: int, ball_budget: int, per_ball: int = 1) -> None:
+    """Raise BallBudgetError when per_ball * p^depth exceeds the budget.
+
+    per_ball counts the passes a caller makes over each ball of the level,
+    such as the degree + 1 terms of a polynomial Riemann sum.
+    """
+    if per_ball * prime**depth > ball_budget:
+        work = f"{prime}^{depth} balls"
+        if per_ball != 1:
+            work = f"{per_ball} terms on each of {work}"
         raise BallBudgetError(
-            f"refusing to enumerate {prime}^{depth} balls "
+            f"refusing to enumerate {work} "
             f"(budget {ball_budget}); raise the ball budget to proceed"
         )
 
@@ -304,17 +318,19 @@ def check_graft_precondition(
     Balls are requested in the order a ball-by-ball check reads them: P_0,
     then at each level n the off-path children of P_n in digit order, and
     last, when n < max_depth, the on-path child P_(n+1), whose values the
-    next level compares.  Each request is one `evaluate_level` call per
-    side, as integer numerators over one denominator; see `_both` for how a
-    faulty request is narrowed to the ball that fails.
+    next level compares.  The two sides are merged with `share` first, and
+    each request evaluates both, every shared sub-expression once, as
+    integer numerators over one denominator; see `_both` for how a faulty
+    request is narrowed to the ball that fails.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     p = path.prime
+    sides, shared = share(left, right)
     on_path: list[OnPathFailure] = []
     tails: list[TailSumFailure] = []
     rep = 0
-    (lnums, ld), (rnums, rd) = _both(left, right, p, 0, [rep])
+    (lnums, ld), (rnums, rd) = _both(sides, shared, p, 0, [rep])
     for n in range(max_depth + 1):
         # The last ball of the previous request is P_n.
         lv, rv = lnums[-1], rnums[-1]
@@ -326,7 +342,7 @@ def check_graft_precondition(
         rep += i_n * q
         if n < max_depth:
             balls.append(rep)
-        (lnums, ld), (rnums, rd) = _both(left, right, p, n + 1, balls)
+        (lnums, ld), (rnums, rd) = _both(sides, shared, p, n + 1, balls)
         diffs = [x * rd - y * ld for x, y in zip(lnums[: p - 1], rnums)]
         below, above = sum(diffs[:i_n]), sum(diffs[i_n:])
         if below or above:
@@ -336,20 +352,19 @@ def check_graft_precondition(
 
 
 def _both(
-    first: DistExpr, second: DistExpr, p: int, n: int, reps: Sequence[int]
-) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
+    sides: Sequence[DistExpr], shared: frozenset[int], p: int, n: int, reps: Sequence[int]
+) -> list[tuple[list[int], int]]:
     """Values of both sides on the balls r + (p^n), r in reps, in order.
 
-    One `evaluate_level` call per side, first side before second.  If that
-    raises, the balls are requested again one at a time, first side before
-    second, so the error raised is the one a ball-by-ball check meets first.
+    One request for both sides, first side before second.  If that raises,
+    the balls are requested again one at a time, so the error raised is the
+    one a ball-by-ball check meets first.
     """
     try:
-        return evaluate_level(first, p, n, reps), evaluate_level(second, p, n, reps)
+        return evaluate_shared(sides, shared, p, n, reps)
     except (ValueError, TypeError):
         for r in reps:
-            evaluate_level(first, p, n, [r])
-            evaluate_level(second, p, n, [r])
+            evaluate_shared(sides, shared, p, n, [r])
         raise
 
 
@@ -386,7 +401,10 @@ def check_branch_hypothesis(
     ball, child 0 differs there from at least one of them.  So only child 0
     is compared, against s = 1, 2, ... in turn, skipping children
     structurally equal to it (they evaluate identically), and the work is
-    linear in the number of children.
+    linear in the number of children.  The table is merged with `share`
+    first, so a sub-expression that child 0 and child s have in common is
+    evaluated once per request, and a structurally equal child is child 0
+    itself.
     """
     require_prime(prime)
     if isinstance(children, Branch):
@@ -400,10 +418,11 @@ def check_branch_hypothesis(
     if len(table) != prime**k:
         raise ValueError(f"need {prime**k} children for p={prime}, k={k}, got {len(table)}")
     require_budget(prime, search_depth, ball_budget)
+    table, shared = share(*table)
     for s in range(1, len(table)):
-        if table[0] == table[s]:
+        if table[s] is table[0]:
             continue
-        ball = _first_difference(table[0], table[s], prime, k, search_depth)
+        ball = _first_difference((table[0], table[s]), shared, prime, k, search_depth)
         if ball is not None:
             return BranchWitness(0, s, ball)
     return None
@@ -426,11 +445,11 @@ def distinctness_witness(
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     require_budget(prime, max_depth, ball_budget)
-    return _first_difference(first, second, prime, 0, max_depth)
+    return _first_difference(*share(first, second), prime, 0, max_depth)
 
 
 def _first_difference(
-    first: DistExpr, second: DistExpr, p: int, lo: int, hi: int
+    sides: Sequence[DistExpr], shared: frozenset[int], p: int, lo: int, hi: int
 ) -> Ball | None:
     """First ball of depth lo..hi, by depth then rep, where the two differ.
 
@@ -438,9 +457,11 @@ def _first_difference(
     reps, each later one as many as the level has scanned so far.  The
     range holding the first differing rep r is no longer than
     max(r, p^(n-1)), so from lo = 0 the search evaluates fewer than twice
-    the balls a ball-by-ball search visits, whatever p is.  A range that
-    raises is scanned again one rep at a time, which returns a witness
-    before its first faulty ball or raises what that ball raises.
+    the balls a ball-by-ball search visits, whatever p is.  Each range is
+    one request for both sides, so it costs the distinct sub-expressions
+    of the two times its balls.  A range that raises is scanned again one
+    rep at a time, which returns a witness before its first faulty ball or
+    raises what that ball raises.
     """
     for n in range(lo, hi + 1):
         m = p**n
@@ -448,9 +469,9 @@ def _first_difference(
         while start < m:
             reps = range(start, stop)
             try:
-                r = _first_differing(first, second, p, n, reps)
+                r = _first_differing(sides, shared, p, n, reps)
             except (ValueError, TypeError):
-                alone = (r for r in reps if _first_differing(first, second, p, n, [r]) is not None)
+                alone = (r for r in reps if _first_differing(sides, shared, p, n, [r]) is not None)
                 r = next(alone, None)
             if r is not None:
                 return Ball(p, n, r)
@@ -459,11 +480,20 @@ def _first_difference(
 
 
 def _first_differing(
-    first: DistExpr, second: DistExpr, p: int, n: int, reps: Sequence[int]
+    sides: Sequence[DistExpr], shared: frozenset[int], p: int, n: int, reps: Sequence[int]
 ) -> int | None:
-    # The first rep in reps where the two differ; the first side is evaluated first.
-    (xs, dx), (ys, dy) = evaluate_level(first, p, n, reps), evaluate_level(second, p, n, reps)
-    return next((r for r, x, y in zip(reps, xs, ys) if x * dy != y * dx), None)
+    # The first rep in reps where the two sides differ; the first side is
+    # evaluated first.  The whole lists are compared first, as in
+    # `check_relation`; only a range that differs is walked ball by ball.
+    (xs, dx), (ys, dy) = evaluate_shared(sides, shared, p, n, reps)
+    if dy % dx == 0:
+        f = dy // dx
+        same = (xs if f == 1 else [x * f for x in xs]) == ys
+    else:
+        same = [x * dy for x in xs] == [y * dx for y in ys]
+    if same:
+        return None
+    return next(r for r, x, y in zip(reps, xs, ys) if x * dy != y * dx)
 
 
 # =====================================================================

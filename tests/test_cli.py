@@ -1,6 +1,7 @@
 """End-to-end command tests driving main() in process."""
 
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -382,6 +383,20 @@ def test_integrate_rejects_bad_polynomial(doc, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("fn", ["x^99999999", "1 + x^39999"])
+def test_integrate_refuses_a_degree_past_the_budget(doc, capsys, fn):
+    # Refused before the dense coefficients (10^8 of them for the first) are
+    # built; (39999 + 1) * 5^2 is one past the budget.
+    start = time.perf_counter()
+    got, out, err = run(
+        capsys, "integrate", "--spec", doc(MAZUR5), "--depth", "2", "--fn", fn,
+        "--budget", "999999",
+    )
+    assert (got, out) == (3, "")
+    assert err.startswith("error: refusing") and err.count("\n") == 1
+    assert time.perf_counter() - start < 1
+
+
 # ----------------------------------------------------------------------- dump
 
 def test_dump_csv(doc, capsys):
@@ -632,6 +647,74 @@ def test_nesting_cap_regularize_chain(doc, capsys, ball):
     code, out, err = run(capsys, "eval", "--spec", doc(document), "--ball", ball)
     assert (code, out) == (2, "")
     assert err == "error: 1/5 is not a p-adic integer for p=5\n"
+
+
+def _ref_chain(n):
+    # a_i = lincomb(1 a_(i-1), 1 a_(i-1)) over a_0 = mazur: n + 1 defs, a
+    # tree of 2^n leaves.
+    defs = {"a0": {"type": "mazur"}}
+    for i in range(1, n + 1):
+        ref = {"type": "ref", "name": f"a{i - 1}"}
+        defs[f"a{i}"] = {"type": "lincomb", "terms": [["1", ref], ["1", ref]]}
+    return {"type": "ref", "name": f"a{n}"}, defs
+
+
+def _inlined(node, defs):
+    if isinstance(node, dict):
+        if node.get("type") == "ref":
+            return _inlined(defs[node["name"]], defs)
+        return {key: _inlined(value, defs) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_inlined(value, defs) for value in node]
+    return node
+
+
+def test_ref_chain_decodes_and_searches_in_linear_time(doc, capsys):
+    # 4,738 bytes that stand for a tree of 2^40 leaves: each def is decoded
+    # once, and a search evaluates each distinct node once per request.
+    root, defs = _ref_chain(40)
+    document = {"prime": 5, "defs": defs, "expr": root}
+    spec = doc(document)
+    assert len(json.dumps(document)) == 4738
+    start = time.perf_counter()
+    load_document(document)
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    code, out, err = run(capsys, "distinct", "--spec", spec, "--other", spec, "--depth", "2")
+    assert (code, out, err) == (1, "no differing ball up to depth 2\n", "")
+    assert time.perf_counter() - start < 5
+
+
+CHAIN_COMMANDS = [
+    ("lincomb", ["eval", "--ball", "3/2"]),
+    ("lincomb", ["verify", "--depth", "2"]),
+    ("graft", ["graft-check", "--depth", "2"]),
+    ("branch", ["branch-check", "--depth", "2"]),
+    ("lincomb", ["distinct", "--other", "{other}", "--depth", "2"]),
+    ("lincomb", ["norms", "--depth", "2"]),
+    ("lincomb", ["integrate", "--fn", "x", "--depth", "2"]),
+    ("lincomb", ["dump", "--depth", "2"]),
+]
+
+
+@pytest.mark.parametrize("root, argv", CHAIN_COMMANDS, ids=[c[1][0] for c in CHAIN_COMMANDS])
+def test_ref_chain_prints_what_its_tree_prints(doc, capsys, root, argv):
+    chain, defs = _ref_chain(12)
+    mazur = {"type": "mazur"}
+    expr = {
+        "lincomb": chain,
+        "graft": {"type": "graft", "path": {"preperiod": [1], "period": [2]},
+                  "left": chain, "right": mazur},
+        "branch": {"type": "branch", "k": 1,
+                   "children": {str(t): chain if t < 3 else mazur for t in range(5)}},
+    }[root]
+    argv = [a.replace("{other}", doc(MAZUR5, "other.json")) for a in argv]
+    shared = run(capsys, argv[0], "--spec", doc({"prime": 5, "defs": defs, "expr": expr}),
+                 *argv[1:])
+    tree = run(capsys, argv[0], "--spec", doc({"prime": 5, "expr": _inlined(expr, defs)}),
+               *argv[1:])
+    assert shared == tree
+    assert shared[1] and not shared[2]
 
 
 def test_json_too_deep_to_parse_exits_2(tmp_path, capsys):

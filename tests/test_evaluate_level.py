@@ -191,6 +191,59 @@ def _assert_agrees(expr, p, n, reps):
     assert [F(x, den) for x in nums] == values
 
 
+NODE_TYPES = (
+    "dirac", "haar", "mazur", "bernoulli", "lincomb", "restrict", "regularize", "graft", "branch"
+)
+
+
+def rooted(p, kind, faults=False):
+    """Expressions whose root is of the given node type."""
+    inner = expressions(p, faults=faults)
+    return {
+        "dirac": points(p).map(Dirac),
+        "haar": coefficients().map(Haar),
+        "mazur": st.just(Mazur()),
+        "bernoulli": st.integers(1, 4).map(Bernoulli),
+        "lincomb": st.lists(st.tuples(coefficients(), inner), min_size=1, max_size=3).map(
+            lambda terms: LinearComb(tuple(terms))
+        ),
+        "restrict": st.builds(Restrict, cells(p), inner),
+        "regularize": st.builds(Regularize, st.integers(1, 3), units(p), inner),
+        "graft": st.builds(Graft, paths(p), inner, inner),
+        "branch": branches(p, inner),
+    }[kind]
+
+
+def step_one_ranges(m):
+    """Step-1 ranges below m of up to 24 reps: empty, one ball, or cutting
+    the residue classes of the Restrict, Graft and Branch kernels at both
+    ends, since they start and stop anywhere."""
+    return st.tuples(st.integers(0, m), st.integers(0, 24)).map(
+        lambda s: range(s[0], min(m, s[0] + s[1]))
+    )
+
+
+def _outcome(*args):
+    try:
+        return "returned", evaluate_level(*args)
+    except (ValueError, TypeError) as exc:
+        return "raised", type(exc), str(exc)
+
+
+@settings(SETTINGS, max_examples=60)
+@pytest.mark.parametrize("kind", NODE_TYPES)
+@given(data=st.data())
+def test_range_request_equals_list_request(kind, data):
+    # A step-1 range takes the slice kernels, the same reps as a list take
+    # the per-ball ones; both must match the scalar oracle ball by ball.
+    p = data.draw(st.sampled_from(PRIMES))
+    n = data.draw(st.integers(0, MAX_DEPTH))
+    expr = data.draw(rooted(p, kind, faults=data.draw(st.booleans())))
+    reps = data.draw(step_one_ranges(p**n))
+    assert _outcome(expr, p, n, reps) == _outcome(expr, p, n, list(reps))
+    _assert_agrees(expr, p, n, reps)
+
+
 @SETTINGS
 @given(cases())
 def test_level_agrees_with_scalar_evaluate(case):

@@ -164,6 +164,16 @@ def test_integrate_validation_and_budget():
         integrate(Mazur(), X, 5, 3, ball_budget=20)
 
 
+def test_polynomial_sums_count_each_coefficient_against_the_budget():
+    # x^3 makes 4 passes over the 25 balls of depth 2.
+    cube = parse_polynomial("x^3")
+    assert riemann_sum(Mazur(), cube, 5, 2, ball_budget=100) == brute_force_sum(
+        Mazur(), cube, 5, 2
+    )
+    with pytest.raises(BallBudgetError, match="4 terms on each of 5\\^2 balls"):
+        riemann_sum(Mazur(), cube, 5, 2, ball_budget=99)
+
+
 def test_integration_report_text_fixture():
     text = integrate(Haar(), X, 5, 3).to_text()
     assert text.splitlines() == [

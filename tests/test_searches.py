@@ -1,12 +1,15 @@
 """The level-wise witness searches against the ball-by-ball ones they replace.
 
 `distinctness_witness`, `check_branch_hypothesis` and
-`check_graft_precondition` evaluate with `evaluate_level`.  The scalar loops
-they replaced are kept here as oracles: on random expressions, faulty nodes
-included, each search must return what its oracle returns or raise the
-exception its oracle raises, with the same type and message.
+`check_graft_precondition` merge their inputs with `share` and evaluate
+with `evaluate_shared`.  The scalar loops they replaced are kept here as
+oracles: on random expressions, faulty nodes included, each search must
+return what its oracle returns or raise the exception its oracle raises,
+with the same type and message.  Inputs that hold one object in several
+places must give what their tree copies give.
 """
 
+from dataclasses import fields, is_dataclass
 from fractions import Fraction as F
 from unittest import mock
 
@@ -14,7 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scalar_oracle import evaluate
-from test_evaluate_level import PRIMES, SETTINGS, expressions, paths, points
+from test_evaluate_level import (
+    PRIMES,
+    SETTINGS,
+    branches,
+    cells,
+    coefficients,
+    expressions,
+    paths,
+    points,
+    units,
+)
 
 from padicdist import (
     Ball,
@@ -27,6 +40,7 @@ from padicdist import (
     NotPAdicIntegerError,
     Path,
     Regularize,
+    Restrict,
     check_branch_hypothesis,
     check_graft_precondition,
     distinctness_witness,
@@ -189,17 +203,17 @@ def test_distinctness_raises_what_scalar_search_raises(case):
 
 
 def _requested_balls(search, *args):
-    # Balls the search asks `evaluate_level` for, per expression.
+    # Balls the search requests; one request evaluates both expressions.
     requested = []
-    real = verify.evaluate_level
+    real = verify.evaluate_shared
 
-    def counting(expr, p, n, reps=None):
-        requested.append(p**n if reps is None else len(reps))
-        return real(expr, p, n, reps)
+    def counting(exprs, shared, p, n, reps):
+        requested.append(len(reps))
+        return real(exprs, shared, p, n, reps)
 
-    with mock.patch.object(verify, "evaluate_level", counting):
+    with mock.patch.object(verify, "evaluate_shared", counting):
         result = search(*args)
-    return result, sum(requested) // 2
+    return result, sum(requested)
 
 
 @SETTINGS
@@ -361,3 +375,98 @@ def test_graft_reads_the_right_side_before_the_next_ball():
     got = outcome(check_graft_precondition, left, right, PI_200, 1)
     assert got == outcome(scalar_graft_precondition, left, right, PI_200, 1)
     assert got == ("raised", NotPAdicIntegerError, "1/3 is not a p-adic integer for p=3")
+
+
+# ------------------------------------------------- shared sub-expressions
+
+def unshared(e):
+    """A tree copy of e: every node a new object, none met twice."""
+    if isinstance(e, tuple):
+        return tuple(map(unshared, e))
+    if not is_dataclass(e) or isinstance(e, (Ball, Path)):
+        return e
+    return type(e)(*(unshared(getattr(e, f.name)) for f in fields(e)))
+
+
+def holding(p, e, faults=False):
+    """Expressions that hold the object e, often in more than one place."""
+    inner = st.one_of(st.just(e), expressions(p, faults=faults))
+    return st.one_of(
+        st.just(e),
+        st.builds(
+            lambda c, d, x: LinearComb(((c, e), (d, x))), coefficients(), coefficients(), inner
+        ),
+        st.builds(Restrict, cells(p), st.just(e)),
+        st.builds(Regularize, st.integers(1, 2), units(p), st.just(e)),
+        st.builds(Graft, paths(p), inner, st.just(e)),
+        branches(p, inner),
+    )
+
+
+@st.composite
+def shared_inputs(draw, search):
+    # The search's arguments built around one shared object e.
+    p = draw(st.sampled_from(PRIMES))
+    faults = draw(st.booleans())
+    e = draw(expressions(p, faults=faults))
+    side = holding(p, e, faults)
+    if search == "distinct":
+        return distinctness_witness, scalar_distinctness_witness, (
+            draw(side), draw(side), p, draw(st.integers(0, MAX_DEPTH))
+        )
+    if search == "branch":
+        k = draw(st.integers(1, 2 if p <= 3 else 1))
+        table = tuple(draw(side) for _ in range(p**k))
+        return check_branch_hypothesis, scalar_branch_hypothesis, (
+            table, p, k, draw(st.integers(k, k + 1))
+        )
+    return check_graft_precondition, scalar_graft_precondition, (
+        draw(side), draw(side), draw(paths(p)), draw(st.integers(0, MAX_DEPTH + 2))
+    )
+
+
+@settings(BRANCH_SETTINGS, max_examples=60)
+@pytest.mark.parametrize("search", ["distinct", "branch", "graft"])
+@given(data=st.data())
+def test_shared_inputs_search_like_an_unshared_copy(search, data):
+    # A shared node is evaluated once per request: the witness, or the
+    # error, must be what the tree copy and the scalar search give.
+    found, oracle, args = data.draw(shared_inputs(search))
+    copied = unshared(args)
+    got = outcome(found, *args)
+    assert got == outcome(found, *copied)
+    assert got == outcome(oracle, *args)
+
+
+# Not a unit at p = 5: every ball that reaches it raises.
+NON_UNIT = Regularize(1, F(5), Mazur())
+PATH_1 = Path(5, (), (1,))
+# Reaches NON_UNIT on balls whose first digit leaving 1, 1, ... is larger.
+RIGHT_FAULT_5 = Graft(PATH_1, Mazur(), NON_UNIT)
+SHARED_FAULT_CASES = [
+    # both sides hold the faulty node on every ball: the error of 0/0
+    (LinearComb(((F(1), Mazur()), (F(1), NON_UNIT))), Restrict(Ball(5, 1, 3), NON_UNIT),
+     ("raised", ValueError, "alpha=5 is not a unit of Z_p for p=5")),
+    # both sides meet it from depth 1 on, the sides differ on 0/0 already
+    (RIGHT_FAULT_5, LinearComb(((F(1), RIGHT_FAULT_5), (F(1), Dirac(0)))),
+     ("returned", Ball(5, 0, 0))),
+    # equal in value: 0/1 and 1/1 go left, then 2/1 meets the fault
+    (RIGHT_FAULT_5, LinearComb(((F(1, 2), RIGHT_FAULT_5), (F(1, 2), RIGHT_FAULT_5))),
+     ("raised", ValueError, "alpha=5 is not a unit of Z_p for p=5")),
+]
+
+
+@pytest.mark.parametrize("first, second, expected", SHARED_FAULT_CASES)
+def test_faulty_shared_node_met_by_both_sides(first, second, expected):
+    args = first, second, 5, 2
+    got = outcome(distinctness_witness, *args)
+    assert got == expected
+    assert got == outcome(distinctness_witness, *unshared(args))
+    assert got == outcome(scalar_distinctness_witness, *args)
+    table = (first,) + (second,) * 4
+    got = outcome(check_branch_hypothesis, table, 5, 1, 2)
+    assert got == outcome(check_branch_hypothesis, unshared(table), 5, 1, 2)
+    assert got == outcome(scalar_branch_hypothesis, table, 5, 1, 2)
+    got = outcome(check_graft_precondition, first, second, PATH_1, 2)
+    assert got == outcome(check_graft_precondition, *unshared((first, second)), PATH_1, 2)
+    assert got == outcome(scalar_graft_precondition, first, second, PATH_1, 2)
