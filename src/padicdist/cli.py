@@ -24,10 +24,11 @@ from .core import (
     path_to_json,
     path_to_point,
     point_to_path,
+    require_depth,
     Path,
     Ball,
 )
-from .distributions import Branch, Graft, evaluate, evaluate_level
+from .distributions import Branch, DistExpr, Graft, evaluate_level, evaluate_shared, share
 from .integrate import Polynomial, integrate, parse_polynomial_terms, step_fn_from_json
 from .serialize import load_document_file, load_json_file
 from .verify import (
@@ -74,6 +75,12 @@ def _load(args: argparse.Namespace):
     return load_document_file(args.spec, args.prime)
 
 
+def _value(expr: DistExpr, ball: Ball) -> Fraction:
+    # A one-ball level request: a spec's shared defs are evaluated once.
+    (num,), den = evaluate_level(expr, ball.prime, ball.depth, [ball.rep])
+    return Fraction(num, den)
+
+
 # =====================================================================
 # Commands
 # =====================================================================
@@ -81,7 +88,7 @@ def _load(args: argparse.Namespace):
 def cmd_eval(args: argparse.Namespace) -> int:
     prime, expr = _load(args)
     ball = _parse_ball(args.ball, prime)
-    value = evaluate(expr, ball)
+    value = _value(expr, ball)
     value_norm = norm(value, prime)
     if args.format == "json":
         _emit_json(
@@ -150,7 +157,7 @@ def cmd_distinct(args: argparse.Namespace) -> int:
         raise ValueError(f"prime mismatch between specs: {prime} vs {other_prime}")
     witness = distinctness_witness(expr, other, prime, args.depth, ball_budget=args.budget)
     if witness is not None:
-        values = [format_rational(evaluate(e, witness)) for e in (expr, other)]
+        values = [format_rational(_value(e, witness)) for e in (expr, other)]
     if args.format == "json":
         payload = {"prime": prime, "max_depth": args.depth, "found": witness is not None}
         if witness is not None:
@@ -199,13 +206,13 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 
 def cmd_dump(args: argparse.Namespace) -> int:
     prime, expr = _load(args)
-    if args.depth < 0:
-        raise ValueError("depth must be >= 0")
+    require_depth(args.depth)
     require_budget(prime, args.depth, args.budget)
+    roots, shared = share(expr)
     if args.format == "dot":
         lines = ["digraph balls {"]
         for n in range(args.depth + 1):
-            nums, den = evaluate_level(expr, prime, n)
+            nums, den = evaluate_shared(roots, shared, prime, n, range(prime**n))[0]
             for rep, num in enumerate(nums):
                 lines.append(
                     f'  "{rep}/{n}" [label="{rep}+({prime}^{n})\\n'
@@ -221,7 +228,7 @@ def cmd_dump(args: argparse.Namespace) -> int:
     else:
         print("depth,rep,value,norm")
         for n in range(args.depth + 1):
-            nums, den = evaluate_level(expr, prime, n)
+            nums, den = evaluate_shared(roots, shared, prime, n, range(prime**n))[0]
             for rep, num in enumerate(nums):
                 value = Fraction(num, den)
                 print(

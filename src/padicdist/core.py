@@ -49,6 +49,13 @@ def is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def require_depth(n: object, name: str = "depth", least: int = 0) -> int:
+    """Return n, or raise ValueError unless it is an int >= least (not a bool)."""
+    if not is_int(n) or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+    return n
+
+
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
 # below 3317044064679887385961981, the least strong pseudoprime to all of
 # them (Sorenson and Webster, arXiv:1509.00864).

@@ -9,7 +9,7 @@ checked at any finite depth by `padicdist.verify.check_relation`.  This
 module defines the expression language and its exact evaluator:
 `evaluate_level` gives the values on many balls of one depth at once, as
 integer numerators over one denominator, and `evaluate` is its one-ball
-request.
+request without the merge of shared sub-expressions.
 
 base families
     Dirac(point)      indicator of the point: 1 on balls containing it
@@ -45,6 +45,7 @@ from .core import (
     PrimeMismatchError,
     as_rational,
     is_int,
+    require_depth,
     require_padic_integer,
     require_prime,
     valuation,
@@ -236,7 +237,8 @@ def evaluate(expr: DistExpr, ball: Ball) -> Fraction:
     met first in scalar order, walking the definitions on this one ball:
     LinearComb terms left to right, Regularize on B before alpha * B, and a
     Branch below its level through the children of B in digit order, depth
-    first down to level k.
+    first down to level k.  A node held in several places is evaluated once
+    per place: `evaluate_level(expr, p, n, [rep])` evaluates it once.
     """
     (num,), den = _level(expr, ball.prime, ball.depth, [ball.rep])
     return Fraction(num, den)
@@ -261,20 +263,15 @@ def evaluate_level(
 
     The value on the ball reps[i] + (p^n) is nums[i] / den, with every
     entry and den a Python int and den > 0; reps=None means the whole level
-    0..p^n-1 in order.  Each node is evaluated once over all the requested
-    balls, so a request costs O(balls) integer operations and memory per
-    node (O(p^k) for a Branch at level k > n); nested Regularize nodes cost
-    one inner request each.  Restrict, Graft and Branch serve a whole level
-    or any step-1 range of reps by residue classes and slice assignment.
-    A node the expression holds in several places is evaluated once per
-    place here; `evaluate_shared` evaluates it once per request.  On input
-    that `evaluate` rejects it raises exactly what `evaluate` raises on the
-    first requested ball that fails.
+    0..p^n-1 in order.  The expression is merged with `share` and requested
+    with `evaluate_shared`: each distinct node is evaluated once over all the
+    balls, in O(balls) integer operations and memory (O(p^k) for a Branch at
+    level k > n), and nested Regularize nodes cost one inner request each.
+    On input that `evaluate` rejects it raises exactly what `evaluate`
+    raises on the first requested ball that fails.
     """
     require_prime(p)
-    if not is_int(n) or n < 0:
-        raise ValueError(f"depth must be an integer >= 0, got {n!r}")
-    m = p**n
+    m = p ** require_depth(n)
     if reps is None:
         reps = range(m)
     # A range holds ints between its two ends: when both are valid, so is
@@ -284,31 +281,23 @@ def evaluate_level(
         for r in reps:
             if not is_int(r) or not 0 <= r < m:
                 raise ValueError(f"rep must satisfy 0 <= rep < {p}^{n}, got {r!r}")
-    try:
-        return _level(expr, p, n, reps)
-    except (ValueError, TypeError):
-        # A node meets its sub-expressions for all the balls at once, so the
-        # first error met can belong to a later ball.  Replay the balls one
-        # by one to raise the first failing ball's error.
-        for r in reps:
-            _level(expr, p, n, [r])
-        raise
+    roots, shared = share(expr)
+    return evaluate_shared(roots, shared, p, n, reps)[0]
 
 
 # =====================================================================
 # Shared sub-expressions
 # =====================================================================
 
-# Each node type's fields in order, with what they hold: a plain value
-# (None), a rational, one sub-expression, (coef, sub-expression) pairs
-# (terms) or a tuple of sub-expressions (children).  Rationals are keyed by
-# numerator and denominator: hashing a Fraction costs more than a node.
-_HOLDS = {
+# What each field holds, by name: `share` walks the sub-expressions (expr,
+# terms, children) and `padicdist.serialize` keys its JSON codecs by kind.
+FIELD_KINDS = {
+    "k": "int", "cell": "ball", "path": "path",
     "point": "rational", "scale": "rational", "alpha": "rational",
     "expr": "expr", "left": "expr", "right": "expr", "terms": "terms", "children": "children",
 }
 _NODE_FIELDS = {
-    cls: tuple((f.name, _HOLDS.get(f.name)) for f in fields(cls))
+    cls: tuple((f.name, FIELD_KINDS[f.name]) for f in fields(cls))
     for cls in (Dirac, Haar, Mazur, Bernoulli, LinearComb, Restrict, Regularize, Graft, Branch)
 }
 
@@ -339,10 +328,9 @@ def share(*exprs: DistExpr) -> tuple[tuple[DistExpr, ...], frozenset[int]]:
         key: list = [type(e)]
         kids = []
         for name, holds in spec:
+            # A rational keys by its two ints: hashing a Fraction costs more.
             value = getattr(e, name)
-            if holds is None:
-                key.append(value)
-            elif holds == "rational":
+            if holds == "rational":
                 key += value.numerator, value.denominator
             elif holds == "expr":
                 kids.append(value)
@@ -350,8 +338,10 @@ def share(*exprs: DistExpr) -> tuple[tuple[DistExpr, ...], frozenset[int]]:
                 for c, x in value:
                     key.append((c.numerator, c.denominator))
                     kids.append(x)
-            else:
+            elif holds == "children":
                 kids += value
+            else:
+                key.append(value)
         new_kids = list(map(node, kids))
         key += map(id, new_kids)
         got = merged.get(key := tuple(key))
@@ -367,6 +357,10 @@ def share(*exprs: DistExpr) -> tuple[tuple[DistExpr, ...], frozenset[int]]:
         return got
 
     roots = tuple(map(node, exprs))
+    # `node` holds itself through its closure.  Deleting it breaks that
+    # cycle, so the tables are freed on return instead of piling up for the
+    # cyclic collector, which would then run every few dozen calls.
+    del node
     for root in roots:
         if id(root) in uses:
             uses[id(root)] += 1
@@ -393,15 +387,25 @@ def evaluate_shared(
 ) -> list[tuple[list[int], int]]:
     """`evaluate_level` of each expression, first to last, on one request.
 
-    `exprs` and `shared` come from `share`; reps is a list or a step-1
-    range of valid reps.  Each shared node is evaluated once per depth and
-    rep set it is asked for, through a memo that lives for this call only,
-    so the request costs its distinct sub-expressions times its balls.
-    Unlike `evaluate_level`, a raising request is not narrowed to its first
-    failing ball: request that ball alone to get its error.
+    `exprs` and `shared` come from `share`; p is prime and reps a list or a
+    range of valid reps, as the callers check.  Each shared node is
+    evaluated once per depth and rep set, through a memo that lives for one
+    request: a request costs its distinct sub-expressions times its balls.
+    A node meets its sub-expressions for all the balls at once, so a
+    raising request is replayed one ball at a time, the expressions in
+    order on each, to raise the first failing ball's error.
     """
-    memo = dict.fromkeys(shared) if shared else None
-    return [_level(e, p, n, reps, memo) for e in exprs]
+
+    def request(balls: Sequence[int]) -> list[tuple[list[int], int]]:
+        memo = dict.fromkeys(shared) if shared else None
+        return [_level(e, p, n, balls, memo) for e in exprs]
+
+    try:
+        return request(reps)
+    except (ValueError, TypeError):
+        for r in reps:
+            request([r])
+        raise
 
 
 def _level_once(
@@ -430,7 +434,7 @@ def _level(
     # reps is a list or a range of valid reps; a whole level is range(p^n).
     # An empty request evaluates nothing, so, like `evaluate` on no balls,
     # it raises nothing.  memo maps the ids of shared nodes to their values
-    # so far in one `evaluate_shared` request.
+    # so far in one request.
     if not reps:
         return [], 1
     if memo is not None and id(expr) in memo:

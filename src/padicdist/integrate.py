@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 from .core import (
     as_rational,
@@ -25,10 +25,11 @@ from .core import (
     is_int,
     norm,
     parse_rational,
+    require_depth,
     require_prime,
     table_from_json,
 )
-from .distributions import DistExpr, evaluate_level
+from .distributions import DistExpr, evaluate_shared, share
 from .verify import DEFAULT_BALL_BUDGET, require_budget
 
 
@@ -92,13 +93,6 @@ class StepFn:
 TestFn = Union[Polynomial, StepFn]
 
 
-def _validate_fn(fn: TestFn, prime: int) -> None:
-    if isinstance(fn, StepFn) and len(fn.values) != prime**fn.depth:
-        raise ValueError(
-            f"step table has {len(fn.values)} entries, needs {prime}^{fn.depth}"
-        )
-
-
 # =====================================================================
 # Sums, reports, verdicts
 # =====================================================================
@@ -119,25 +113,35 @@ def riemann_sum(
     function of period L = len(values) sums to sum_r v_r * (sum of num_a,
     a = r mod L).  The denominator is divided out once at the end.
     """
+    return _riemann_sums(expr, fn, prime, [require_depth(depth)], ball_budget)[0]
+
+
+def _riemann_sums(
+    expr: DistExpr, fn: TestFn, prime: int, depths: Sequence[int], ball_budget: int
+) -> list[Fraction]:
+    # `riemann_sum` at each depth, with the expression merged once for all.
     require_prime(prime)
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    _validate_fn(fn, prime)
+    if isinstance(fn, StepFn) and len(fn.values) != prime**fn.depth:
+        raise ValueError(f"step table has {len(fn.values)} entries, needs {prime}^{fn.depth}")
+    roots, shared = share(expr)
     passes = len(fn.coeffs) if isinstance(fn, Polynomial) else 1
-    require_budget(prime, depth, ball_budget, passes)
-    nums, den = evaluate_level(expr, prime, depth)
-    total = Fraction(0)
-    if isinstance(fn, StepFn):
-        period = len(fn.values)
-        for r, v in enumerate(fn.values):
-            total += v * sum(nums[r::period])
-    else:
-        weighted = nums
-        for j, c in enumerate(fn.coeffs):
-            if j:
-                weighted = [w * a for a, w in enumerate(weighted)]
-            total += c * sum(weighted)
-    return total / den
+    sums = []
+    for depth in depths:
+        require_budget(prime, depth, ball_budget, passes)
+        nums, den = evaluate_shared(roots, shared, prime, depth, range(prime**depth))[0]
+        total = Fraction(0)
+        if isinstance(fn, StepFn):
+            period = len(fn.values)
+            for r, v in enumerate(fn.values):
+                total += v * sum(nums[r::period])
+        else:
+            weighted = nums
+            for j, c in enumerate(fn.coeffs):
+                if j:
+                    weighted = [w * a for a, w in enumerate(weighted)]
+                total += c * sum(weighted)
+        sums.append(total / den)
+    return sums
 
 
 class ConvergenceVerdict(Enum):
@@ -215,12 +219,8 @@ def integrate(
     ball_budget: int = DEFAULT_BALL_BUDGET,
 ) -> IntegrationReport:
     """Record S_1..S_max_depth and classify the difference-norm tail."""
-    if max_depth < 2:
-        raise ValueError("max_depth must be >= 2 to record at least one difference")
-    sums = [
-        riemann_sum(expr, fn, prime, d, ball_budget=ball_budget)
-        for d in range(1, max_depth + 1)
-    ]
+    require_depth(max_depth, "max_depth", 2)
+    sums = _riemann_sums(expr, fn, prime, range(1, max_depth + 1), ball_budget)
     diffs = [norm(b - a, prime) for a, b in zip(sums, sums[1:])]
     return IntegrationReport(
         prime, max_depth, tuple(sums), tuple(diffs), classify_tail(fn, diffs)

@@ -6,14 +6,14 @@ keys are the node constructor's field names, in field order, e.g.
     {"type": "dirac", "point": "-7/8"}
     {"type": "branch", "k": 1, "children": {"0": {...}, "1": {...}, "2": {...}}}
 
-Each kind of field has one JSON form, whichever node carries it (`_FIELDS`):
-rationals (point, scale, alpha) are "num/den" strings, "num" when the
-denominator is 1; k is an integer; a cell is {"a": ..., "n": ...}; a path is
-{"preperiod": [...], "period": [...]}; a sub-expression (expr, left, right)
-is an expression object; terms are [coef, expr] pairs; children are an
-object keyed "0", "1", ....  A field with a default (Haar's scale) may be
-left out.  A new node type whose fields reuse these kinds needs only an
-entry in `_TYPES`.
+Each kind of field has one JSON form, whichever node carries it (`_CODECS`,
+keyed by the kinds of `distributions.FIELD_KINDS`): rationals (point, scale,
+alpha) are "num/den" strings, "num" when the denominator is 1; k is an
+integer; a cell is {"a": ..., "n": ...}; a path is {"preperiod": [...],
+"period": [...]}; a sub-expression (expr, left, right) is an expression
+object; terms are [coef, expr] pairs; children are an object keyed "0",
+"1", ....  A field with a default (Haar's scale) may be left out.  A new
+node type whose fields reuse these kinds needs only an entry in `_TYPES`.
 
 A spec document wraps one expression with its prime and optional named
 sub-expressions:
@@ -52,6 +52,7 @@ from .core import (
     table_from_json,
 )
 from .distributions import (
+    FIELD_KINDS,
     Bernoulli,
     Branch,
     Dirac,
@@ -90,16 +91,14 @@ def _terms_from_json(terms: Any, prime: int, inner: Callable) -> tuple:
     return tuple(decoded)
 
 
-# Field name -> (encode(value), decode(obj, prime, inner)), inner decoding a
+# Field kind -> (encode(value), decode(obj, prime, inner)), inner decoding a
 # sub-expression one level down.  k is checked by the node constructors.
-_RATIONAL = (format_rational, lambda obj, prime, inner: parse_rational(obj))
-_EXPR = (lambda e: expr_to_json(e), lambda obj, prime, inner: inner(obj))
-_FIELDS = {
-    "point": _RATIONAL, "scale": _RATIONAL, "alpha": _RATIONAL,
-    "k": (lambda k: k, lambda obj, prime, inner: obj),
-    "cell": (ball_to_json, lambda obj, prime, inner: ball_from_json(obj, prime)),
+_CODECS = {
+    "rational": (format_rational, lambda obj, prime, inner: parse_rational(obj)),
+    "int": (lambda k: k, lambda obj, prime, inner: obj),
+    "ball": (ball_to_json, lambda obj, prime, inner: ball_from_json(obj, prime)),
     "path": (path_to_json, lambda obj, prime, inner: path_from_json(obj, prime)),
-    "expr": _EXPR, "left": _EXPR, "right": _EXPR,
+    "expr": (lambda e: expr_to_json(e), lambda obj, prime, inner: inner(obj)),
     "terms": (
         lambda terms: [[format_rational(c), expr_to_json(e)] for c, e in terms],
         _terms_from_json,
@@ -116,7 +115,7 @@ _FIELDS = {
 _SCHEMA = {
     cls: (
         name,
-        tuple((f.name, *_FIELDS[f.name]) for f in fields(cls)),
+        tuple((f.name, *_CODECS[FIELD_KINDS[f.name]]) for f in fields(cls)),
         {"type"}.union(f.name for f in fields(cls)),
         {"type"}.union(f.name for f in fields(cls) if f.default is f.default_factory is MISSING),
     )

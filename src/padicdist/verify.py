@@ -2,23 +2,23 @@
 
 Every checker enumerates balls in a fixed order (depth ascending, then
 representative ascending) and compares exact rationals, so a report is a
-pure function of its inputs: byte-identical across runs.  All of them
-evaluate level-wise, as integer numerators over one denominator, and
-compare by cross-multiplying; a Fraction is built only for what a report
-shows.  The checkers that cover whole levels (`check_relation`,
-`norm_scan`) evaluate each depth once; `check_relation` compares a whole
-level with one list comparison and goes ball by ball only through a level
-that holds a violation.  The witness searches first merge their inputs
-with `share`, so equal sub-expressions are one node, and request values
-with `evaluate_shared`, which evaluates each node met more than once a
-single time per request: a request costs the distinct sub-expressions times
-its balls.  The searches that stop at the first witness scan each depth in
+pure function of its inputs: byte-identical across runs.  Each checker
+first merges its inputs with `share`, so equal sub-expressions are one
+node, and then requests values with `evaluate_shared`, which evaluates a
+node met more than once a single time per request, as integer numerators
+over one denominator: a request costs the distinct sub-expressions times
+its balls, however often a spec's defs are used.  Values are compared by
+cross-multiplying, and a Fraction is built only for what a report shows.
+The checkers that cover whole levels (`check_relation`, `norm_scan`)
+request each depth once; `check_relation` compares a whole level with one
+list comparison and goes ball by ball only through a level that holds a
+violation.  The searches that stop at the first witness scan each depth in
 consecutive step-1 rep ranges that double in length, which the kernels
 serve by residue classes and slices as they do a whole level, so the work
-before a witness stays within a small multiple of the balls up to it.
-Where a request raises, the searches request its balls again one at a
-time, so they return the same witness or raise the same error as a
-ball-by-ball search.
+before a witness stays within a small multiple of the balls up to it.  A
+request that raises raises the error of its first failing ball; a search
+then scans that range one ball at a time, so it returns the same witness
+or raises the same error as a ball-by-ball search.
 
 Enumeration size is guarded: a checker refuses to start when p^depth exceeds
 its ball budget (default 10^6) and raises BallBudgetError instead of
@@ -40,6 +40,7 @@ from .core import (
     format_rational,
     norm,
     path_to_json,
+    require_depth,
     require_prime,
 )
 from .distributions import (
@@ -47,7 +48,6 @@ from .distributions import (
     BoundednessFlag,
     DistExpr,
     boundedness_flag,
-    evaluate_level,
     evaluate_shared,
     share,
 )
@@ -184,16 +184,16 @@ def check_relation(
     lists differ is gone through ball by ball to list its violations.
     """
     require_prime(prime)
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
+    require_depth(max_depth, "max_depth", 1)
     require_budget(prime, max_depth, ball_budget)
 
     violations: list[RelationViolation] = []
     checked = 0
-    nums, den = evaluate_level(expr, prime, 0)
+    roots, shared = share(expr)
+    nums, den = evaluate_shared(roots, shared, prime, 0, range(1))[0]
     for n in range(max_depth):
         m = prime**n
-        child_nums, child_den = evaluate_level(expr, prime, n + 1)
+        child_nums, child_den = evaluate_shared(roots, shared, prime, n + 1, range(m * prime))[0]
         sums = child_nums[:m]
         for b in range(1, prime):
             sums = list(map(add, sums, child_nums[b * m : (b + 1) * m]))
@@ -320,17 +320,16 @@ def check_graft_precondition(
     last, when n < max_depth, the on-path child P_(n+1), whose values the
     next level compares.  The two sides are merged with `share` first, and
     each request evaluates both, every shared sub-expression once, as
-    integer numerators over one denominator; see `_both` for how a faulty
-    request is narrowed to the ball that fails.
+    integer numerators over one denominator; a faulty request raises the
+    error of its first failing ball, left side before right.
     """
-    if max_depth < 0:
-        raise ValueError("max_depth must be >= 0")
+    require_depth(max_depth, "max_depth")
     p = path.prime
     sides, shared = share(left, right)
     on_path: list[OnPathFailure] = []
     tails: list[TailSumFailure] = []
     rep = 0
-    (lnums, ld), (rnums, rd) = _both(sides, shared, p, 0, [rep])
+    (lnums, ld), (rnums, rd) = evaluate_shared(sides, shared, p, 0, [rep])
     for n in range(max_depth + 1):
         # The last ball of the previous request is P_n.
         lv, rv = lnums[-1], rnums[-1]
@@ -342,30 +341,13 @@ def check_graft_precondition(
         rep += i_n * q
         if n < max_depth:
             balls.append(rep)
-        (lnums, ld), (rnums, rd) = _both(sides, shared, p, n + 1, balls)
+        (lnums, ld), (rnums, rd) = evaluate_shared(sides, shared, p, n + 1, balls)
         diffs = [x * rd - y * ld for x, y in zip(lnums[: p - 1], rnums)]
         below, above = sum(diffs[:i_n]), sum(diffs[i_n:])
         if below or above:
             den = ld * rd
             tails.append(TailSumFailure(n, Fraction(below, den), Fraction(above, den)))
     return GraftPreconditionReport(p, path, max_depth, tuple(on_path), tuple(tails))
-
-
-def _both(
-    sides: Sequence[DistExpr], shared: frozenset[int], p: int, n: int, reps: Sequence[int]
-) -> list[tuple[list[int], int]]:
-    """Values of both sides on the balls r + (p^n), r in reps, in order.
-
-    One request for both sides, first side before second.  If that raises,
-    the balls are requested again one at a time, so the error raised is the
-    one a ball-by-ball check meets first.
-    """
-    try:
-        return evaluate_shared(sides, shared, p, n, reps)
-    except (ValueError, TypeError):
-        for r in reps:
-            evaluate_shared(sides, shared, p, n, [r])
-        raise
 
 
 # =====================================================================
@@ -410,10 +392,8 @@ def check_branch_hypothesis(
     if isinstance(children, Branch):
         k = children.k
         children = children.children
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if search_depth < k:
-        raise ValueError("search_depth must be >= k")
+    require_depth(k, "k", 1)
+    require_depth(search_depth, "search_depth", k)
     table = tuple(children)
     if len(table) != prime**k:
         raise ValueError(f"need {prime**k} children for p={prime}, k={k}, got {len(table)}")
@@ -442,8 +422,7 @@ def distinctness_witness(
     are equal.
     """
     require_prime(prime)
-    if max_depth < 0:
-        raise ValueError("max_depth must be >= 0")
+    require_depth(max_depth, "max_depth")
     require_budget(prime, max_depth, ball_budget)
     return _first_difference(*share(first, second), prime, 0, max_depth)
 
@@ -563,12 +542,12 @@ def norm_scan(
     rep attaining it is the argmax (rep 0 when the whole level is zero).
     """
     require_prime(prime)
-    if max_depth < 0:
-        raise ValueError("max_depth must be >= 0")
+    require_depth(max_depth, "max_depth")
     require_budget(prime, max_depth, ball_budget)
     entries: list[NormScanEntry] = []
+    roots, shared = share(expr)
     for n in range(max_depth + 1):
-        nums, den = evaluate_level(expr, prime, n)
+        nums, den = evaluate_shared(roots, shared, prime, n, range(prime**n))[0]
         best_rep = 0
         common = gcd(*nums)
         if common:

@@ -669,9 +669,34 @@ def _inlined(node, defs):
     return node
 
 
+CHAIN_COMMANDS = [
+    ("lincomb", ["eval", "--ball", "3/2"]),
+    ("lincomb", ["verify", "--depth", "2"]),
+    ("graft", ["graft-check", "--depth", "2"]),
+    ("branch", ["branch-check", "--depth", "2"]),
+    ("lincomb", ["distinct", "--other", "{other}", "--depth", "2"]),
+    ("lincomb", ["norms", "--depth", "2"]),
+    ("lincomb", ["integrate", "--fn", "x", "--depth", "2"]),
+    ("lincomb", ["dump", "--depth", "2"]),
+]
+
+
+def _chain_rooted(root, chain):
+    # The chain as the root, as the left side of a graft, or as three of
+    # the five children of a branch.
+    mazur = {"type": "mazur"}
+    return {
+        "lincomb": chain,
+        "graft": {"type": "graft", "path": {"preperiod": [1], "period": [2]},
+                  "left": chain, "right": mazur},
+        "branch": {"type": "branch", "k": 1,
+                   "children": {str(t): chain if t < 3 else mazur for t in range(5)}},
+    }[root]
+
+
 def test_ref_chain_decodes_and_searches_in_linear_time(doc, capsys):
     # 4,738 bytes that stand for a tree of 2^40 leaves: each def is decoded
-    # once, and a search evaluates each distinct node once per request.
+    # once, and every command evaluates each distinct node once per request.
     root, defs = _ref_chain(40)
     document = {"prime": 5, "defs": defs, "expr": root}
     spec = doc(document)
@@ -683,18 +708,22 @@ def test_ref_chain_decodes_and_searches_in_linear_time(doc, capsys):
     code, out, err = run(capsys, "distinct", "--spec", spec, "--other", spec, "--depth", "2")
     assert (code, out, err) == (1, "no differing ball up to depth 2\n", "")
     assert time.perf_counter() - start < 5
-
-
-CHAIN_COMMANDS = [
-    ("lincomb", ["eval", "--ball", "3/2"]),
-    ("lincomb", ["verify", "--depth", "2"]),
-    ("graft", ["graft-check", "--depth", "2"]),
-    ("branch", ["branch-check", "--depth", "2"]),
-    ("lincomb", ["distinct", "--other", "{other}", "--depth", "2"]),
-    ("lincomb", ["norms", "--depth", "2"]),
-    ("lincomb", ["integrate", "--fn", "x", "--depth", "2"]),
-    ("lincomb", ["dump", "--depth", "2"]),
-]
+    # Every command, against the exit code of the same command on a small
+    # tree; `distinct` compares with mazur, which differs at depth 0, so
+    # both values are computed and printed.
+    other = doc(MAZUR5, "other.json")
+    small, small_defs = _ref_chain(3)
+    for shape, argv in CHAIN_COMMANDS:
+        argv = [a.replace("{other}", other) for a in argv]
+        tree = doc({"prime": 5, "expr": _inlined(_chain_rooted(shape, small), small_defs)},
+                   "tree.json")
+        want, _, _ = run(capsys, argv[0], "--spec", tree, *argv[1:])
+        spec = doc({"prime": 5, "defs": defs, "expr": _chain_rooted(shape, root)}, "chain.json")
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv[0], "--spec", spec, *argv[1:])
+        assert (code, err) == (want, ""), argv[0]
+        assert out
+        assert time.perf_counter() - start < 5, argv[0]
 
 
 @pytest.mark.parametrize("root, argv", CHAIN_COMMANDS, ids=[c[1][0] for c in CHAIN_COMMANDS])

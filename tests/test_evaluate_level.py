@@ -6,6 +6,8 @@ raises on some requested ball, `evaluate_level` must raise what it raises on
 the first such ball.  Requests are whole levels, rep lists and rep ranges;
 a one-ball request is what `padicdist.evaluate` makes.  `check_relation` must
 report the violations a ball-by-ball check with the oracle finds, in order.
+The random expressions hold some sub-expressions in two places as one
+object, so the memo of shared nodes is checked against the oracle too.
 """
 
 from fractions import Fraction as F
@@ -119,6 +121,16 @@ def expressions(p, grafts=True, faults=False):
     def regularized(inner):
         return st.builds(Regularize, st.integers(1, 3), units(p), inner)
 
+    def twice(x):
+        # One object in two slots: `evaluate_level` evaluates it once per
+        # request, from its memo of shared nodes.
+        options = [
+            st.builds(lambda a, b: LinearComb(((a, x), (b, x))), coefficients(), coefficients())
+        ]
+        if grafts:
+            options.append(paths(p).map(lambda path: Graft(path, x, x)))
+        return st.one_of(options)
+
     def extend(inner):
         options = [
             st.lists(st.tuples(coefficients(), inner), max_size=3).map(
@@ -128,6 +140,7 @@ def expressions(p, grafts=True, faults=False):
             regularized(inner),
             regularized(regularized(inner)),
             branches(p, inner),
+            inner.flatmap(twice),
         ]
         if grafts:
             options.append(st.builds(Graft, paths(p), inner, inner))

@@ -9,6 +9,7 @@ with the same type and message.  Inputs that hold one object in several
 places must give what their tree copies give.
 """
 
+import gc
 from dataclasses import fields, is_dataclass
 from fractions import Fraction as F
 from unittest import mock
@@ -46,6 +47,7 @@ from padicdist import (
     distinctness_witness,
 )
 from padicdist import verify
+from padicdist.distributions import share
 from padicdist.verify import (
     BranchWitness,
     GraftPreconditionReport,
@@ -378,6 +380,15 @@ def test_graft_reads_the_right_side_before_the_next_ball():
 
 
 # ------------------------------------------------- shared sub-expressions
+
+def test_share_leaves_no_garbage_cycle():
+    # The merge tables go when `share` returns.  Left in a cycle, every
+    # call's tables would wait for the cyclic collector and make it run
+    # every few dozen calls.
+    inner = Restrict(Ball(5, 1, 2), Mazur())
+    gc.collect()
+    share(LinearComb(((F(1), inner), (F(2), inner))), Mazur())
+    assert gc.collect() == 0
 
 def unshared(e):
     """A tree copy of e: every node a new object, none met twice."""

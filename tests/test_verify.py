@@ -1,5 +1,6 @@
 """Relation checks, graft/branch witnesses, norm scans, determinism."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -15,14 +16,18 @@ from padicdist import (
     LinearComb,
     Mazur,
     Path,
+    Polynomial,
     Regularize,
     boundedness_verdict,
     check_branch_hypothesis,
     check_graft_precondition,
     check_relation,
     distinctness_witness,
+    evaluate_level,
+    integrate,
     norm_scan,
     remark_pair,
+    riemann_sum,
 )
 from padicdist.verify import (
     NormScanEntry,
@@ -95,6 +100,31 @@ def test_relation_report_truncation():
             shown.to_json_dict(max_violations=-1)
         with pytest.raises(ValueError):
             shown.to_text(max_violations=-1)
+
+
+# Every depth or level argument, with the checks that take it: a bool or a
+# float is refused like a negative depth, not read as 1, 0 or a range bound.
+DEPTH_TAKERS = {
+    "evaluate_level": lambda d: evaluate_level(Mazur(), 5, d),
+    "check_relation": lambda d: check_relation(Mazur(), 5, d),
+    "norm_scan": lambda d: norm_scan(Mazur(), 5, d),
+    "check_graft_precondition": lambda d: check_graft_precondition(Mazur(), Haar(), PI5, d),
+    "check_branch_hypothesis.k": lambda d: check_branch_hypothesis([Mazur()] * 5, 5, d, 2),
+    "check_branch_hypothesis.search_depth": (
+        lambda d: check_branch_hypothesis([Mazur()] * 5, 5, 1, d)
+    ),
+    "distinctness_witness": lambda d: distinctness_witness(Mazur(), Haar(), 5, d),
+    "riemann_sum": lambda d: riemann_sum(Mazur(), Polynomial((F(1),)), 5, d),
+    "integrate": lambda d: integrate(Mazur(), Polynomial((F(1),)), 5, d),
+}
+
+
+@pytest.mark.parametrize("depth", [True, False, 2.0, "2"])
+@pytest.mark.parametrize("call", DEPTH_TAKERS.values(), ids=DEPTH_TAKERS)
+def test_depths_must_be_integers(call, depth):
+    message = rf"must be an integer >= \d+, got {re.escape(repr(depth))}$"
+    with pytest.raises(ValueError, match=message):
+        call(depth)
 
 
 def test_relation_validation():
