@@ -167,19 +167,12 @@ def norm(x: Fraction | int, p: int) -> Fraction:
 def digit_expand(x: Fraction | int, p: int, count: int) -> list[int]:
     """First `count` digits of x = sum d_i p^i.
 
-    Each step solves d = u * v^(-1) mod p for the current tail u/v and
-    replaces the tail by (tail - d)/p, which stays in Z_p.
+    They are the base-p digits of the residue of x mod p^count, u * v^(-1)
+    mod p^count for x = u/v: one modular inverse for all the digits.
     """
     require_prime(p)
     t = require_padic_integer(x, p)
-    if count < 0:
-        raise ValueError("digit count must be >= 0")
-    digits = []
-    for _ in range(count):
-        d = (t.numerator * pow(t.denominator, -1, p)) % p
-        digits.append(d)
-        t = (t - d) / p
-    return digits
+    return ball_digits(ball_make(p, require_depth(count, "digit count"), t))
 
 
 # =====================================================================
@@ -220,9 +213,7 @@ class Path:
 
     def digits(self, count: int) -> list[int]:
         """The first `count` digits of the stream."""
-        if count < 0:
-            raise ValueError(f"digit count must be >= 0, got {count}")
-        return [self.digit(i) for i in range(count)]
+        return [self.digit(i) for i in range(require_depth(count, "digit count"))]
 
 
 def point_to_path(x: Fraction | int, p: int) -> Path:

@@ -267,6 +267,9 @@ def evaluate_level(
     with `evaluate_shared`: each distinct node is evaluated once over all the
     balls, in O(balls) integer operations and memory (O(p^k) for a Branch at
     level k > n), and nested Regularize nodes cost one inner request each.
+    A Graft also finds each ball's side: n steps per ball on a rep list, and
+    on a step-1 range a walk over the residue classes the range meets, at
+    most n * min(p, balls) + 1 of them.
     On input that `evaluate` rejects it raises exactly what `evaluate`
     raises on the first requested ball that fails.
     """
@@ -525,9 +528,9 @@ def _level_restrict(
     cell = expr.cell
     if cell.prime != p:
         raise PrimeMismatchError("balls over different primes")
-    nums = [0] * len(reps)
     if n < cell.depth:
         # The one ball containing the cell carries the inner value on the cell.
+        nums = [0] * len(reps)
         hits = _positions(reps, cell.rep % p**n)
         if not hits:
             return nums, 1
@@ -537,15 +540,10 @@ def _level_restrict(
         return nums, den
     q = p**cell.depth
     if _slices(reps):
-        own = _clip(cell.rep, q, reps)
-        inner, den = _level(expr.expr, p, n, own, memo)
-        nums[own.start - reps.start :: q] = inner
-        return nums, den
-    keep = [i for i, r in enumerate(reps) if r % q == cell.rep]
-    inner, den = _level(expr.expr, p, n, [reps[i] for i in keep], memo)
-    for i, value in zip(keep, inner):
-        nums[i] = value
-    return nums, den
+        own = [_clip(cell.rep, q, reps)]
+    else:
+        own = [i for i, r in enumerate(reps) if r % q == cell.rep]
+    return _gather(p, n, reps, [(expr.expr, own)], memo)
 
 
 def _level_regularize(
@@ -588,71 +586,38 @@ def _level_graft(
     if path.prime != p:
         raise PrimeMismatchError(f"graft path over p={path.prime} evaluated at p={p}")
     digits = path.digits(n)
+    m = p**n
+    own: tuple[list, list] = ([], [])
     if _slices(reps):
-        return _level_graft_classes(expr, p, n, digits, reps, memo)
-    m = p**n
-    on_path = sum(d * p**j for j, d in enumerate(digits))
-
-    def goes_right(r: int) -> bool:
-        # The first digit leaving the path sits at the p-adic valuation of
-        # r - on_path; a larger digit there sends the ball right.
-        gap = (r - on_path) % m
-        if gap == 0:
-            return False
-        j, q = 0, 1
-        while gap % p == 0:
-            gap //= p
-            j += 1
+        # The balls that first leave the path at digit j with digit d form
+        # the residue class P_j + d p^j + p^(j+1) Z, P_j the path's first j
+        # digits: left if d < digits[j], right if larger.  The reps of
+        # P_j + p^j Z within p^(j+1) of the first one start one class each,
+        # so only the classes that meet reps are listed.  The on-path ball
+        # goes left.
+        head, q = 0, 1
+        for dj in digits:
+            first = reps.start + (head - reps.start) % q
+            for r in range(first, min(reps.stop, first + q * p), q):
+                d = r // q % p
+                if d != dj:
+                    own[d > dj].append(range(r, reps.stop, q * p))
+            head += dj * q
             q *= p
-        return r // q % p > digits[j]
-
-    right = [goes_right(r) for r in reps]
-    left_nums, left_den = _level(
-        expr.left, p, n, [r for r, s in zip(reps, right) if not s], memo
-    )
-    right_nums, right_den = _level(
-        expr.right, p, n, [r for r, s in zip(reps, right) if s], memo
-    )
-    den = lcm(left_den, right_den)
-    fl, fr = den // left_den, den // right_den
-    li, ri = iter(left_nums), iter(right_nums)
-    return [fr * next(ri) if s else fl * next(li) for s in right], den
-
-
-def _level_graft_classes(
-    expr: Graft, p: int, n: int, digits: Sequence[int], reps: range, memo: dict | None
-) -> tuple[list[int], int]:
-    # A step-1 range, side by side.  The balls that first leave the path at
-    # digit j with digit d form the residue class P_j + d p^j + p^(j+1) Z,
-    # P_j the path's first j digits: left if d < digits[j], right if
-    # larger.  The on-path ball goes left.  Each side is evaluated once, on
-    # its classes within reps one after another, and the values are put
-    # back class by class with slice assignment.
-    m = p**n
-    classes: tuple[list[range], list[range]] = ([], [])
-    head, q = 0, 1
-    for dj in digits:
-        for d in range(p):
-            if d != dj:
-                classes[d > dj].append(_clip(head + d * q, q * p, reps))
-        head += dj * q
-        q *= p
-    classes[0].append(_clip(head, m, reps))
-    sides = [
-        (_level(side, p, n, list(chain.from_iterable(own)), memo), own)
-        for side, own in zip((expr.left, expr.right), classes)
-    ]
-    den = lcm(*(d for (_, d), _ in sides))
-    nums = [0] * len(reps)
-    for (values, d), own in sides:
-        if d != den:
-            f = den // d
-            values = [f * x for x in values]
-        i = 0
-        for c in own:
-            nums[c.start - reps.start :: c.step] = values[i : i + len(c)]
-            i += len(c)
-    return nums, den
+        own[0].append(_clip(head, m, reps))
+    else:
+        on_path = sum(d * p**j for j, d in enumerate(digits))
+        for i, r in enumerate(reps):
+            # The first digit leaving the path sits at the p-adic valuation
+            # of r - on_path; a larger digit there sends the ball right.
+            gap, j, q = (r - on_path) % m, 0, 1
+            if gap:
+                while gap % p == 0:
+                    gap //= p
+                    j += 1
+                    q *= p
+            own[bool(gap) and r // q % p > digits[j]].append(i)
+    return _gather(p, n, reps, [(expr.left, own[0]), (expr.right, own[1])], memo)
 
 
 def _level_branch(
@@ -680,31 +645,56 @@ def _level_branch(
         return [sum(deep[i : i + q]) for i in range(0, len(deep), q)], den
     # Children in the order their balls are first requested, which for one
     # ball below the level is the order the scalar walk meets them in.  On
-    # a step-1 range child t takes every size-th position: one slice.
+    # a step-1 range child t owns every size-th rep: one class.
     if _slices(reps):
         parts = [
-            ((reps.start + i) % size, slice(i, None, size)) for i in range(min(size, len(reps)))
+            (expr.children[(reps.start + i) % size], [reps[i::size]])
+            for i in range(min(size, len(reps)))
         ]
-        values = [_level(expr.children[t], p, n, reps[own], memo) for t, own in parts]
     else:
         groups: dict[int, list[int]] = {}
         for i, r in enumerate(reps):
             groups.setdefault(r % size, []).append(i)
-        parts = list(groups.items())
-        values = [
-            _level(expr.children[t], p, n, [reps[i] for i in own], memo) for t, own in parts
-        ]
-    den = lcm(*(d for _, d in values))
-    nums = [0] * len(reps)
-    for (_, own), (tn, td) in zip(parts, values):
-        if td != den:
-            f = den // td
-            tn = [f * x for x in tn]
-        if type(own) is slice:
-            nums[own] = tn
+        parts = [(expr.children[t], own) for t, own in groups.items()]
+    return _gather(p, n, reps, parts, memo)
+
+
+def _gather(
+    p: int, n: int, reps: Sequence[int], parts: Sequence[tuple[DistExpr, list]], memo: dict | None
+) -> tuple[list[int], int]:
+    # The values on reps put together from parts (expr, own), each expr
+    # owning some of the balls: on a step-1 range, `own` lists residue
+    # classes within it, else positions in reps.  Each part is one request,
+    # in order, a lone class as itself and several as one list.  The values
+    # are brought to the lcm of the parts' denominators and put back by
+    # slice or by index; a ball no part owns gets 0.
+    slices = _slices(reps)
+    values, den = [], 1
+    for e, own in parts:
+        if not slices:
+            balls = [reps[i] for i in own]
+        elif len(own) == 1:
+            balls = own[0]
         else:
-            for i, x in zip(own, tn):
+            balls = list(chain.from_iterable(own))
+        got, d = _level(e, p, n, balls, memo)
+        values.append((got, d, own))
+        den = lcm(den, d)
+    nums = [0] * len(reps)
+    for got, d, own in values:
+        if d != den:
+            f = den // d
+            got = [f * x for x in got]
+        if not slices:
+            for i, x in zip(own, got):
                 nums[i] = x
+        elif len(own) == 1:
+            nums[own[0].start - reps.start :: own[0].step] = got
+        else:
+            i = 0
+            for c in own:
+                nums[c.start - reps.start :: c.step] = got[i : i + len(c)]
+                i += len(c)
     return nums, den
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import add
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     Ball,
@@ -197,19 +197,12 @@ def check_relation(
         sums = child_nums[:m]
         for b in range(1, prime):
             sums = list(map(add, sums, child_nums[b * m : (b + 1) * m]))
-        if child_den % den == 0:
-            f = child_den // den
-            agree = [x * f for x in nums] == sums
-        else:
-            agree = [x * child_den for x in nums] == [y * den for y in sums]
-        if not agree:
-            for a, (lhs, rhs) in enumerate(zip(nums, sums)):
-                if lhs * child_den != rhs * den:
-                    violations.append(
-                        RelationViolation(
-                            Ball(prime, n, a), Fraction(lhs, den), Fraction(rhs, child_den)
-                        )
-                    )
+        for a in _differing(nums, den, sums, child_den):
+            violations.append(
+                RelationViolation(
+                    Ball(prime, n, a), Fraction(nums[a], den), Fraction(sums[a], child_den)
+                )
+            )
         checked += m
         nums, den = child_nums, child_den
     return RelationReport(prime, max_depth, checked, tuple(violations))
@@ -462,17 +455,24 @@ def _first_differing(
     sides: Sequence[DistExpr], shared: frozenset[int], p: int, n: int, reps: Sequence[int]
 ) -> int | None:
     # The first rep in reps where the two sides differ; the first side is
-    # evaluated first.  The whole lists are compared first, as in
-    # `check_relation`; only a range that differs is walked ball by ball.
+    # evaluated first.
     (xs, dx), (ys, dy) = evaluate_shared(sides, shared, p, n, reps)
+    i = next(_differing(xs, dx, ys, dy), None)
+    return None if i is None else reps[i]
+
+
+def _differing(xs: list[int], dx: int, ys: list[int], dy: int) -> Iterator[int]:
+    # The indices where xs / dx and ys / dy differ.  The whole lists are
+    # compared first; only lists that differ are walked ball by ball.
     if dy % dx == 0:
         f = dy // dx
-        same = (xs if f == 1 else [x * f for x in xs]) == ys
-    else:
-        same = [x * dy for x in xs] == [y * dx for y in ys]
-    if same:
-        return None
-    return next(r for r, x, y in zip(reps, xs, ys) if x * dy != y * dx)
+        if (xs if f == 1 else [x * f for x in xs]) == ys:
+            return
+    elif [x * dy for x in xs] == [y * dx for y in ys]:
+        return
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        if x * dy != y * dx:
+            yield i
 
 
 # =====================================================================

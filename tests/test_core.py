@@ -199,8 +199,10 @@ def test_digit_expand_rejects_non_integral_points():
 
 
 def test_digit_expand_rejects_negative_count():
-    with pytest.raises(ValueError):
-        digit_expand(1, 3, -1)
+    # Bools and floats are not counts: True would read as 1, 2.0 would die in range.
+    for count in (-1, True, 2.0):
+        with pytest.raises(ValueError, match="digit count must be an integer >= 0"):
+            digit_expand(Fraction(1, 3), 5, count)
 
 
 # ----------------------------------------------------------------- paths
@@ -220,8 +222,9 @@ def test_path_digit_indexing():
     assert pi.digit(0) == 1
     assert pi.digit(5) == 2
     assert pi.digits(0) == []
-    with pytest.raises(ValueError):
-        pi.digits(-1)
+    for count in (-1, True, 2.0):
+        with pytest.raises(ValueError, match="digit count must be an integer >= 0"):
+            pi.digits(count)
 
 
 def test_point_to_path_fixtures():

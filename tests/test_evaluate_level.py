@@ -10,6 +10,7 @@ The random expressions hold some sub-expressions in two places as one
 object, so the memo of shared nodes is checked against the oracle too.
 """
 
+import time
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -253,8 +254,59 @@ def test_range_request_equals_list_request(kind, data):
     n = data.draw(st.integers(0, MAX_DEPTH))
     expr = data.draw(rooted(p, kind, faults=data.draw(st.booleans())))
     reps = data.draw(step_one_ranges(p**n))
+    _assert_range_equals_list(expr, p, n, reps)
+
+
+def _assert_range_equals_list(expr, p, n, reps):
     assert _outcome(expr, p, n, reps) == _outcome(expr, p, n, list(reps))
     _assert_agrees(expr, p, n, reps)
+
+
+BIG = 10007
+_GRAFT_2 = Graft(Path(BIG, (), (1, 2)), Mazur(), Haar(F(1, 3)))
+_GRAFT_3 = Graft(
+    Path(BIG, (5,), (BIG - 1, 0, 3)), LinearComb(((F(1, 2), Mazur()),)), Haar(F(2, 7))
+)
+_ON_2 = 5 + (BIG - 1) * BIG  # the on-path ball of _GRAFT_3 at depth 2
+
+
+@pytest.mark.parametrize(
+    "expr, n, reps",
+    [
+        (_GRAFT_2, 1, range(0, 5)),
+        (_GRAFT_2, 1, range(BIG - 3, BIG)),
+        # Ranges that cut the classes of digits 0 and 1 at both ends.
+        (_GRAFT_2, 2, range(BIG - 3, BIG + 3)),
+        (_GRAFT_2, 2, range(BIG * BIG - 4, BIG * BIG)),
+        # Every class of digit 0 and a few of digit 1.
+        (_GRAFT_2, 2, range(0, 2 * BIG + 5)),
+        # One ball on the path, one that leaves it at digit 2.
+        (_GRAFT_2, 3, range(1 + 2 * BIG + BIG**2, 2 + 2 * BIG + BIG**2)),
+        (_GRAFT_2, 3, range(1 + 2 * BIG + 5 * BIG**2, 2 + 2 * BIG + 5 * BIG**2)),
+        (_GRAFT_3, 2, range(_ON_2 - 3, _ON_2 + 3)),
+        (_GRAFT_3, 3, range(_ON_2 - 2, _ON_2 + 2)),
+        (_GRAFT_3, 3, range(_ON_2 + 3 * BIG**2, _ON_2 + 3 * BIG**2 + 1)),
+    ],
+)
+def test_range_request_equals_list_request_for_grafts_at_a_large_prime(expr, n, reps):
+    _assert_range_equals_list(expr, BIG, n, reps)
+
+
+def test_graft_range_requests_at_a_large_prime_cost_their_balls():
+    # A graft's range request lists only the residue classes it meets: a
+    # one-ball range costs n steps, not n * (p - 1) + 1 classes.
+    p = 999983
+    g = Graft(Path(p, (), (1,)), Mazur(), Haar())
+    elapsed = 0.0
+    for n in (1, 2, 3):
+        on_path = (p**n - 1) // (p - 1)
+        for r in sorted({0, 2, on_path, on_path + 1, p + 1, p**n - 1}):
+            if r < p**n:
+                start = time.perf_counter()
+                nums, den = evaluate_level(g, p, n, range(r, r + 1))
+                elapsed += time.perf_counter() - start
+                assert elapsed < 0.5, (n, r)
+                assert [F(x, den) for x in nums] == [evaluate(g, Ball(p, n, r))]
 
 
 @SETTINGS
