@@ -16,6 +16,7 @@ from fractions import Fraction
 from .core import (
     ball_make,
     ball_to_json,
+    decision_horizon,
     divergence_index,
     format_rational,
     norm,
@@ -23,6 +24,7 @@ from .core import (
     path_compare,
     path_to_json,
     path_to_point,
+    path_walk_bound,
     point_to_path,
     require_depth,
     Path,
@@ -238,19 +240,42 @@ def cmd_dump(args: argparse.Namespace) -> int:
     return 0
 
 
+def _require_digits(count: int, work: str, budget: int) -> None:
+    # work reads "print {} digits" and the like.
+    if count > budget:
+        raise BallBudgetError(
+            f"refusing to {work.format(count)} (budget {budget}); raise the budget to proceed"
+        )
+
+
+def _point_path(text: str, prime: int, flag: str, budget: int) -> tuple[Fraction, Path]:
+    # The walk's bound is known before walking it: refuse it up front.
+    point = parse_rational(text)
+    walk = f"walk up to {{}} digits of the {flag} path"
+    _require_digits(path_walk_bound(point, prime), walk, budget)
+    return point, point_to_path(point, prime)
+
+
 def cmd_path(args: argparse.Namespace) -> int:
     if args.prime is None:
         raise ValueError("path needs --prime")
     if (args.point is None) == (args.period is None):
         raise ValueError("pass exactly one of --point or --preperiod/--period")
+    _require_digits(require_depth(args.digits, "digit count"), "print {} digits", args.budget)
     if args.point is not None:
         if args.preperiod is not None:
             raise ValueError("pass exactly one of --point or --preperiod/--period")
-        path = point_to_path(parse_rational(args.point), args.prime)
+        # The path's value is the point itself, exactly.
+        value, path = _point_path(args.point, args.prime, "--point", args.budget)
     else:
         pre = _parse_digit_list(args.preperiod) if args.preperiod else ()
         path = Path(args.prime, pre, _parse_digit_list(args.period))
-    value = path_to_point(path)
+        value = path_to_point(path)
+    if args.compare is not None:
+        other, other_path = _point_path(args.compare, args.prime, "--compare", args.budget)
+        _require_digits(
+            decision_horizon(path, other_path), "compare {} digits of the two paths", args.budget
+        )
     digits = path.digits(args.digits)
     joiner = "" if args.prime <= 10 else ","
     payload: dict = {
@@ -260,8 +285,7 @@ def cmd_path(args: argparse.Namespace) -> int:
         "value": format_rational(value),
     }
     if args.compare is not None:
-        other = parse_rational(args.compare)
-        order = path_compare(path, point_to_path(other, args.prime))
+        order = path_compare(path, other_path)
         away = divergence_index(other, path)
         payload["compare"] = order.value
         payload["divergence"] = {"kind": away.kind.value, "index": away.index}
@@ -296,11 +320,10 @@ def _add_common(sub: argparse.ArgumentParser, *, spec: bool = True) -> None:
     sub.add_argument("--prime", type=integer, default=None, help="prime p (or from the spec)")
 
 
-def _add_budget(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--budget", type=integer, default=DEFAULT_BALL_BUDGET,
-        help="largest p^depth the command may enumerate",
-    )
+def _add_budget(
+    sub: argparse.ArgumentParser, what: str = "largest p^depth the command may enumerate"
+) -> None:
+    sub.add_argument("--budget", type=integer, default=DEFAULT_BALL_BUDGET, help=what)
 
 
 def _add_format(sub: argparse.ArgumentParser, choices: tuple[str, ...], default: str) -> None:
@@ -379,6 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--period", default=None, help="comma-separated digits")
     sub.add_argument("--digits", type=integer, default=12)
     sub.add_argument("--compare", default=None, help="second point to compare against")
+    _add_budget(sub, "most digits the command may walk, print or compare")
     _add_format(sub, ("text", "json"), "text")
     sub.set_defaults(func=cmd_path)
 

@@ -7,7 +7,7 @@ On top of the digit picture this module provides:
 
 * valuations and absolute values (`valuation`, `norm`),
 * digit expansions and their inverses (`digit_expand`, `point_to_path`,
-  `path_to_point`),
+  `path_to_point`), on plain ints (`int_to_digits`, `digits_to_int`),
 * the ball algebra of Z_p: the compact-open cells a + (p^n) in canonical
   form (`Ball`, `ball_make`, `ball_children`, `ball_contains`),
 * eventually periodic digit paths with lexicographic comparison and
@@ -26,6 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import inf, lcm
+from typing import Sequence
 
 
 class NotPAdicIntegerError(ValueError):
@@ -175,6 +176,46 @@ def digit_expand(x: Fraction | int, p: int, count: int) -> list[int]:
     return ball_digits(ball_make(p, require_depth(count, "digit count"), t))
 
 
+# Below this many digits the conversions run the plain per-digit loop: a
+# split costs a power of p and a big-int divmod or product, which only pays
+# once the numbers span many machine words.
+_SPLIT_DIGITS = 64
+
+
+def int_to_digits(a: int, p: int, count: int) -> list[int]:
+    """The `count` base-p digits of 0 <= a < p^count, least significant first.
+
+    Divide and conquer: split a at p^(count//2) with one divmod and convert
+    both halves, so the big-int work is a few divisions of shrinking size
+    instead of one division of the whole number per digit.
+    """
+    if count <= _SPLIT_DIGITS:
+        out = []
+        for _ in range(count):
+            a, d = divmod(a, p)
+            out.append(d)
+        return out
+    half = count // 2
+    high, low = divmod(a, p**half)
+    return int_to_digits(low, p, half) + int_to_digits(high, p, count - half)
+
+
+def digits_to_int(digits: Sequence[int], p: int) -> int:
+    """The integer sum d_i p^i of base-p digits, least significant first.
+
+    Divide and conquer: low half + high half * p^(len//2), so the products
+    are few and balanced (where big-int multiplication is fast) instead of
+    one per digit; short lists run Horner's loop.
+    """
+    if len(digits) <= _SPLIT_DIGITS:
+        a = 0
+        for d in reversed(digits):
+            a = a * p + d
+        return a
+    half = len(digits) // 2
+    return digits_to_int(digits[:half], p) + digits_to_int(digits[half:], p) * p**half
+
+
 # =====================================================================
 # Paths
 # =====================================================================
@@ -212,28 +253,53 @@ class Path:
         return self.period[(i - len(self.preperiod)) % len(self.period)]
 
     def digits(self, count: int) -> list[int]:
-        """The first `count` digits of the stream."""
-        return [self.digit(i) for i in range(require_depth(count, "digit count"))]
+        """The first `count` digits of the stream: the preperiod, then copies
+        of the period, cut at `count`."""
+        pre, per = self.preperiod, self.period
+        count = require_depth(count, "digit count")
+        if count <= len(pre):
+            return list(pre[:count])
+        copies, extra = divmod(count - len(pre), len(per))
+        return [*pre, *(per * copies), *per[:extra]]
 
 
 def point_to_path(x: Fraction | int, p: int) -> Path:
     """The digit path of a rational point of Z_p.
 
-    Digit extraction t -> (t - d)/p walks through finitely many rational
-    tails, so some tail repeats; the digits before the first repeat form the
-    preperiod and the cycle forms the period.
+    Digit extraction t -> (t - d)/p keeps the denominator of x = u/v, so
+    only the numerator is walked, on ints: d = u * v^(-1) mod p with one
+    inverse mod p, then u -> (u - d v)/p, exact.  From u > 0 or u < -v the
+    walk reaches [-v, 0] within as many steps as |u| has base-p digits, and
+    it never leaves that range.  On the range the step is one-to-one, so
+    the first tail inside it is the one that comes back: the digits before
+    it form the preperiod and the cycle through it the period, which is at
+    most v + 1 long.  `path_walk_bound` gives the whole walk's bound.
     """
     require_prime(p)
     t = require_padic_integer(x, p)
-    seen: dict[Fraction, int] = {}
+    u, v = t.numerator, t.denominator
+    w = pow(v, -1, p)
     digits: list[int] = []
-    while t not in seen:
-        seen[t] = len(digits)
-        d = (t.numerator * pow(t.denominator, -1, p)) % p
+    while not -v <= u <= 0:
+        d = u * w % p
         digits.append(d)
-        t = (t - d) / p
-    start = seen[t]
-    return Path(p, tuple(digits[:start]), tuple(digits[start:]))
+        u = (u - d * v) // p
+    start, first = len(digits), u
+    while True:
+        d = u * w % p
+        digits.append(d)
+        u = (u - d * v) // p
+        if u == first:
+            return Path(p, tuple(digits[:start]), tuple(digits[start:]))
+
+
+def path_walk_bound(x: Fraction | int, p: int) -> int:
+    """An upper bound on the digits `point_to_path(x, p)` walks, found
+    without walking: v + 1 tails in [-v, 0] for x = u/v, plus at most one
+    step per binary digit of u to get there."""
+    require_prime(p)
+    t = require_padic_integer(x, p)
+    return t.denominator + 1 + abs(t.numerator).bit_length()
 
 
 def path_to_point(path: Path) -> Fraction:
@@ -241,13 +307,14 @@ def path_to_point(path: Path) -> Fraction:
 
     The period contributes a geometric series: P * p^L / (1 - p^T) where P is
     the period read as a base-p integer, L the preperiod length, T the period
-    length.
+    length.  The preperiod and P are read with `digits_to_int`, which splits
+    the digits in halves rather than building p^i for every digit.
     """
     p = path.prime
-    head = sum(d * p**i for i, d in enumerate(path.preperiod))
-    per = sum(d * p**j for j, d in enumerate(path.period))
-    tail = Fraction(per * p ** len(path.preperiod), 1 - p ** len(path.period))
-    return head + tail
+    head = digits_to_int(path.preperiod, p)
+    per = digits_to_int(path.period, p)
+    den = 1 - p ** len(path.period)
+    return Fraction(head * den + per * p ** len(path.preperiod), den)
 
 
 class Order(Enum):
@@ -258,9 +325,12 @@ class Order(Enum):
     GREATER = "greater"
 
 
-def _decision_horizon(a: Path, b: Path) -> int:
-    # Beyond this index both streams are periodic with a common period, so
-    # inspecting this many digits decides equality of the full streams.
+def decision_horizon(a: Path, b: Path) -> int:
+    """How many digits decide whether two streams are equal.
+
+    Beyond this index both streams are periodic with a common period, so
+    inspecting this many digits decides equality of the full streams.
+    """
     return max(len(a.preperiod), len(b.preperiod)) + lcm(len(a.period), len(b.period))
 
 
@@ -268,8 +338,8 @@ def path_compare(a: Path, b: Path) -> Order:
     """Lexicographic order of two digit streams; Equal iff identical streams."""
     if a.prime != b.prime:
         raise PrimeMismatchError(f"cannot compare paths over p={a.prime} and p={b.prime}")
-    for i in range(_decision_horizon(a, b)):
-        da, db = a.digit(i), b.digit(i)
+    horizon = decision_horizon(a, b)
+    for da, db in zip(a.digits(horizon), b.digits(horizon)):
         if da != db:
             return Order.LESS if da < db else Order.GREATER
     return Order.EQUAL
@@ -335,12 +405,12 @@ def ball_contains(ball: Ball, x: Fraction | int) -> bool:
 
 
 def ball_digits(ball: Ball) -> list[int]:
-    """Base-p digits d_0..d_{n-1} of the representative."""
-    a, out = ball.rep, []
-    for _ in range(ball.depth):
-        a, d = divmod(a, ball.prime)
-        out.append(d)
-    return out
+    """Base-p digits d_0..d_{n-1} of the representative.
+
+    Converted by `int_to_digits`, halving the digit count at each split, so
+    a deep ball costs a few big divisions rather than one per digit.
+    """
+    return int_to_digits(ball.rep, ball.prime, ball.depth)
 
 
 def ball_nests_in(inner: Ball, outer: Ball) -> bool:
@@ -414,9 +484,9 @@ def divergence_index(a: Ball | Fraction | int, path: Path) -> Divergence:
     else:
         t = require_padic_integer(a, path.prime)
         own = point_to_path(t, path.prime)
-        digits = own.digits(_decision_horizon(own, path))
-    for i, d in enumerate(digits):
-        if d != path.digit(i):
+        digits = own.digits(decision_horizon(own, path))
+    for i, (d, e) in enumerate(zip(digits, path.digits(len(digits)))):
+        if d != e:
             return Divergence.first_digit() if i == 0 else Divergence.splits_after(i - 1)
     return Divergence.never(len(digits))
 

@@ -44,6 +44,7 @@ from .core import (
     Path,
     PrimeMismatchError,
     as_rational,
+    digits_to_int,
     is_int,
     require_depth,
     require_padic_integer,
@@ -606,7 +607,7 @@ def _level_graft(
             q *= p
         own[0].append(_clip(head, m, reps))
     else:
-        on_path = sum(d * p**j for j, d in enumerate(digits))
+        on_path = digits_to_int(digits, p)
         for i, r in enumerate(reps):
             # The first digit leaving the path sits at the p-adic valuation
             # of r - on_path; a larger digit there sends the ball right.

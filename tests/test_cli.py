@@ -517,6 +517,52 @@ def test_path_usage_errors(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # More digits to print than the budget.
+        ["--point", "1/2", "--digits", "2000000"],
+        ["--period", "1", "--digits", "1001", "--budget", "1000"],
+        # The order of 3 mod 10^9 + 7 is 500,000,003: the walk is bounded
+        # by 10^9 + 8 tails, refused before it starts.
+        ["--point", "1/1000000007"],
+        ["--point", "1/2", "--compare", "1/1000000007"],
+        # Both walks fit, but periods of 299 and 606 digits make a horizon
+        # of 181,195.
+        ["--point", "1/599", "--compare", "1/607", "--budget", "2000"],
+    ],
+)
+def test_path_refuses_work_past_the_budget(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "path", "--prime", "3", *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: refusing") and err.count("\n") == 1
+    assert time.perf_counter() - start < 1
+
+
+def test_path_budget_admits_work_up_to_it(capsys):
+    code, out, _ = run(
+        capsys, "path", "--prime", "3", "--point", "1/2", "--digits", "1000",
+        "--budget", "1000",
+    )
+    assert code == 0 and "digits: " + "2" + "1" * 999 in out
+    # Walk bounds of 599 + 1 + 1 and a horizon of 1 + 299.
+    code, out, _ = run(
+        capsys, "path", "--prime", "3", "--point", "1/599", "--compare", "-1/599",
+        "--budget", "601",
+    )
+    assert code == 0 and "divergence: first-digit-differs" in out
+
+
+def test_path_long_period_at_a_large_prime(capsys):
+    # A period of 100,018 digits, in well under the 3 minutes that a power
+    # of p per digit took to read the value back.
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "path", "--prime", "1000003", "--point", "1/100019")
+    assert code == 0 and "value: 1/100019" in out
+    assert time.perf_counter() - start < 5
+
+
 def test_path_at_a_large_prime(capsys):
     # Primality of p ~ 10^18 is decided at once, prime or not.
     code, out, _ = run(capsys, "path", "--prime", "1000000000000000003", "--point", "1/3")

@@ -1,6 +1,7 @@
 """Exact arithmetic primitives: valuations, digit streams, balls, paths."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,9 @@ from padicdist import (
     require_prime,
     valuation,
 )
+from padicdist.core import digits_to_int, int_to_digits, path_walk_bound
+
+import digit_oracle as oracle
 
 
 def expand_by_single_inverse(t, p, count):
@@ -455,3 +459,115 @@ def test_path_compare_antisymmetry(a, b):
     }
     assert backward == flipped[forward]
     assert (forward == Order.EQUAL) == (path_to_point(a) == path_to_point(b))
+
+
+# ------------------------------------- the int digit layer against the oracle
+
+ORACLE_PRIMES = [2, 3, 5, 7, 1000003]
+
+
+@st.composite
+def prime_and_point(draw):
+    """A prime and a point of Z_p: negative numerators, integers and 0 included."""
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    u = draw(st.one_of(st.just(0), st.integers(-10**12, 10**12)))
+    v = draw(st.one_of(st.just(1), st.integers(1, 2000)))
+    if v % p == 0:
+        v += 1
+    return p, Fraction(u, v)
+
+
+@settings(max_examples=300)
+@given(prime_and_point())
+def test_point_to_path_matches_the_fraction_walk(case):
+    p, x = case
+    path = point_to_path(x, p)
+    assert path == oracle.point_to_path(x, p)
+    assert len(path.preperiod) + len(path.period) <= path_walk_bound(x, p)
+
+
+@settings(max_examples=200)
+@given(prime_and_point())
+def test_path_to_point_inverts_point_to_path(case):
+    p, x = case
+    path = point_to_path(x, p)
+    assert path_to_point(path) == x == oracle.path_to_point(path)
+
+
+@st.composite
+def prime_and_long_path(draw):
+    # Periods and preperiods past 64 digits take the halving split.
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    digit = st.integers(0, p - 1)
+    pre = draw(st.lists(digit, max_size=150))
+    per = draw(st.lists(digit, min_size=1, max_size=150))
+    return Path(p, pre, per)
+
+
+@settings(max_examples=150)
+@given(prime_and_long_path())
+def test_path_to_point_matches_the_power_sum(path):
+    assert path_to_point(path) == oracle.path_to_point(path)
+    assert digits_to_int(path.period, path.prime) == sum(
+        d * path.prime**i for i, d in enumerate(path.period)
+    )
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(ORACLE_PRIMES), st.integers(0, 200), st.data())
+def test_ball_digits_match_the_divmod_loop(p, depth, data):
+    rep = data.draw(st.integers(0, p**depth - 1))
+    expected = oracle.int_to_digits(rep, p, depth)
+    assert ball_digits(Ball(p, depth, rep)) == expected == int_to_digits(rep, p, depth)
+    assert digits_to_int(expected, p) == rep
+
+
+@settings(max_examples=150)
+@given(prime_and_long_path(), st.integers(0, 20), st.data())
+def test_path_digits_match_digit_by_digit(path, past, data):
+    # Counts below, at and past the end of the preperiod.
+    pre = len(path.preperiod)
+    below = data.draw(st.integers(0, pre))
+    for count in (below, pre, pre + past, pre + 3 * len(path.period) + past):
+        assert path.digits(count) == [path.digit(i) for i in range(count)]
+
+
+@settings(max_examples=200)
+@given(prime_and_point(), st.data())
+def test_compare_and_divergence_match_digit_by_digit(case, data):
+    p, x = case
+    digit = st.integers(0, p - 1)
+    ref = Path(p, data.draw(st.lists(digit, max_size=4)),
+               data.draw(st.lists(digit, min_size=1, max_size=4)))
+    own = point_to_path(x, p)
+    assert path_compare(own, ref) == oracle.path_compare(own, ref)
+    assert divergence_index(x, ref) == oracle.divergence_of_point(x, ref)
+    # A point always agrees with its own path, out to the horizon.
+    assert divergence_index(x, own).kind is DivergenceKind.NEVER
+
+
+# ---------------------------------------------- bounded time on long periods
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - start
+
+
+def test_long_period_conversions_finish_in_bounded_time():
+    # 1/100019 at p = 1000003 has a period of 100,018 digits.  A Fraction per
+    # digit took 1.85 s for the path and p**i per digit did not bring it back
+    # within minutes.
+    path, took = _timed(point_to_path, Fraction(1, 100019), 1000003)
+    assert took < 1
+    assert (len(path.preperiod), len(path.period)) == (1, 100018)
+    value, took = _timed(path_to_point, path)
+    assert took < 5
+    assert value == Fraction(1, 100019)
+
+
+def test_long_digit_expansion_finishes_in_bounded_time():
+    # One divmod per digit is quadratic in the count: 0.59 s here.
+    digits, took = _timed(digit_expand, Fraction(-7, 8), 3, 50000)
+    assert took < 0.25
+    assert digits == [1, 2] * 25000
