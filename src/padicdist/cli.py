@@ -12,21 +12,25 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import chain, islice
+from math import gcd
+from typing import Iterable, Iterator
 
 from .core import (
     ball_make,
     ball_to_json,
     decision_horizon,
-    divergence_index,
     format_rational,
     norm,
     parse_rational,
     path_compare,
+    path_divergence,
     path_to_json,
     path_to_point,
     path_walk_bound,
     point_to_path,
     require_depth,
+    valuation,
     Path,
     Ball,
 )
@@ -206,37 +210,71 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     return 0
 
 
+# dump writes this many lines at a time: one write per block, not per ball.
+_BLOCK_LINES = 4096
+
+
+def _write_lines(lines: Iterable[str]) -> None:
+    lines = iter(lines)
+    while block := list(islice(lines, _BLOCK_LINES)):
+        sys.stdout.write("\n".join(block) + "\n")
+
+
+def _level_texts(nums: list[int], den: int, p: int) -> Iterator[tuple[str, str]]:
+    """The value and norm text of each ball of a level, from its integer
+    numerators over den > 0: one gcd per ball, and the norm text once per
+    valuation, as `format_rational` prints the value and its `norm`."""
+    den_v = valuation(den, p)
+    norms: dict[int, str] = {}
+    for num in nums:
+        if not num:
+            yield "0", "0"
+            continue
+        g = gcd(num, den)
+        value = str(num // g) if g == den else f"{num // g}/{den // g}"
+        v = -den_v
+        while not num % p:
+            num //= p
+            v += 1
+        text = norms.get(v)
+        if text is None:
+            text = norms[v] = str(p**-v) if v <= 0 else f"1/{p**v}"
+        yield value, text
+
+
 def cmd_dump(args: argparse.Namespace) -> int:
     prime, expr = _load(args)
     require_depth(args.depth)
     require_budget(prime, args.depth, args.budget)
     roots, shared = share(expr)
+    levels = (
+        evaluate_shared(roots, shared, prime, n, range(prime**n))[0]
+        for n in range(args.depth + 1)
+    )
     if args.format == "dot":
-        lines = ["digraph balls {"]
-        for n in range(args.depth + 1):
-            nums, den = evaluate_shared(roots, shared, prime, n, range(prime**n))[0]
-            for rep, num in enumerate(nums):
-                lines.append(
-                    f'  "{rep}/{n}" [label="{rep}+({prime}^{n})\\n'
-                    f'{format_rational(Fraction(num, den))}"];'
-                )
-        for n in range(args.depth):
-            q = prime**n
-            for rep in range(q):
-                for b in range(prime):
-                    lines.append(f'  "{rep}/{n}" -> "{rep + b * q}/{n + 1}";')
-        lines.append("}")
-        print("\n".join(lines))
+        # Every level is evaluated before the first line is written, so a
+        # level that raises leaves stdout empty.
+        texts = [_level_texts(nums, den, prime) for nums, den in levels]
+        labels = (
+            f'  "{rep}/{n}" [label="{rep}+({prime}^{n})\\n{value}"];'
+            for n, level in enumerate(texts)
+            for rep, (value, _) in enumerate(level)
+        )
+        edges = (
+            f'  "{rep}/{n}" -> "{rep + b * q}/{n + 1}";'
+            for n in range(args.depth)
+            for q in (prime**n,)
+            for rep in range(q)
+            for b in range(prime)
+        )
+        _write_lines(chain(["digraph balls {"], labels, edges, ["}"]))
     else:
-        print("depth,rep,value,norm")
-        for n in range(args.depth + 1):
-            nums, den = evaluate_shared(roots, shared, prime, n, range(prime**n))[0]
-            for rep, num in enumerate(nums):
-                value = Fraction(num, den)
-                print(
-                    f"{n},{rep},{format_rational(value)},"
-                    f"{format_rational(norm(value, prime))}"
-                )
+        _write_lines(["depth,rep,value,norm"])
+        for n, (nums, den) in enumerate(levels):
+            _write_lines(
+                f"{n},{rep},{value},{text}"
+                for rep, (value, text) in enumerate(_level_texts(nums, den, prime))
+            )
     return 0
 
 
@@ -272,7 +310,7 @@ def cmd_path(args: argparse.Namespace) -> int:
         path = Path(args.prime, pre, _parse_digit_list(args.period))
         value = path_to_point(path)
     if args.compare is not None:
-        other, other_path = _point_path(args.compare, args.prime, "--compare", args.budget)
+        _, other_path = _point_path(args.compare, args.prime, "--compare", args.budget)
         _require_digits(
             decision_horizon(path, other_path), "compare {} digits of the two paths", args.budget
         )
@@ -286,7 +324,7 @@ def cmd_path(args: argparse.Namespace) -> int:
     }
     if args.compare is not None:
         order = path_compare(path, other_path)
-        away = divergence_index(other, path)
+        away = path_divergence(other_path, path)
         payload["compare"] = order.value
         payload["divergence"] = {"kind": away.kind.value, "index": away.index}
     if args.format == "json":

@@ -477,14 +477,22 @@ def divergence_index(a: Ball | Fraction | int, path: Path) -> Divergence:
     the periodicity horizon of the two streams, which decides agreement of
     the full infinite streams.
     """
-    if isinstance(a, Ball):
-        if a.prime != path.prime:
-            raise PrimeMismatchError("ball and path over different primes")
-        digits = ball_digits(a)
-    else:
-        t = require_padic_integer(a, path.prime)
-        own = point_to_path(t, path.prime)
-        digits = own.digits(decision_horizon(own, path))
+    if not isinstance(a, Ball):
+        own = point_to_path(require_padic_integer(a, path.prime), path.prime)
+        return path_divergence(own, path)
+    if a.prime != path.prime:
+        raise PrimeMismatchError("ball and path over different primes")
+    return _first_split(ball_digits(a), path)
+
+
+def path_divergence(own: Path, path: Path) -> Divergence:
+    """`divergence_index` of a point whose path has already been walked."""
+    if own.prime != path.prime:
+        raise PrimeMismatchError("paths over different primes")
+    return _first_split(own.digits(decision_horizon(own, path)), path)
+
+
+def _first_split(digits: list[int], path: Path) -> Divergence:
     for i, (d, e) in enumerate(zip(digits, path.digits(len(digits)))):
         if d != e:
             return Divergence.first_digit() if i == 0 else Divergence.splits_after(i - 1)

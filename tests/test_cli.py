@@ -1,11 +1,17 @@
-"""End-to-end command tests driving main() in process."""
+"""End-to-end command tests driving main() in process, and the benchmark's
+bad-input probes in a fresh interpreter, as the benchmark runs them."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import padicdist
 from padicdist import evaluate_level, format_rational, norm
 from padicdist.cli import main
 from padicdist.serialize import MAX_NESTING, load_document
@@ -813,3 +819,37 @@ def test_json_too_deep_to_parse_exits_2(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: JSON in ") and err.count("\n") == 1
+
+
+# ------------------------------------------- the benchmark's bad-input probes
+
+def _cli_process(*argv):
+    # A fresh interpreter, as the benchmark runs each job: the recursion
+    # limit and the exit code are the process's own.
+    src = str(Path(padicdist.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    entry = "from padicdist.cli import entry_point; entry_point()"
+    return subprocess.run(
+        [sys.executable, "-c", entry, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_probe_nested_lincomb_950_exits_2_with_one_line(tmp_path):
+    depth = 950
+    spec = tmp_path / "nested.json"
+    spec.write_text(
+        '{"prime": 5, "expr": ' + '{"type": "lincomb", "terms": [["1", ' * depth
+        + '{"type": "mazur"}' + "]]}" * depth + "}",
+        encoding="utf-8",
+    )
+    proc = _cli_process("eval", "--spec", str(spec), "--ball", "1/1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+def test_probe_prime_near_10_to_the_18_is_accepted():
+    # 10^18 + 3 is prime, inside the range the primality test proves.
+    proc = _cli_process("path", "--prime", "1000000000000000003", "--point", "1/3")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("digits: ")
