@@ -2,8 +2,12 @@
 
 Subcommands: eval, verify, graft-check, branch-check, distinct, norms,
 integrate, dump, path.  Balls are written a/n (representative slash depth),
-rationals as num/den.  Exit codes: 0 success, 1 verification failure or no
-witness found, 2 usage or input error, 3 ball budget exceeded.
+rationals as num/den.  Every command but dump prints its answer through
+`_emit`, in the --format it was given: a report draws that one format
+itself, and a command without a report hands over its JSON payload and its
+text lines.  dump streams its csv or dot lines a block at a time.  Exit
+codes: 0 success, 1 verification failure or no witness found, 2 usage or
+input error, 3 ball budget exceeded.
 """
 
 from __future__ import annotations
@@ -59,6 +63,21 @@ def _emit_json(obj: dict) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _emit(args: argparse.Namespace, answer: object, *lines: str, **options: object) -> None:
+    """Print a command's answer in args.format: every command but dump
+    prints through here.  A report draws only the chosen format, with its
+    to_json_dict, to_text or to_csv and the options; a dict is a JSON
+    payload, whose text is the lines that follow it."""
+    as_json = args.format == "json"
+    if not isinstance(answer, dict):
+        answer = getattr(answer, "to_json_dict" if as_json else f"to_{args.format}")(**options)
+        lines = (answer,)
+    if as_json:
+        _emit_json(answer)
+    else:
+        print(*lines, sep="\n")
+
+
 def integer(text: str) -> int:
     """A decimal integer in ASCII digits: int() also takes "1_0" and "٣"."""
     if "/" in text:
@@ -95,28 +114,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
     prime, expr = _load(args)
     ball = _parse_ball(args.ball, prime)
     value = _value(expr, ball)
-    value_norm = norm(value, prime)
-    if args.format == "json":
-        _emit_json(
-            {
-                "prime": prime,
-                "ball": ball_to_json(ball),
-                "value": format_rational(value),
-                "norm": format_rational(value_norm),
-            }
-        )
-    else:
-        print(f"{format_rational(value)} norm={format_rational(value_norm)}")
+    payload = {
+        "prime": prime,
+        "ball": ball_to_json(ball),
+        "value": format_rational(value),
+        "norm": format_rational(norm(value, prime)),
+    }
+    _emit(args, payload, f"{payload['value']} norm={payload['norm']}")
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     prime, expr = _load(args)
     report = check_relation(expr, prime, args.depth, ball_budget=args.budget)
-    if args.format == "json":
-        _emit_json(report.to_json_dict(max_violations=args.max_violations))
-    else:
-        print(report.to_text(max_violations=args.max_violations))
+    _emit(args, report, max_violations=args.max_violations)
     return 0 if report.passed else 1
 
 
@@ -125,10 +136,7 @@ def cmd_graft_check(args: argparse.Namespace) -> int:
     if not isinstance(expr, Graft):
         raise ValueError("graft-check needs a spec whose root expression is a graft")
     report = check_graft_precondition(expr.left, expr.right, expr.path, args.depth)
-    if args.format == "json":
-        _emit_json(report.to_json_dict())
-    else:
-        print(report.to_text())
+    _emit(args, report)
     return 0 if report.passed else 1
 
 
@@ -139,20 +147,13 @@ def cmd_branch_check(args: argparse.Namespace) -> int:
     witness = check_branch_hypothesis(
         expr, prime, expr.k, args.depth, ball_budget=args.budget
     )
-    if args.format == "json":
-        payload = {"prime": prime, "search_depth": args.depth, "found": witness is not None}
-        if witness is not None:
-            payload.update(witness.to_json_dict())
-        else:
-            payload["note"] = f"no witness up to depth {args.depth}"
-        _emit_json(payload)
-    elif witness is not None:
-        print(
-            f"witness: t={witness.t} s={witness.s} "
-            f"ball={witness.ball.rep}/{witness.ball.depth}"
-        )
+    payload = {"prime": prime, "search_depth": args.depth, "found": witness is not None}
+    if witness is None:
+        text = payload["note"] = f"no witness up to depth {args.depth}"
     else:
-        print(f"no witness up to depth {args.depth}")
+        payload.update(witness.to_json_dict())
+        text = f"witness: t={witness.t} s={witness.s} ball={witness.ball.rep}/{witness.ball.depth}"
+    _emit(args, payload, text)
     return 0 if witness is not None else 1
 
 
@@ -162,32 +163,20 @@ def cmd_distinct(args: argparse.Namespace) -> int:
     if other_prime != prime:
         raise ValueError(f"prime mismatch between specs: {prime} vs {other_prime}")
     witness = distinctness_witness(expr, other, prime, args.depth, ball_budget=args.budget)
-    if witness is not None:
-        values = [format_rational(_value(e, witness)) for e in (expr, other)]
-    if args.format == "json":
-        payload = {"prime": prime, "max_depth": args.depth, "found": witness is not None}
-        if witness is not None:
-            payload["ball"] = ball_to_json(witness)
-            payload["values"] = values
-        else:
-            payload["note"] = f"no differing ball up to depth {args.depth}"
-        _emit_json(payload)
-    elif witness is not None:
-        print(f"distinct on ball {witness.rep}/{witness.depth}: {values[0]} vs {values[1]}")
+    payload = {"prime": prime, "max_depth": args.depth, "found": witness is not None}
+    if witness is None:
+        text = payload["note"] = f"no differing ball up to depth {args.depth}"
     else:
-        print(f"no differing ball up to depth {args.depth}")
+        values = [format_rational(_value(e, witness)) for e in (expr, other)]
+        payload.update(ball=ball_to_json(witness), values=values)
+        text = f"distinct on ball {witness.rep}/{witness.depth}: {values[0]} vs {values[1]}"
+    _emit(args, payload, text)
     return 0 if witness is not None else 1
 
 
 def cmd_norms(args: argparse.Namespace) -> int:
     prime, expr = _load(args)
-    report = norm_scan(expr, prime, args.depth, ball_budget=args.budget)
-    if args.format == "json":
-        _emit_json(report.to_json_dict())
-    elif args.format == "text":
-        print(report.to_text())
-    else:
-        print(report.to_csv())
+    _emit(args, norm_scan(expr, prime, args.depth, ball_budget=args.budget))
     return 0
 
 
@@ -202,11 +191,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
         fn = Polynomial.from_terms(terms)
     else:
         fn = step_fn_from_json(load_json_file(args.step_fn))
-    report = integrate(expr, fn, prime, args.depth, ball_budget=args.budget)
-    if args.format == "json":
-        _emit_json(report.to_json_dict())
-    else:
-        print(report.to_text())
+    _emit(args, integrate(expr, fn, prime, args.depth, ball_budget=args.budget))
     return 0
 
 
@@ -322,22 +307,15 @@ def cmd_path(args: argparse.Namespace) -> int:
         **path_to_json(path),
         "value": format_rational(value),
     }
+    lines = [f"{key}: {payload[key]}" for key in ("digits", "preperiod", "period", "value")]
     if args.compare is not None:
-        order = path_compare(path, other_path)
+        order = path_compare(path, other_path).value
         away = path_divergence(other_path, path)
-        payload["compare"] = order.value
+        payload["compare"] = order
         payload["divergence"] = {"kind": away.kind.value, "index": away.index}
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        print(f"digits: {payload['digits']}")
-        print(f"preperiod: {list(path.preperiod)}")
-        print(f"period: {list(path.period)}")
-        print(f"value: {payload['value']}")
-        if args.compare is not None:
-            print(f"compare: {payload['compare']}")
-            kind, index = payload["divergence"]["kind"], payload["divergence"]["index"]
-            print(f"divergence: {kind}" + (f" {index}" if index is not None else ""))
+        index = "" if away.index is None else f" {away.index}"
+        lines += [f"compare: {order}", f"divergence: {away.kind.value}{index}"]
+    _emit(args, payload, *lines)
     return 0
 
 

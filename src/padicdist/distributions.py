@@ -716,19 +716,29 @@ def boundedness_flag(expr: DistExpr) -> BoundednessFlag:
     point masses are bounded; the Haar/Mazur/Bernoulli families are
     unbounded; a graft is bounded iff both sides are and unbounded if either
     side is; a branch is bounded iff all children are and unbounded if any
-    child is; a linear combination is bounded if all terms are, unbounded if
-    exactly one unbounded term survives with a nonzero coefficient, and
-    unknown otherwise (cancellation can hide either outcome); restriction
-    keeps the inner flag; regularization is always unknown here, its point
-    being to cancel growth.  `padicdist.verify.boundedness_verdict` compares
-    this flag with an empirical norm scan.
+    child is, each child judged on its own cell t + (p^k) only; a linear
+    combination is bounded if all terms are, unbounded if exactly one
+    unbounded term survives with a nonzero coefficient, and unknown
+    otherwise (cancellation can hide either outcome); restriction keeps the
+    inner flag on its cell, and nested cells meet, so a part whose cells are
+    disjoint is identically 0 and bounded; regularization is always unknown
+    here, its point being to cancel growth.
+    `padicdist.verify.boundedness_verdict` compares this flag with an
+    empirical norm scan.
     """
+    return _flag_on(expr, (1, 0))
+
+
+def _flag_on(expr: DistExpr, cell: tuple[int, int]) -> BoundednessFlag:
+    # The flag of expr on the points x = r mod m of cell = (m, r), m a power
+    # of p: (1, 0) is all of Z_p.  A branch has no prime of its own, so cells
+    # are kept as congruences rather than balls.
     if isinstance(expr, Dirac):
         return BoundednessFlag.BOUNDED
     if isinstance(expr, (Haar, Mazur, Bernoulli)):
         return BoundednessFlag.UNBOUNDED
     if isinstance(expr, LinearComb):
-        flags = [(c, boundedness_flag(e)) for c, e in expr.terms]
+        flags = [(c, _flag_on(e, cell)) for c, e in expr.terms]
         if all(f is BoundednessFlag.BOUNDED for _, f in flags):
             return BoundednessFlag.BOUNDED
         live = [i for i, (c, f) in enumerate(flags) if f is BoundednessFlag.UNBOUNDED and c != 0]
@@ -738,14 +748,28 @@ def boundedness_flag(expr: DistExpr) -> BoundednessFlag:
             return BoundednessFlag.UNBOUNDED
         return BoundednessFlag.UNKNOWN
     if isinstance(expr, Restrict):
-        return boundedness_flag(expr.expr)
+        return _flag_on_meet(expr.expr, cell, (expr.cell.prime**expr.cell.depth, expr.cell.rep))
     if isinstance(expr, Regularize):
         return BoundednessFlag.UNKNOWN
     if isinstance(expr, Graft):
-        return _join_flags(map(boundedness_flag, (expr.left, expr.right)))
+        return _join_flags(_flag_on(side, cell) for side in (expr.left, expr.right))
     if isinstance(expr, Branch):
-        return _join_flags(map(boundedness_flag, expr.children))
+        size = len(expr.children)
+        return _join_flags(
+            _flag_on_meet(child, cell, (size, t)) for t, child in enumerate(expr.children)
+        )
     raise TypeError(f"not a distribution expression: {type(expr).__name__}")
+
+
+def _flag_on_meet(
+    expr: DistExpr, cell: tuple[int, int], other: tuple[int, int]
+) -> BoundednessFlag:
+    # The flag of expr on the meet of two cells; one modulus divides the
+    # other, and on an empty meet expr counts as 0.
+    (m, r), (n, s) = sorted((cell, other))
+    if s % m != r:
+        return BoundednessFlag.BOUNDED
+    return _flag_on(expr, (n, s))
 
 
 def _join_flags(parts: Iterable[BoundednessFlag]) -> BoundednessFlag:

@@ -30,7 +30,7 @@ from .core import (
     table_from_json,
 )
 from .distributions import DistExpr, evaluate_shared, share
-from .verify import DEFAULT_BALL_BUDGET, require_budget
+from .verify import DEFAULT_BALL_BUDGET, report_text, require_budget
 
 
 # =====================================================================
@@ -196,18 +196,16 @@ class IntegrationReport:
         }
 
     def to_text(self) -> str:
-        lines = [
+        sums = [f"S_{i} = {format_rational(s)}" for i, s in enumerate(self.partial_sums, start=1)]
+        # From S_2 on, a sum is followed by the norm of its difference from the last.
+        for i, d in enumerate(self.diff_norms, start=1):
+            sums[i] += f"  |diff|_p = {format_rational(d)}"
+        return report_text(
             "riemann sums",
-            f"prime={self.prime} max_depth={self.max_depth}",
-        ]
-        for i, s in enumerate(self.partial_sums, start=1):
-            if i == 1:
-                lines.append(f"S_{i} = {format_rational(s)}")
-            else:
-                d = format_rational(self.diff_norms[i - 2])
-                lines.append(f"S_{i} = {format_rational(s)}  |diff|_p = {d}")
-        lines.append(f"verdict: {self.verdict.value}")
-        return "\n".join(lines)
+            {"prime": self.prime, "max_depth": self.max_depth},
+            *sums,
+            f"verdict: {self.verdict.value}",
+        )
 
 
 def integrate(

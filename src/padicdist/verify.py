@@ -75,14 +75,24 @@ def require_budget(prime: int, depth: int, ball_budget: int, per_ball: int = 1) 
         )
 
 
-def _rows_to_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
-        for i in range(len(header))
-    ]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
+def report_text(title: str, fields: dict, *body: str | tuple | None) -> str:
+    """The text of every report: its title, its fields as one line of
+    key=value pairs, then its body in order, which ends with the report's
+    result: or verdict: line when it has one.
+
+    A str in the body is a line, and a (header, rows) pair is a table of
+    left-aligned headings over right-aligned cells, each cell printed as
+    str() prints it.  A None, and a table with no rows, are left out.
+    """
+    lines = [title, " ".join(f"{key}={value}" for key, value in fields.items())]
+    for part in body:
+        if isinstance(part, str):
+            lines.append(part)
+        elif part and part[1]:
+            header, rows = part[0], [list(map(str, row)) for row in part[1]]
+            widths = [max(map(len, column)) for column in zip(header, *rows)]
+            lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
+            lines.extend("  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in rows)
     return "\n".join(lines)
 
 
@@ -121,9 +131,8 @@ class RelationReport:
         # The violations to render, and whether some were left out.
         if max_violations is not None and max_violations < 0:
             raise ValueError(f"max_violations must be >= 0, got {max_violations}")
-        if max_violations is None or len(self.violations) <= max_violations:
-            return self.violations, False
-        return self.violations[:max_violations], True
+        shown = self.violations[:max_violations]
+        return shown, len(shown) < len(self.violations)
 
     def to_json_dict(self, max_violations: int | None = None) -> dict:
         shown, truncated = self._shown(max_violations)
@@ -145,25 +154,20 @@ class RelationReport:
         }
 
     def to_text(self, max_violations: int | None = None) -> str:
-        lines = [
-            "additivity relation check",
-            f"prime={self.prime} max_depth={self.max_depth} "
-            f"balls_checked={self.checked_count} violations={len(self.violations)}",
-        ]
         shown, truncated = self._shown(max_violations)
-        if shown:
-            rows = [
-                [str(v.ball.depth), str(v.ball.rep), format_rational(v.lhs),
-                 format_rational(v.rhs_sum)]
-                for v in shown
-            ]
-            lines.append(_rows_to_text(("depth", "rep", "value", "children_sum"), rows))
-        if truncated:
-            lines.append(
-                f"(truncated: showing {max_violations} of {len(self.violations)} violations)"
-            )
-        lines.append("result: " + ("PASS" if self.passed else "FAIL"))
-        return "\n".join(lines)
+        rows = [
+            [v.ball.depth, v.ball.rep, format_rational(v.lhs), format_rational(v.rhs_sum)]
+            for v in shown
+        ]
+        total = len(self.violations)
+        return report_text(
+            "additivity relation check",
+            {"prime": self.prime, "max_depth": self.max_depth,
+             "balls_checked": self.checked_count, "violations": total},
+            (("depth", "rep", "value", "children_sum"), rows),
+            f"(truncated: showing {max_violations} of {total} violations)" if truncated else None,
+            "result: " + ("PASS" if self.passed else "FAIL"),
+        )
 
 
 def check_relation(
@@ -256,51 +260,41 @@ class GraftPreconditionReport:
     def passed(self) -> bool:
         return not self.on_path_agreement and not self.tail_sum_failures
 
+    def _tables(self) -> tuple[tuple, tuple]:
+        # The two failure lists as (header, rows); the headings are the
+        # JSON keys too.
+        on_path = [
+            [f.level, format_rational(f.left_value), format_rational(f.right_value)]
+            for f in self.on_path_agreement
+        ]
+        tails = [
+            [f.level, format_rational(f.left_sum), format_rational(f.right_sum)]
+            for f in self.tail_sum_failures
+        ]
+        return (("level", "left", "right"), on_path), (("level", "left_sum", "right_sum"), tails)
+
     def to_json_dict(self) -> dict:
+        on_path, tails = ([dict(zip(head, row)) for row in rows] for head, rows in self._tables())
         return {
             "prime": self.prime,
             "path": path_to_json(self.path),
             "depth_checked": self.depth_checked,
             "passed": self.passed,
-            "on_path_agreement": [
-                {
-                    "level": f.level,
-                    "left": format_rational(f.left_value),
-                    "right": format_rational(f.right_value),
-                }
-                for f in self.on_path_agreement
-            ],
-            "tail_sum_failures": [
-                {
-                    "level": f.level,
-                    "left_sum": format_rational(f.left_sum),
-                    "right_sum": format_rational(f.right_sum),
-                }
-                for f in self.tail_sum_failures
-            ],
+            "on_path_agreement": on_path,
+            "tail_sum_failures": tails,
         }
 
     def to_text(self) -> str:
-        lines = [
+        on_path, tails = self._tables()
+        return report_text(
             "graft precondition check",
-            f"prime={self.prime} depth_checked={self.depth_checked}",
+            {"prime": self.prime, "depth_checked": self.depth_checked},
             f"on-path agreement failures: {len(self.on_path_agreement)}",
-        ]
-        if self.on_path_agreement:
-            rows = [
-                [str(f.level), format_rational(f.left_value), format_rational(f.right_value)]
-                for f in self.on_path_agreement
-            ]
-            lines.append(_rows_to_text(("level", "left", "right"), rows))
-        lines.append(f"tail-sum failures: {len(self.tail_sum_failures)}")
-        if self.tail_sum_failures:
-            rows = [
-                [str(f.level), format_rational(f.left_sum), format_rational(f.right_sum)]
-                for f in self.tail_sum_failures
-            ]
-            lines.append(_rows_to_text(("level", "left_sum", "right_sum"), rows))
-        lines.append("result: " + ("PASS" if self.passed else "FAIL"))
-        return "\n".join(lines)
+            on_path,
+            f"tail-sum failures: {len(self.tail_sum_failures)}",
+            tails,
+            "result: " + ("PASS" if self.passed else "FAIL"),
+        )
 
 
 def check_graft_precondition(
@@ -508,24 +502,18 @@ class NormScanReport:
             ],
         }
 
+    def _table(self) -> tuple[tuple[str, ...], list[list]]:
+        # The one table of the text and csv forms.
+        rows = [[e.depth, format_rational(e.max_norm), e.argmax.rep] for e in self.entries]
+        return ("depth", "max_norm", "argmax_a"), rows
+
     def to_csv(self) -> str:
-        lines = ["depth,max_norm,argmax_a"]
-        for e in self.entries:
-            lines.append(f"{e.depth},{format_rational(e.max_norm)},{e.argmax.rep}")
-        return "\n".join(lines)
+        header, rows = self._table()
+        return "\n".join(",".join(map(str, line)) for line in [header, *rows])
 
     def to_text(self) -> str:
-        rows = [
-            [str(e.depth), format_rational(e.max_norm), str(e.argmax.rep)]
-            for e in self.entries
-        ]
-        return "\n".join(
-            [
-                "norm scan",
-                f"prime={self.prime} max_depth={self.max_depth}",
-                _rows_to_text(("depth", "max_norm", "argmax_a"), rows),
-            ]
-        )
+        fields = {"prime": self.prime, "max_depth": self.max_depth}
+        return report_text("norm scan", fields, self._table())
 
 
 def norm_scan(

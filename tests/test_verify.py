@@ -18,6 +18,7 @@ from padicdist import (
     Path,
     Polynomial,
     Regularize,
+    Restrict,
     boundedness_verdict,
     check_branch_hypothesis,
     check_graft_precondition,
@@ -314,6 +315,36 @@ def test_boundedness_verdict_flags_constant_scan_of_unbounded_flag():
     assert verdict.flag is BoundednessFlag.UNBOUNDED
     assert verdict.note is not None and "constant" in verdict.note
     assert [e.max_norm for e in verdict.scan.entries] == [0, 0, 0, 0, 0]
+
+
+# Each part of these is 0 on every ball: a Restrict whose cell misses the
+# cell it sits in carries nothing there.
+DISJOINT_CELLS = {
+    "nested-restricts": Restrict(Ball(5, 1, 1), Restrict(Ball(5, 1, 2), Mazur())),
+    "branch-child-off-its-cell": Branch(1, (Restrict(Ball(5, 1, 1), Mazur()),) + (Dirac(0),) * 4),
+    "deep-nested-restricts": Restrict(Ball(5, 2, 7), Restrict(Ball(5, 1, 1), Haar())),
+}
+
+
+@pytest.mark.parametrize("expr", DISJOINT_CELLS.values(), ids=DISJOINT_CELLS)
+def test_boundedness_flag_sees_disjoint_cells_as_zero(expr):
+    verdict = boundedness_verdict(expr, 5, 5)
+    assert verdict.flag is BoundednessFlag.BOUNDED
+    assert verdict.note is None
+    assert {e.max_norm for e in verdict.scan.entries} == {0}
+
+
+def test_boundedness_flag_keeps_cells_that_meet():
+    # The same shapes with cells that meet still carry Mazur's growth.
+    for expr in (
+        Restrict(Ball(5, 1, 1), Restrict(Ball(5, 2, 6), Mazur())),
+        Branch(1, (Restrict(Ball(5, 1, 0), Mazur()),) + (Dirac(0),) * 4),
+    ):
+        verdict = boundedness_verdict(expr, 5, 5)
+        assert verdict.flag is BoundednessFlag.UNBOUNDED
+        assert verdict.note is None
+        maxima = [e.max_norm for e in verdict.scan.entries]
+        assert maxima[-3] < maxima[-2] < maxima[-1]
 
 
 def test_boundedness_verdict_json_shape():
