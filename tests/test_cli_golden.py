@@ -10,7 +10,6 @@ of the output, re-record them and review the diff of that file:
 import contextlib
 import io
 import json
-import sys
 import tempfile
 from pathlib import Path
 
@@ -178,4 +177,3 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as folder:
         record = {name: run_case(argv, folder) for name, argv in CASES}
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    sys.exit(0)
