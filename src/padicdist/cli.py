@@ -231,9 +231,9 @@ def cmd_dump(args: argparse.Namespace) -> int:
     prime, expr = _load(args)
     require_depth(args.depth)
     require_budget(prime, args.depth, args.budget)
-    roots, shared = share(expr)
+    shared = share(expr)
     levels = (
-        evaluate_shared(roots, shared, prime, n, range(prime**n))[0]
+        evaluate_shared((expr,), shared, prime, n, range(prime**n))[0]
         for n in range(args.depth + 1)
     )
     if args.format == "dot":

@@ -9,7 +9,8 @@ checked at any finite depth by `padicdist.verify.check_relation`.  This
 module defines the expression language and its exact evaluator:
 `evaluate_level` gives the values on many balls of one depth at once, as
 integer numerators over one denominator, and `evaluate` is its one-ball
-request without the merge of shared sub-expressions.
+request.  Nodes are interned: building a node equal to a live one returns
+that node, so equal nodes are one object, compared and hashed by identity.
 
 base families
     Dirac(point)      indicator of the point: 1 on balls containing it
@@ -36,8 +37,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import comb, lcm
-from operator import add, is_
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from operator import add
+from typing import Iterable, Mapping, Sequence, Union, get_args
+from weakref import WeakValueDictionary
 
 from .core import (
     Ball,
@@ -87,7 +89,7 @@ def bernoulli_polynomial(k: int, x: Fraction | int) -> Fraction:
 # Expression nodes
 # =====================================================================
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dirac:
     """Point mass: value 1 on balls containing the point, else 0."""
 
@@ -97,7 +99,7 @@ class Dirac:
         object.__setattr__(self, "point", as_rational(self.point))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Haar:
     """Translation-invariant distribution: scale / p^n on each depth-n ball."""
 
@@ -107,12 +109,12 @@ class Haar:
         object.__setattr__(self, "scale", as_rational(self.scale))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mazur:
     """rep/p^n - 1/2 on the ball rep + (p^n); equals Bernoulli(1)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bernoulli:
     """p^(n(k-1)) * B_k(rep / p^n) on the ball rep + (p^n), k >= 1."""
 
@@ -123,7 +125,7 @@ class Bernoulli:
             raise ValueError(f"Bernoulli index must be an integer >= 1, got {self.k!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearComb:
     """sum of coef * expr over the given (coef, expr) terms."""
 
@@ -135,7 +137,7 @@ class LinearComb:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Restrict:
     """The inner distribution confined to a cell: value mu(B meet cell)."""
 
@@ -143,7 +145,7 @@ class Restrict:
     expr: "DistExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Regularize:
     """mu(B) - alpha^(-k) * mu(alpha * B), alpha a unit of Z_p, alpha != 1.
 
@@ -163,7 +165,7 @@ class Regularize:
             raise ValueError("alpha must differ from 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graft:
     """Splice `left` and `right` along a digit path.
 
@@ -178,7 +180,7 @@ class Graft:
     right: "DistExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Branch:
     """Dispatch on the integer formed by the first k digits.
 
@@ -210,6 +212,66 @@ class Branch:
 DistExpr = Union[
     Dirac, Haar, Mazur, Bernoulli, LinearComb, Restrict, Regularize, Graft, Branch
 ]
+
+
+# What each field holds, by name: `_parts` reads a node's fields by kind,
+# and `padicdist.serialize` keys its JSON codecs by kind.
+FIELD_KINDS = {
+    "k": "int", "cell": "ball", "path": "path",
+    "point": "rational", "scale": "rational", "alpha": "rational",
+    "expr": "expr", "left": "expr", "right": "expr", "terms": "terms", "children": "children",
+}
+_NODE_FIELDS = {
+    cls: tuple((f.name, FIELD_KINDS[f.name]) for f in fields(cls))
+    for cls in get_args(DistExpr)
+}
+# The live nodes by class, plain fields and sub-expression ids, held weakly.
+_INTERNED: WeakValueDictionary = WeakValueDictionary()
+
+
+def _intern(cls: type) -> None:
+    """Make the node class cls intern its nodes: building a node equal to a
+    live one returns that one, so nodes compare and hash by identity.  A
+    sub-expression keys by its id, which the node keeps from reuse while it
+    lives; a plain field (k, cell, path) must be hashable.  Copies and
+    unpickled nodes are built by the constructor, so they are interned."""
+    init = cls.__init__
+
+    def __new__(cls, *args, **kwargs):
+        node = object.__new__(cls)
+        init(node, *args, **kwargs)
+        plain, kids = _parts(node)
+        return _INTERNED.setdefault((cls, *plain, *map(id, kids)), node)
+
+    __new__.__wrapped__ = init  # the dataclass signature, for inspect and help()
+    cls.__new__ = staticmethod(__new__)
+    # `type.__call__` initializes what `__new__` returns, which is built already.
+    cls.__init__ = lambda self, *args, **kwargs: None
+    cls.__reduce__ = lambda self: (cls, tuple(getattr(self, f) for f, _ in _NODE_FIELDS[cls]))
+
+
+def _parts(e: DistExpr) -> tuple[list, list]:
+    # e's plain fields (a rational as its two ints: hashing a Fraction costs
+    # more) and its sub-expressions, in field order; none for a non-node.
+    plain, kids = [], []
+    for name, holds in _NODE_FIELDS.get(type(e), ()):
+        value = getattr(e, name)
+        if holds == "rational":
+            plain += value.numerator, value.denominator
+        elif holds == "expr":
+            kids.append(value)
+        elif holds == "terms":
+            plain += ((c.numerator, c.denominator) for c, _ in value)
+            kids += (x for _, x in value)
+        elif holds == "children":
+            kids += value
+        else:
+            plain.append(value)
+    return plain, kids
+
+
+for _node_class in _NODE_FIELDS:
+    _intern(_node_class)
 
 
 # =====================================================================
@@ -264,10 +326,10 @@ def evaluate_level(
 
     The value on the ball reps[i] + (p^n) is nums[i] / den, with every
     entry and den a Python int and den > 0; reps=None means the whole level
-    0..p^n-1 in order.  The expression is merged with `share` and requested
-    with `evaluate_shared`: each distinct node is evaluated once over all the
-    balls, in O(balls) integer operations and memory (O(p^k) for a Branch at
-    level k > n), and nested Regularize nodes cost one inner request each.
+    0..p^n-1 in order.  Through `share` and `evaluate_shared`, each node,
+    however many places hold it, is evaluated once over all the balls, in
+    O(balls) integer operations and memory (O(p^k) for a Branch at level
+    k > n), and nested Regularize nodes cost one inner request each.
     A Graft also finds each ball's side: n steps per ball on a rep list, and
     on a step-1 range a walk over the residue classes the range meets, at
     most n * min(p, balls) + 1 of them.
@@ -285,105 +347,31 @@ def evaluate_level(
         for r in reps:
             if not is_int(r) or not 0 <= r < m:
                 raise ValueError(f"rep must satisfy 0 <= rep < {p}^{n}, got {r!r}")
-    roots, shared = share(expr)
-    return evaluate_shared(roots, shared, p, n, reps)[0]
+    return evaluate_shared((expr,), share(expr), p, n, reps)[0]
 
 
 # =====================================================================
 # Shared sub-expressions
 # =====================================================================
 
-# What each field holds, by name: `share` walks the sub-expressions (expr,
-# terms, children) and `padicdist.serialize` keys its JSON codecs by kind.
-FIELD_KINDS = {
-    "k": "int", "cell": "ball", "path": "path",
-    "point": "rational", "scale": "rational", "alpha": "rational",
-    "expr": "expr", "left": "expr", "right": "expr", "terms": "terms", "children": "children",
-}
-_NODE_FIELDS = {
-    cls: tuple((f.name, FIELD_KINDS[f.name]) for f in fields(cls))
-    for cls in (Dirac, Haar, Mazur, Bernoulli, LinearComb, Restrict, Regularize, Graft, Branch)
-}
-
-
-def share(*exprs: DistExpr) -> tuple[tuple[DistExpr, ...], frozenset[int]]:
-    """The expressions with equal sub-expressions merged into one node.
-
-    One pass over all the expressions together visits each input object
-    once, so a DAG costs its distinct nodes.  Each node is keyed by its
-    type, its plain fields and the ids of its merged children.  Returns the
-    merged roots and the ids of the merged nodes that have sub-expressions
-    and are met more than once: in several parents, twice in one parent, or
-    as several roots.  Those are the nodes `evaluate_shared` evaluates once
-    per request; a leaf costs no more to evaluate again than to look up.
-    Anything that is not a node is kept as it is, for evaluation to reject.
+def share(*exprs: DistExpr) -> frozenset[int]:
+    """The ids of the nodes the expressions hold in more than one place:
+    as roots, in several parents or twice in one.  Equal nodes are one
+    object, so this counts every repeated sub-expression, expanding each
+    node once: a DAG costs its distinct nodes.  A leaf is not counted, as
+    evaluating it again costs no more than a lookup.  These are the nodes
+    `evaluate_shared` evaluates once per request.
     """
-    seen: dict[int, DistExpr] = {}
-    merged: dict[tuple, DistExpr] = {}
     uses: dict[int, int] = {}
-
-    def node(e: DistExpr) -> DistExpr:
-        got = seen.get(id(e))
-        if got is not None:
-            return got
-        spec = _NODE_FIELDS.get(type(e))
-        if spec is None:
-            return e
-        key: list = [type(e)]
-        kids = []
-        for name, holds in spec:
-            # A rational keys by its two ints: hashing a Fraction costs more.
-            value = getattr(e, name)
-            if holds == "rational":
-                key += value.numerator, value.denominator
-            elif holds == "expr":
-                kids.append(value)
-            elif holds == "terms":
-                for c, x in value:
-                    key.append((c.numerator, c.denominator))
-                    kids.append(x)
-            elif holds == "children":
-                kids += value
-            else:
-                key.append(value)
-        new_kids = list(map(node, kids))
-        key += map(id, new_kids)
-        got = merged.get(key := tuple(key))
-        if got is None:
-            same = all(map(is_, new_kids, kids))
-            got = merged[key] = e if same else _rebuilt(e, spec, iter(new_kids))
-            if kids:
-                uses[id(got)] = 0
-            for kid in new_kids:
-                if id(kid) in uses:
-                    uses[id(kid)] += 1
-        seen[id(e)] = got
-        return got
-
-    roots = tuple(map(node, exprs))
-    # `node` holds itself through its closure.  Deleting it breaks that
-    # cycle, so the tables are freed on return instead of piling up for the
-    # cyclic collector, which would then run every few dozen calls.
-    del node
-    for root in roots:
-        if id(root) in uses:
-            uses[id(root)] += 1
-    return roots, frozenset(i for i, count in uses.items() if count > 1)
-
-
-def _rebuilt(e: DistExpr, spec: tuple, kids: Iterator[DistExpr]) -> DistExpr:
-    # e with its sub-expressions replaced by `kids`, in field order.
-    values = []
-    for name, holds in spec:
-        value = getattr(e, name)
-        if holds == "expr":
-            value = next(kids)
-        elif holds == "terms":
-            value = tuple((c, next(kids)) for c, _ in value)
-        elif holds == "children":
-            value = tuple(next(kids) for _ in value)
-        values.append(value)
-    return type(e)(*values)
+    stack = list(exprs)
+    while stack:
+        e = stack.pop()
+        kids = _parts(e)[1]
+        if kids:
+            uses[id(e)] = count = uses.get(id(e), 0) + 1
+            if count == 1:
+                stack += kids
+    return frozenset(i for i, count in uses.items() if count > 1)
 
 
 def evaluate_shared(
@@ -391,8 +379,8 @@ def evaluate_shared(
 ) -> list[tuple[list[int], int]]:
     """`evaluate_level` of each expression, first to last, on one request.
 
-    `exprs` and `shared` come from `share`; p is prime and reps a list or a
-    range of valid reps, as the callers check.  Each shared node is
+    `shared` is `share(*exprs)`; p is prime and reps a list or a range of
+    valid reps, as the callers check.  Each shared node is
     evaluated once per depth and rep set, through a memo that lives for one
     request: a request costs its distinct sub-expressions times its balls.
     A node meets its sub-expressions for all the balls at once, so a
@@ -726,19 +714,27 @@ def boundedness_flag(expr: DistExpr) -> BoundednessFlag:
     `padicdist.verify.boundedness_verdict` compares this flag with an
     empirical norm scan.
     """
-    return _flag_on(expr, (1, 0))
+    return _flag_on(expr, (1, 0), {})
 
 
-def _flag_on(expr: DistExpr, cell: tuple[int, int]) -> BoundednessFlag:
+def _flag_on(expr: DistExpr, cell: tuple[int, int], memo: dict) -> BoundednessFlag:
     # The flag of expr on the points x = r mod m of cell = (m, r), m a power
     # of p: (1, 0) is all of Z_p.  A branch has no prime of its own, so cells
-    # are kept as congruences rather than balls.
+    # are kept as congruences rather than balls; memo keys by (id, cell).
+    key = id(expr), cell
+    if key not in memo:
+        memo[key] = _flag(expr, cell, memo)
+    return memo[key]
+
+
+def _flag(expr: DistExpr, cell: tuple[int, int], memo: dict) -> BoundednessFlag:
+    # `_flag_on` past its memo, which holds the flags found so far in one call.
     if isinstance(expr, Dirac):
         return BoundednessFlag.BOUNDED
     if isinstance(expr, (Haar, Mazur, Bernoulli)):
         return BoundednessFlag.UNBOUNDED
     if isinstance(expr, LinearComb):
-        flags = [(c, _flag_on(e, cell)) for c, e in expr.terms]
+        flags = [(c, _flag_on(e, cell, memo)) for c, e in expr.terms]
         if all(f is BoundednessFlag.BOUNDED for _, f in flags):
             return BoundednessFlag.BOUNDED
         live = [i for i, (c, f) in enumerate(flags) if f is BoundednessFlag.UNBOUNDED and c != 0]
@@ -748,28 +744,29 @@ def _flag_on(expr: DistExpr, cell: tuple[int, int]) -> BoundednessFlag:
             return BoundednessFlag.UNBOUNDED
         return BoundednessFlag.UNKNOWN
     if isinstance(expr, Restrict):
-        return _flag_on_meet(expr.expr, cell, (expr.cell.prime**expr.cell.depth, expr.cell.rep))
+        cell_of = (expr.cell.prime**expr.cell.depth, expr.cell.rep)
+        return _flag_on_meet(expr.expr, cell, cell_of, memo)
     if isinstance(expr, Regularize):
         return BoundednessFlag.UNKNOWN
     if isinstance(expr, Graft):
-        return _join_flags(_flag_on(side, cell) for side in (expr.left, expr.right))
+        return _join_flags(_flag_on(side, cell, memo) for side in (expr.left, expr.right))
     if isinstance(expr, Branch):
         size = len(expr.children)
         return _join_flags(
-            _flag_on_meet(child, cell, (size, t)) for t, child in enumerate(expr.children)
+            _flag_on_meet(child, cell, (size, t), memo) for t, child in enumerate(expr.children)
         )
     raise TypeError(f"not a distribution expression: {type(expr).__name__}")
 
 
 def _flag_on_meet(
-    expr: DistExpr, cell: tuple[int, int], other: tuple[int, int]
+    expr: DistExpr, cell: tuple[int, int], other: tuple[int, int], memo: dict
 ) -> BoundednessFlag:
     # The flag of expr on the meet of two cells; one modulus divides the
     # other, and on an empty meet expr counts as 0.
     (m, r), (n, s) = sorted((cell, other))
     if s % m != r:
         return BoundednessFlag.BOUNDED
-    return _flag_on(expr, (n, s))
+    return _flag_on(expr, (n, s), memo)
 
 
 def _join_flags(parts: Iterable[BoundednessFlag]) -> BoundednessFlag:

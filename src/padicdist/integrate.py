@@ -123,12 +123,12 @@ def _riemann_sums(
     require_prime(prime)
     if isinstance(fn, StepFn) and len(fn.values) != prime**fn.depth:
         raise ValueError(f"step table has {len(fn.values)} entries, needs {prime}^{fn.depth}")
-    roots, shared = share(expr)
+    shared = share(expr)
     passes = len(fn.coeffs) if isinstance(fn, Polynomial) else 1
     sums = []
     for depth in depths:
         require_budget(prime, depth, ball_budget, passes)
-        nums, den = evaluate_shared(roots, shared, prime, depth, range(prime**depth))[0]
+        nums, den = evaluate_shared((expr,), shared, prime, depth, range(prime**depth))[0]
         total = Fraction(0)
         if isinstance(fn, StepFn):
             period = len(fn.values)

@@ -3,11 +3,11 @@
 Every checker enumerates balls in a fixed order (depth ascending, then
 representative ascending) and compares exact rationals, so a report is a
 pure function of its inputs: byte-identical across runs.  Each checker
-first merges its inputs with `share`, so equal sub-expressions are one
-node, and then requests values with `evaluate_shared`, which evaluates a
-node met more than once a single time per request, as integer numerators
-over one denominator: a request costs the distinct sub-expressions times
-its balls, however often a spec's defs are used.  Values are compared by
+finds the sub-expressions its inputs hold in several places with `share`
+(equal ones are one object), then requests values with `evaluate_shared`,
+which evaluates each once per request, as integer numerators over one
+denominator: a request costs the distinct sub-expressions times its
+balls, however often a spec's defs are used.  Values are compared by
 cross-multiplying, and a Fraction is built only for what a report shows.
 The checkers that cover whole levels (`check_relation`, `norm_scan`)
 request each depth once; `check_relation` compares a whole level with one
@@ -193,11 +193,11 @@ def check_relation(
 
     violations: list[RelationViolation] = []
     checked = 0
-    roots, shared = share(expr)
-    nums, den = evaluate_shared(roots, shared, prime, 0, range(1))[0]
+    shared = share(expr)
+    nums, den = evaluate_shared((expr,), shared, prime, 0, range(1))[0]
     for n in range(max_depth):
         m = prime**n
-        child_nums, child_den = evaluate_shared(roots, shared, prime, n + 1, range(m * prime))[0]
+        child_nums, child_den = evaluate_shared((expr,), shared, prime, n + 1, range(m * prime))[0]
         sums = child_nums[:m]
         for b in range(1, prime):
             sums = list(map(add, sums, child_nums[b * m : (b + 1) * m]))
@@ -305,18 +305,18 @@ def check_graft_precondition(
     Balls are requested in the order a ball-by-ball check reads them: P_0,
     then at each level n the off-path children of P_n in digit order, and
     last, when n < max_depth, the on-path child P_(n+1), whose values the
-    next level compares.  The two sides are merged with `share` first, and
-    each request evaluates both, every shared sub-expression once, as
-    integer numerators over one denominator; a faulty request raises the
-    error of its first failing ball, left side before right.
+    next level compares.  Each request evaluates both sides, every
+    sub-expression they share once, as integer numerators over one
+    denominator; a faulty request raises the error of its first failing
+    ball, left side before right.
     """
     require_depth(max_depth, "max_depth")
     p = path.prime
-    sides, shared = share(left, right)
+    shared = share(left, right)
     on_path: list[OnPathFailure] = []
     tails: list[TailSumFailure] = []
     rep = 0
-    (lnums, ld), (rnums, rd) = evaluate_shared(sides, shared, p, 0, [rep])
+    (lnums, ld), (rnums, rd) = evaluate_shared((left, right), shared, p, 0, [rep])
     for n in range(max_depth + 1):
         # The last ball of the previous request is P_n.
         lv, rv = lnums[-1], rnums[-1]
@@ -328,7 +328,7 @@ def check_graft_precondition(
         rep += i_n * q
         if n < max_depth:
             balls.append(rep)
-        (lnums, ld), (rnums, rd) = evaluate_shared(sides, shared, p, n + 1, balls)
+        (lnums, ld), (rnums, rd) = evaluate_shared((left, right), shared, p, n + 1, balls)
         diffs = [x * rd - y * ld for x, y in zip(lnums[: p - 1], rnums)]
         below, above = sum(diffs[:i_n]), sum(diffs[i_n:])
         if below or above:
@@ -368,12 +368,10 @@ def check_branch_hypothesis(
 
     The first witness always has t = 0: if children t and s differ on a
     ball, child 0 differs there from at least one of them.  So only child 0
-    is compared, against s = 1, 2, ... in turn, skipping children
-    structurally equal to it (they evaluate identically), and the work is
-    linear in the number of children.  The table is merged with `share`
-    first, so a sub-expression that child 0 and child s have in common is
-    evaluated once per request, and a structurally equal child is child 0
-    itself.
+    is compared, against s = 1, 2, ... in turn, skipping children equal to
+    it, which are child 0 itself, and the work is linear in the number of
+    children.  A sub-expression that child 0 and child s have in common is
+    evaluated once per request.
     """
     require_prime(prime)
     if isinstance(children, Branch):
@@ -385,7 +383,7 @@ def check_branch_hypothesis(
     if len(table) != prime**k:
         raise ValueError(f"need {prime**k} children for p={prime}, k={k}, got {len(table)}")
     require_budget(prime, search_depth, ball_budget)
-    table, shared = share(*table)
+    shared = share(*table)
     for s in range(1, len(table)):
         if table[s] is table[0]:
             continue
@@ -411,7 +409,7 @@ def distinctness_witness(
     require_prime(prime)
     require_depth(max_depth, "max_depth")
     require_budget(prime, max_depth, ball_budget)
-    return _first_difference(*share(first, second), prime, 0, max_depth)
+    return _first_difference((first, second), share(first, second), prime, 0, max_depth)
 
 
 def _first_difference(
@@ -533,9 +531,9 @@ def norm_scan(
     require_depth(max_depth, "max_depth")
     require_budget(prime, max_depth, ball_budget)
     entries: list[NormScanEntry] = []
-    roots, shared = share(expr)
+    shared = share(expr)
     for n in range(max_depth + 1):
-        nums, den = evaluate_shared(roots, shared, prime, n, range(prime**n))[0]
+        nums, den = evaluate_shared((expr,), shared, prime, n, range(prime**n))[0]
         best_rep = 0
         common = gcd(*nums)
         if common:

@@ -1,8 +1,14 @@
 """Distribution families, combinators, and the exact evaluator."""
 
+import copy
+import pickle
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_evaluate_level import PRIMES, SETTINGS, expressions
 
 from padicdist import (
     Ball,
@@ -315,6 +321,68 @@ def test_evaluate_rejects_foreign_objects():
         evaluate("mazur", Ball(3, 1, 0))
 
 
+# --------------------------------------------------------------- interning
+
+# One node of each type, built from parts made afresh on every call.
+BUILDERS = {
+    "Dirac": lambda: Dirac(F(-7, 8)),
+    "Haar": lambda: Haar(F(2, 3)),
+    "Mazur": Mazur,
+    "Bernoulli": lambda: Bernoulli(3),
+    "LinearComb": lambda: LinearComb(((F(1, 2), Mazur()), (-1, Dirac(0)))),
+    "Restrict": lambda: Restrict(Ball(5, 2, 7), Haar()),
+    "Regularize": lambda: Regularize(1, "3", Mazur()),
+    "Graft": lambda: Graft(Path(5, (1,), (2,)), Mazur(), Haar()),
+    "Branch": lambda: Branch(1, {t: Dirac(t) for t in range(3)}),
+}
+
+
+def chain(links):
+    """a_i = a_(i-1) + a_(i-1) over Mazur: a DAG of links + 1 nodes that
+    stands for a tree of 2^links leaves."""
+    a = Mazur()
+    for _ in range(links):
+        a = LinearComb(((F(1), a), (F(1), a)))
+    return a
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
+def test_equal_nodes_are_one_object(build):
+    node = build()
+    assert build() is node
+    assert node == build() and hash(node) == hash(build())
+
+
+def test_nodes_are_one_object_only_when_equal():
+    # A default field and the same value given are equal.
+    assert Haar() is Haar(1)
+    assert Dirac(1) is not Dirac(2)
+    assert Bernoulli(1) is not Mazur()
+    # Two splits of one digit stream are different paths, so different grafts.
+    assert Graft(Path(3, (), (1,)), Mazur(), Haar()) is not Graft(
+        Path(3, (1,), (1,)), Mazur(), Haar()
+    )
+    assert LinearComb(((F(1), Mazur()), (F(2), Haar()))) is not LinearComb(
+        ((F(2), Mazur()), (F(1), Haar()))
+    )
+
+
+def test_unhashable_plain_field_is_refused_at_construction():
+    with pytest.raises(TypeError):
+        Restrict([5, 2, 7], Mazur())
+
+
+@SETTINGS
+@given(st.tuples(st.sampled_from(PRIMES), st.booleans()).flatmap(
+    lambda pf: expressions(pf[0], faults=pf[1])
+))
+def test_copies_and_unpickled_nodes_are_the_original(expr):
+    # The strategy builds all 9 node types, faulty ones included.
+    assert pickle.loads(pickle.dumps(expr)) is expr
+    assert copy.copy(expr) is expr
+    assert copy.deepcopy(expr) is expr
+
+
 # ------------------------------------------------------------- boundedness
 
 def test_boundedness_base_families():
@@ -348,6 +416,13 @@ def test_boundedness_restrict_and_graft_and_branch():
     assert boundedness_flag(Branch(1, (Dirac(0),) * 5)) is BoundednessFlag.BOUNDED
     assert boundedness_flag(Branch(1, (Haar(), Dirac(0), Mazur()))) is BoundednessFlag.UNBOUNDED
     assert boundedness_flag(Branch(1, (unknown, Dirac(0), Dirac(1)))) is BoundednessFlag.UNKNOWN
+
+
+def test_boundedness_walks_a_dag_once():
+    # Walked as a tree, 40 links would take 2^40 steps.
+    start = time.perf_counter()
+    assert boundedness_flag(chain(40)) is BoundednessFlag.UNKNOWN
+    assert time.perf_counter() - start < 1
 
 
 # -------------------------------------------------------------- remark_pair

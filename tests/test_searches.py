@@ -1,16 +1,17 @@
 """The level-wise witness searches against the ball-by-ball ones they replace.
 
 `distinctness_witness`, `check_branch_hypothesis` and
-`check_graft_precondition` merge their inputs with `share` and evaluate
-with `evaluate_shared`.  The scalar loops they replaced are kept here as
+`check_graft_precondition` find the nodes their inputs hold in several
+places with `share` and evaluate with `evaluate_shared`, once per request
+for each of those nodes.  The scalar loops they replaced are kept here as
 oracles: on random expressions, faulty nodes included, each search must
 return what its oracle returns or raise the exception its oracle raises,
 with the same type and message.  Inputs that hold one object in several
-places must give what their tree copies give.
+places must give what the same search gives without that memo.
 """
 
 import gc
-from dataclasses import fields, is_dataclass
+import weakref
 from fractions import Fraction as F
 from unittest import mock
 
@@ -32,6 +33,7 @@ from test_evaluate_level import (
 
 from padicdist import (
     Ball,
+    Bernoulli,
     Branch,
     Dirac,
     Graft,
@@ -382,21 +384,30 @@ def test_graft_reads_the_right_side_before_the_next_ball():
 # ------------------------------------------------- shared sub-expressions
 
 def test_share_leaves_no_garbage_cycle():
-    # The merge tables go when `share` returns.  Left in a cycle, every
-    # call's tables would wait for the cyclic collector and make it run
-    # every few dozen calls.
+    # Every table `share` builds goes when it returns.  Left in a cycle,
+    # every call's tables would wait for the cyclic collector and make it
+    # run every few dozen calls.
     inner = Restrict(Ball(5, 1, 2), Mazur())
     gc.collect()
     share(LinearComb(((F(1), inner), (F(2), inner))), Mazur())
     assert gc.collect() == 0
 
-def unshared(e):
-    """A tree copy of e: every node a new object, none met twice."""
-    if isinstance(e, tuple):
-        return tuple(map(unshared, e))
-    if not is_dataclass(e) or isinstance(e, (Ball, Path)):
-        return e
-    return type(e)(*(unshared(getattr(e, f.name)) for f in fields(e)))
+
+def test_intern_table_holds_no_node_alive():
+    # A node built and dropped is freed at once: the intern table holds it
+    # weakly, and its sub-expressions live on only where something holds them.
+    inner = Regularize(3, F(-11, 13), Bernoulli(9))
+    gone = weakref.ref(Graft(Path(5, (1,), (2, 3)), inner, Restrict(Ball(5, 2, 7), inner)))
+    assert gone() is None
+    dropped = weakref.ref(inner)
+    del inner
+    assert dropped() is None
+
+
+def unmemoized(search, *args):
+    """`outcome` of the search with no node evaluated once per request."""
+    with mock.patch.object(verify, "share", lambda *exprs: frozenset()):
+        return outcome(search, *args)
 
 
 def holding(p, e, faults=False):
@@ -441,11 +452,11 @@ def shared_inputs(draw, search):
 @given(data=st.data())
 def test_shared_inputs_search_like_an_unshared_copy(search, data):
     # A shared node is evaluated once per request: the witness, or the
-    # error, must be what the tree copy and the scalar search give.
+    # error, must be what the search without that memo and the scalar
+    # search give.
     found, oracle, args = data.draw(shared_inputs(search))
-    copied = unshared(args)
     got = outcome(found, *args)
-    assert got == outcome(found, *copied)
+    assert got == unmemoized(found, *args)
     assert got == outcome(oracle, *args)
 
 
@@ -472,12 +483,12 @@ def test_faulty_shared_node_met_by_both_sides(first, second, expected):
     args = first, second, 5, 2
     got = outcome(distinctness_witness, *args)
     assert got == expected
-    assert got == outcome(distinctness_witness, *unshared(args))
+    assert got == unmemoized(distinctness_witness, *args)
     assert got == outcome(scalar_distinctness_witness, *args)
     table = (first,) + (second,) * 4
     got = outcome(check_branch_hypothesis, table, 5, 1, 2)
-    assert got == outcome(check_branch_hypothesis, unshared(table), 5, 1, 2)
+    assert got == unmemoized(check_branch_hypothesis, table, 5, 1, 2)
     assert got == outcome(scalar_branch_hypothesis, table, 5, 1, 2)
     got = outcome(check_graft_precondition, first, second, PATH_1, 2)
-    assert got == outcome(check_graft_precondition, *unshared((first, second)), PATH_1, 2)
+    assert got == unmemoized(check_graft_precondition, first, second, PATH_1, 2)
     assert got == outcome(scalar_graft_precondition, first, second, PATH_1, 2)

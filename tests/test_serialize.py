@@ -92,6 +92,19 @@ def test_cyclic_refs_are_an_error():
         expr_from_json({"type": "ref", "name": "s"}, 5, {"s": {"type": "ref", "name": "s"}})
 
 
+def test_loads_of_one_spec_are_one_object():
+    # 40 defs, each the sum of two refs to the one before, stand for a tree
+    # of 2^40 leaves: two loads are one object, hashed and compared at once.
+    defs = {"a0": {"type": "mazur"}}
+    for i in range(1, 41):
+        term = ["1", {"type": "ref", "name": f"a{i - 1}"}]
+        defs[f"a{i}"] = {"type": "lincomb", "terms": [term, term]}
+    doc = {"prime": 5, "defs": defs, "expr": {"type": "ref", "name": "a40"}}
+    (_, first), (_, second) = load_document(doc), load_document(json.loads(json.dumps(doc)))
+    assert first is second
+    assert first == second and hash(first) == hash(second)
+
+
 def test_ref_chains_count_toward_the_nesting_cap():
     # A chain of plain aliases decodes to one node, but each ref resolved is
     # a level: without the cap a long chain exhausts the interpreter's stack.
