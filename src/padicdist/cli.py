@@ -38,7 +38,7 @@ from .core import (
     Path,
     Ball,
 )
-from .distributions import Branch, DistExpr, Graft, evaluate_level, evaluate_shared, share
+from .distributions import Branch, Graft, evaluate, evaluate_shared
 from .integrate import Polynomial, integrate, parse_polynomial_terms, step_fn_from_json
 from .serialize import load_document_file, load_json_file
 from .verify import (
@@ -100,12 +100,6 @@ def _load(args: argparse.Namespace):
     return load_document_file(args.spec, args.prime)
 
 
-def _value(expr: DistExpr, ball: Ball) -> Fraction:
-    # A one-ball level request: a spec's shared defs are evaluated once.
-    (num,), den = evaluate_level(expr, ball.prime, ball.depth, [ball.rep])
-    return Fraction(num, den)
-
-
 # =====================================================================
 # Commands
 # =====================================================================
@@ -113,7 +107,7 @@ def _value(expr: DistExpr, ball: Ball) -> Fraction:
 def cmd_eval(args: argparse.Namespace) -> int:
     prime, expr = _load(args)
     ball = _parse_ball(args.ball, prime)
-    value = _value(expr, ball)
+    value = evaluate(expr, ball)
     payload = {
         "prime": prime,
         "ball": ball_to_json(ball),
@@ -167,7 +161,7 @@ def cmd_distinct(args: argparse.Namespace) -> int:
     if witness is None:
         text = payload["note"] = f"no differing ball up to depth {args.depth}"
     else:
-        values = [format_rational(_value(e, witness)) for e in (expr, other)]
+        values = [format_rational(evaluate(e, witness)) for e in (expr, other)]
         payload.update(ball=ball_to_json(witness), values=values)
         text = f"distinct on ball {witness.rep}/{witness.depth}: {values[0]} vs {values[1]}"
     _emit(args, payload, text)
@@ -231,9 +225,8 @@ def cmd_dump(args: argparse.Namespace) -> int:
     prime, expr = _load(args)
     require_depth(args.depth)
     require_budget(prime, args.depth, args.budget)
-    shared = share(expr)
     levels = (
-        evaluate_shared((expr,), shared, prime, n, range(prime**n))[0]
+        evaluate_shared((expr,), prime, n, range(prime**n))[0]
         for n in range(args.depth + 1)
     )
     if args.format == "dot":

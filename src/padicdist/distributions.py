@@ -11,6 +11,9 @@ module defines the expression language and its exact evaluator:
 integer numerators over one denominator, and `evaluate` is its one-ball
 request.  Nodes are interned: building a node equal to a live one returns
 that node, so equal nodes are one object, compared and hashed by identity.
+Each node also counts the parents built over it, and a request evaluates a
+node with two or more of them once: an expression built with shared parts
+costs its distinct nodes, not the tree it stands for.
 
 base families
     Dirac(point)      indicator of the point: 1 on balls containing it
@@ -37,7 +40,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import comb, lcm
-from operator import add
 from typing import Iterable, Mapping, Sequence, Union, get_args
 from weakref import WeakValueDictionary
 
@@ -234,14 +236,30 @@ def _intern(cls: type) -> None:
     live one returns that one, so nodes compare and hash by identity.  A
     sub-expression keys by its id, which the node keeps from reuse while it
     lives; a plain field (k, cell, path) must be hashable.  Copies and
-    unpickled nodes are built by the constructor, so they are interned."""
+    unpickled nodes are built by the constructor, so they are interned.
+
+    A node the constructor keeps starts a count of the parents built over
+    it at 0 and adds 1 to each sub-expression that is a node, once per
+    place that holds it; `_level` evaluates a node counted 2 or more once
+    per request.  The count is no field, so `==`, `repr`, pickling and the
+    codecs never see it.  A parent freed since still counts, so the count
+    can only be too high, which costs an unneeded memo entry per request
+    and never a wrong value.
+    """
     init = cls.__init__
 
     def __new__(cls, *args, **kwargs):
         node = object.__new__(cls)
         init(node, *args, **kwargs)
         plain, kids = _parts(node)
-        return _INTERNED.setdefault((cls, *plain, *map(id, kids)), node)
+        kept = _INTERNED.setdefault((cls, *plain, *map(id, kids)), node)
+        if kept is node:
+            # Written to the instance dict, past the frozen dataclass's guard.
+            node.__dict__["_uses"] = 0
+            for kid in kids:
+                if type(kid) in _NODE_FIELDS:
+                    kid.__dict__["_uses"] += 1
+        return kept
 
     __new__.__wrapped__ = init  # the dataclass signature, for inspect and help()
     cls.__new__ = staticmethod(__new__)
@@ -300,10 +318,10 @@ def evaluate(expr: DistExpr, ball: Ball) -> Fraction:
     met first in scalar order, walking the definitions on this one ball:
     LinearComb terms left to right, Regularize on B before alpha * B, and a
     Branch below its level through the children of B in digit order, depth
-    first down to level k.  A node held in several places is evaluated once
-    per place: `evaluate_level(expr, p, n, [rep])` evaluates it once.
+    first down to level k.  A node held in several places is evaluated
+    once, so an expression built with shared parts costs its distinct nodes.
     """
-    (num,), den = _level(expr, ball.prime, ball.depth, [ball.rep])
+    (num,), den = _level(expr, ball.prime, ball.depth, [ball.rep], {})
     return Fraction(num, den)
 
 
@@ -326,10 +344,10 @@ def evaluate_level(
 
     The value on the ball reps[i] + (p^n) is nums[i] / den, with every
     entry and den a Python int and den > 0; reps=None means the whole level
-    0..p^n-1 in order.  Through `share` and `evaluate_shared`, each node,
-    however many places hold it, is evaluated once over all the balls, in
-    O(balls) integer operations and memory (O(p^k) for a Branch at level
-    k > n), and nested Regularize nodes cost one inner request each.
+    0..p^n-1 in order.  Each node is evaluated over all the balls at once,
+    and one held in several places once, in O(balls) integer operations
+    and memory (O(p^k) for a Branch at level k > n), and nested Regularize
+    nodes cost one inner request each.
     A Graft also finds each ball's side: n steps per ball on a rep list, and
     on a step-1 range a walk over the residue classes the range meets, at
     most n * min(p, balls) + 1 of them.
@@ -347,49 +365,27 @@ def evaluate_level(
         for r in reps:
             if not is_int(r) or not 0 <= r < m:
                 raise ValueError(f"rep must satisfy 0 <= rep < {p}^{n}, got {r!r}")
-    return evaluate_shared((expr,), share(expr), p, n, reps)[0]
-
-
-# =====================================================================
-# Shared sub-expressions
-# =====================================================================
-
-def share(*exprs: DistExpr) -> frozenset[int]:
-    """The ids of the nodes the expressions hold in more than one place:
-    as roots, in several parents or twice in one.  Equal nodes are one
-    object, so this counts every repeated sub-expression, expanding each
-    node once: a DAG costs its distinct nodes.  A leaf is not counted, as
-    evaluating it again costs no more than a lookup.  These are the nodes
-    `evaluate_shared` evaluates once per request.
-    """
-    uses: dict[int, int] = {}
-    stack = list(exprs)
-    while stack:
-        e = stack.pop()
-        kids = _parts(e)[1]
-        if kids:
-            uses[id(e)] = count = uses.get(id(e), 0) + 1
-            if count == 1:
-                stack += kids
-    return frozenset(i for i, count in uses.items() if count > 1)
+    return evaluate_shared((expr,), p, n, reps)[0]
 
 
 def evaluate_shared(
-    exprs: Sequence[DistExpr], shared: frozenset[int], p: int, n: int, reps: Sequence[int]
+    exprs: Sequence[DistExpr], p: int, n: int, reps: Sequence[int]
 ) -> list[tuple[list[int], int]]:
     """`evaluate_level` of each expression, first to last, on one request.
 
-    `shared` is `share(*exprs)`; p is prime and reps a list or a range of
-    valid reps, as the callers check.  Each shared node is
-    evaluated once per depth and rep set, through a memo that lives for one
-    request: a request costs its distinct sub-expressions times its balls.
+    p is prime and reps a list or a range of valid reps, as the callers
+    check.  A node that two or more parents hold is evaluated once per
+    depth and rep set, through a memo that lives for one request: a request
+    costs its distinct sub-expressions times its balls.  The expressions
+    themselves are not counted, so one that another expression of the
+    request holds once is evaluated there and again at the top: twice.
     A node meets its sub-expressions for all the balls at once, so a
     raising request is replayed one ball at a time, the expressions in
     order on each, to raise the first failing ball's error.
     """
 
     def request(balls: Sequence[int]) -> list[tuple[list[int], int]]:
-        memo = dict.fromkeys(shared) if shared else None
+        memo: dict = {}
         return [_level(e, p, n, balls, memo) for e in exprs]
 
     try:
@@ -400,37 +396,19 @@ def evaluate_shared(
         raise
 
 
-def _level_once(
-    expr: DistExpr, p: int, n: int, reps: Sequence[int], memo: dict
-) -> tuple[list[int], int]:
-    # A shared node: its values are kept per (depth, reps) for the rest of
-    # the request.  It leaves the memo while its kernel runs, so the call
-    # below evaluates it rather than asking the memo again.
-    cache = memo.pop(id(expr)) or {}
-    at = (n, reps if type(reps) is range else tuple(reps))
-    try:
-        if at not in cache:
-            cache[at] = _level(expr, p, n, reps, memo)
-        return cache[at]
-    finally:
-        memo[id(expr)] = cache
-
-
 # =====================================================================
 # Level kernels
 # =====================================================================
 
 def _level(
-    expr: DistExpr, p: int, n: int, reps: Sequence[int], memo: dict | None = None
+    expr: DistExpr, p: int, n: int, reps: Sequence[int], memo: dict
 ) -> tuple[list[int], int]:
     # reps is a list or a range of valid reps; a whole level is range(p^n).
     # An empty request evaluates nothing, so, like `evaluate` on no balls,
-    # it raises nothing.  memo maps the ids of shared nodes to their values
-    # so far in one request.
+    # it raises nothing.  memo holds the values of the nodes with two or
+    # more parents so far in one request, by (id, depth, reps).
     if not reps:
         return [], 1
-    if memo is not None and id(expr) in memo:
-        return _level_once(expr, p, n, reps, memo)
     m = p**n
 
     if isinstance(expr, Dirac):
@@ -457,36 +435,35 @@ def _level(
             nums = [x * a + c for x, a in zip(nums, reps)]
         return nums, scale * m
 
-    if isinstance(expr, LinearComb):
-        # Terms fold in over the running lcm, starting from the first term's
-        # values; every term is evaluated, zero coefficients included.
-        nums, den = [0] * len(reps), 1
-        for i, (c, e) in enumerate(expr.terms):
-            tn, td = _level(e, p, n, reps, memo)
-            new_den = lcm(den, c.denominator * td)
-            up, f = new_den // den, c.numerator * (new_den // (c.denominator * td))
-            if i == 0:
-                nums = tn if f == 1 else [f * y for y in tn]
-            elif up != 1:
-                nums = [x * up + f * y for x, y in zip(nums, tn)]
-            elif f:
-                nums = [x + f * y for x, y in zip(nums, tn)]
-            den = new_den
-        return nums, den
+    kernel = _KERNELS.get(type(expr))
+    if kernel is None:
+        raise TypeError(f"not a distribution expression: {type(expr).__name__}")
+    if expr._uses < 2:
+        return kernel(expr, p, n, reps, memo)
+    key = id(expr), n, reps if type(reps) is range else tuple(reps)
+    if key not in memo:
+        memo[key] = kernel(expr, p, n, reps, memo)
+    return memo[key]
 
-    if isinstance(expr, Restrict):
-        return _level_restrict(expr, p, n, reps, memo)
 
-    if isinstance(expr, Regularize):
-        return _level_regularize(expr, p, n, reps, memo)
-
-    if isinstance(expr, Graft):
-        return _level_graft(expr, p, n, reps, memo)
-
-    if isinstance(expr, Branch):
-        return _level_branch(expr, p, n, reps, memo)
-
-    raise TypeError(f"not a distribution expression: {type(expr).__name__}")
+def _level_linear_comb(
+    expr: LinearComb, p: int, n: int, reps: Sequence[int], memo: dict
+) -> tuple[list[int], int]:
+    # Terms fold in over the running lcm, starting from the first term's
+    # values; every term is evaluated, zero coefficients included.
+    nums, den = [0] * len(reps), 1
+    for i, (c, e) in enumerate(expr.terms):
+        tn, td = _level(e, p, n, reps, memo)
+        new_den = lcm(den, c.denominator * td)
+        up, f = new_den // den, c.numerator * (new_den // (c.denominator * td))
+        if i == 0:
+            nums = tn if f == 1 else [f * y for y in tn]
+        elif up != 1:
+            nums = [x * up + f * y for x, y in zip(nums, tn)]
+        elif f:
+            nums = [x + f * y for x, y in zip(nums, tn)]
+        den = new_den
+    return nums, den
 
 
 def _positions(reps: Sequence[int], at: int) -> list[int]:
@@ -512,7 +489,7 @@ def _clip(start: int, step: int, reps: range) -> range:
 
 
 def _level_restrict(
-    expr: Restrict, p: int, n: int, reps: Sequence[int], memo: dict | None
+    expr: Restrict, p: int, n: int, reps: Sequence[int], memo: dict
 ) -> tuple[list[int], int]:
     cell = expr.cell
     if cell.prime != p:
@@ -536,7 +513,7 @@ def _level_restrict(
 
 
 def _level_regularize(
-    expr: Regularize, p: int, n: int, reps: Sequence[int], memo: dict | None
+    expr: Regularize, p: int, n: int, reps: Sequence[int], memo: dict
 ) -> tuple[list[int], int]:
     alpha = expr.alpha
     if valuation(alpha, p) != 0:
@@ -569,7 +546,7 @@ def _level_regularize(
 
 
 def _level_graft(
-    expr: Graft, p: int, n: int, reps: Sequence[int], memo: dict | None
+    expr: Graft, p: int, n: int, reps: Sequence[int], memo: dict
 ) -> tuple[list[int], int]:
     path = expr.path
     if path.prime != p:
@@ -610,22 +587,14 @@ def _level_graft(
 
 
 def _level_branch(
-    expr: Branch, p: int, n: int, reps: Sequence[int], memo: dict | None
+    expr: Branch, p: int, n: int, reps: Sequence[int], memo: dict
 ) -> tuple[list[int], int]:
     size = _branch_table_size(expr, p)
     m = p**n
     if n < expr.k:
-        # Sum over the depth-k descendants r + t * m, t < p^(k-n).
-        if len(reps) == m and _slices(reps):
-            # The whole level: the descendants are p^(k-n) blocks of length
-            # m, added block to block.
-            deep, den = _level(expr, p, expr.k, range(p**expr.k), memo)
-            sums = deep[:m]
-            for i in range(m, len(deep), m):
-                sums = list(map(add, sums, deep[i : i + m]))
-            return sums, den
-        # t in the order a walk down the children in digit order meets them:
-        # the first digit of t, of weight 1, varies slowest.
+        # Sum over the depth-k descendants r + t * m, t < p^(k-n), in the
+        # order a walk down the children in digit order meets them: the
+        # first digit of t, of weight 1, varies slowest.
         ts = [0]
         for j in reversed(range(expr.k - n)):
             ts = [d * p**j + t for d in range(p) for t in ts]
@@ -649,7 +618,7 @@ def _level_branch(
 
 
 def _gather(
-    p: int, n: int, reps: Sequence[int], parts: Sequence[tuple[DistExpr, list]], memo: dict | None
+    p: int, n: int, reps: Sequence[int], parts: Sequence[tuple[DistExpr, list]], memo: dict
 ) -> tuple[list[int], int]:
     # The values on reps put together from parts (expr, own), each expr
     # owning some of the balls: on a step-1 range, `own` lists residue
@@ -685,6 +654,15 @@ def _gather(
                 nums[c.start - reps.start :: c.step] = got[i : i + len(c)]
                 i += len(c)
     return nums, den
+
+
+_KERNELS = {
+    LinearComb: _level_linear_comb,
+    Restrict: _level_restrict,
+    Regularize: _level_regularize,
+    Graft: _level_graft,
+    Branch: _level_branch,
+}
 
 
 # =====================================================================

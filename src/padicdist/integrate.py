@@ -29,7 +29,7 @@ from .core import (
     require_prime,
     table_from_json,
 )
-from .distributions import DistExpr, evaluate_shared, share
+from .distributions import DistExpr, evaluate_shared
 from .verify import DEFAULT_BALL_BUDGET, report_text, require_budget
 
 
@@ -119,16 +119,15 @@ def riemann_sum(
 def _riemann_sums(
     expr: DistExpr, fn: TestFn, prime: int, depths: Sequence[int], ball_budget: int
 ) -> list[Fraction]:
-    # `riemann_sum` at each depth, with the expression merged once for all.
+    # `riemann_sum` at each depth.
     require_prime(prime)
     if isinstance(fn, StepFn) and len(fn.values) != prime**fn.depth:
         raise ValueError(f"step table has {len(fn.values)} entries, needs {prime}^{fn.depth}")
-    shared = share(expr)
     passes = len(fn.coeffs) if isinstance(fn, Polynomial) else 1
     sums = []
     for depth in depths:
         require_budget(prime, depth, ball_budget, passes)
-        nums, den = evaluate_shared((expr,), shared, prime, depth, range(prime**depth))[0]
+        nums, den = evaluate_shared((expr,), prime, depth, range(prime**depth))[0]
         total = Fraction(0)
         if isinstance(fn, StepFn):
             period = len(fn.values)

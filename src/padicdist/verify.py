@@ -3,12 +3,12 @@
 Every checker enumerates balls in a fixed order (depth ascending, then
 representative ascending) and compares exact rationals, so a report is a
 pure function of its inputs: byte-identical across runs.  Each checker
-finds the sub-expressions its inputs hold in several places with `share`
-(equal ones are one object), then requests values with `evaluate_shared`,
-which evaluates each once per request, as integer numerators over one
-denominator: a request costs the distinct sub-expressions times its
-balls, however often a spec's defs are used.  Values are compared by
-cross-multiplying, and a Fraction is built only for what a report shows.
+requests values with `evaluate_shared`, as integer numerators over one
+denominator; it evaluates a sub-expression held in several places (equal
+ones are one object) once per request, so a request costs the distinct
+sub-expressions times its balls, however often a spec's defs are used.
+Values are compared by cross-multiplying, and a Fraction is built only
+for what a report shows.
 The checkers that cover whole levels (`check_relation`, `norm_scan`)
 request each depth once; `check_relation` compares a whole level with one
 list comparison and goes ball by ball only through a level that holds a
@@ -49,7 +49,6 @@ from .distributions import (
     DistExpr,
     boundedness_flag,
     evaluate_shared,
-    share,
 )
 
 DEFAULT_BALL_BUDGET = 10**6
@@ -193,11 +192,10 @@ def check_relation(
 
     violations: list[RelationViolation] = []
     checked = 0
-    shared = share(expr)
-    nums, den = evaluate_shared((expr,), shared, prime, 0, range(1))[0]
+    nums, den = evaluate_shared((expr,), prime, 0, range(1))[0]
     for n in range(max_depth):
         m = prime**n
-        child_nums, child_den = evaluate_shared((expr,), shared, prime, n + 1, range(m * prime))[0]
+        child_nums, child_den = evaluate_shared((expr,), prime, n + 1, range(m * prime))[0]
         sums = child_nums[:m]
         for b in range(1, prime):
             sums = list(map(add, sums, child_nums[b * m : (b + 1) * m]))
@@ -305,18 +303,17 @@ def check_graft_precondition(
     Balls are requested in the order a ball-by-ball check reads them: P_0,
     then at each level n the off-path children of P_n in digit order, and
     last, when n < max_depth, the on-path child P_(n+1), whose values the
-    next level compares.  Each request evaluates both sides, every
-    sub-expression they share once, as integer numerators over one
-    denominator; a faulty request raises the error of its first failing
-    ball, left side before right.
+    next level compares.  Each request evaluates both sides as integer
+    numerators over one denominator, a sub-expression held in several
+    places once (`evaluate_shared`); a faulty request raises the error of
+    its first failing ball, left side before right.
     """
     require_depth(max_depth, "max_depth")
     p = path.prime
-    shared = share(left, right)
     on_path: list[OnPathFailure] = []
     tails: list[TailSumFailure] = []
     rep = 0
-    (lnums, ld), (rnums, rd) = evaluate_shared((left, right), shared, p, 0, [rep])
+    (lnums, ld), (rnums, rd) = evaluate_shared((left, right), p, 0, [rep])
     for n in range(max_depth + 1):
         # The last ball of the previous request is P_n.
         lv, rv = lnums[-1], rnums[-1]
@@ -328,7 +325,7 @@ def check_graft_precondition(
         rep += i_n * q
         if n < max_depth:
             balls.append(rep)
-        (lnums, ld), (rnums, rd) = evaluate_shared((left, right), shared, p, n + 1, balls)
+        (lnums, ld), (rnums, rd) = evaluate_shared((left, right), p, n + 1, balls)
         diffs = [x * rd - y * ld for x, y in zip(lnums[: p - 1], rnums)]
         below, above = sum(diffs[:i_n]), sum(diffs[i_n:])
         if below or above:
@@ -370,8 +367,8 @@ def check_branch_hypothesis(
     ball, child 0 differs there from at least one of them.  So only child 0
     is compared, against s = 1, 2, ... in turn, skipping children equal to
     it, which are child 0 itself, and the work is linear in the number of
-    children.  A sub-expression that child 0 and child s have in common is
-    evaluated once per request.
+    children.  Each request evaluates child 0 and child s together, a
+    sub-expression held in several places once (`evaluate_shared`).
     """
     require_prime(prime)
     if isinstance(children, Branch):
@@ -383,11 +380,10 @@ def check_branch_hypothesis(
     if len(table) != prime**k:
         raise ValueError(f"need {prime**k} children for p={prime}, k={k}, got {len(table)}")
     require_budget(prime, search_depth, ball_budget)
-    shared = share(*table)
     for s in range(1, len(table)):
         if table[s] is table[0]:
             continue
-        ball = _first_difference((table[0], table[s]), shared, prime, k, search_depth)
+        ball = _first_difference((table[0], table[s]), prime, k, search_depth)
         if ball is not None:
             return BranchWitness(0, s, ball)
     return None
@@ -409,12 +405,10 @@ def distinctness_witness(
     require_prime(prime)
     require_depth(max_depth, "max_depth")
     require_budget(prime, max_depth, ball_budget)
-    return _first_difference((first, second), share(first, second), prime, 0, max_depth)
+    return _first_difference((first, second), prime, 0, max_depth)
 
 
-def _first_difference(
-    sides: Sequence[DistExpr], shared: frozenset[int], p: int, lo: int, hi: int
-) -> Ball | None:
+def _first_difference(sides: Sequence[DistExpr], p: int, lo: int, hi: int) -> Ball | None:
     """First ball of depth lo..hi, by depth then rep, where the two differ.
 
     Depth n is scanned in consecutive rep ranges: the first holds p^(n-1)
@@ -433,9 +427,9 @@ def _first_difference(
         while start < m:
             reps = range(start, stop)
             try:
-                r = _first_differing(sides, shared, p, n, reps)
+                r = _first_differing(sides, p, n, reps)
             except (ValueError, TypeError):
-                alone = (r for r in reps if _first_differing(sides, shared, p, n, [r]) is not None)
+                alone = (r for r in reps if _first_differing(sides, p, n, [r]) is not None)
                 r = next(alone, None)
             if r is not None:
                 return Ball(p, n, r)
@@ -443,12 +437,10 @@ def _first_difference(
     return None
 
 
-def _first_differing(
-    sides: Sequence[DistExpr], shared: frozenset[int], p: int, n: int, reps: Sequence[int]
-) -> int | None:
+def _first_differing(sides: Sequence[DistExpr], p: int, n: int, reps: Sequence[int]) -> int | None:
     # The first rep in reps where the two sides differ; the first side is
     # evaluated first.
-    (xs, dx), (ys, dy) = evaluate_shared(sides, shared, p, n, reps)
+    (xs, dx), (ys, dy) = evaluate_shared(sides, p, n, reps)
     i = next(_differing(xs, dx, ys, dy), None)
     return None if i is None else reps[i]
 
@@ -531,9 +523,8 @@ def norm_scan(
     require_depth(max_depth, "max_depth")
     require_budget(prime, max_depth, ball_budget)
     entries: list[NormScanEntry] = []
-    shared = share(expr)
     for n in range(max_depth + 1):
-        nums, den = evaluate_shared((expr,), shared, prime, n, range(prime**n))[0]
+        nums, den = evaluate_shared((expr,), prime, n, range(prime**n))[0]
         best_rep = 0
         common = gcd(*nums)
         if common:

@@ -29,6 +29,7 @@ from padicdist import (
     bernoulli_polynomial,
     boundedness_flag,
     evaluate,
+    evaluate_level,
     remark_pair,
 )
 
@@ -317,8 +318,17 @@ def test_branch_validation():
 
 
 def test_evaluate_rejects_foreign_objects():
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^not a distribution expression: str$"):
         evaluate("mazur", Ball(3, 1, 0))
+    # Inside a node, a foreign object builds and fails where it is evaluated.
+    for node, kind in [
+        (LinearComb(((1, "x"),)), "str"),
+        (Restrict(Ball(5, 1, 4), 5), "int"),
+        (Graft(Path(5, (), (1,)), Mazur(), None), "NoneType"),
+        (Branch(1, (Mazur(),) * 4 + ([],)), "list"),
+    ]:
+        with pytest.raises(TypeError, match=f"^not a distribution expression: {kind}$"):
+            evaluate(node, Ball(5, 1, 4))
 
 
 # --------------------------------------------------------------- interning
@@ -423,6 +433,17 @@ def test_boundedness_walks_a_dag_once():
     start = time.perf_counter()
     assert boundedness_flag(chain(40)) is BoundednessFlag.UNKNOWN
     assert time.perf_counter() - start < 1
+
+
+def test_evaluate_walks_a_dag_once():
+    # Walked as a tree, 40 links would take 2^40 steps.
+    top, ball = chain(40), Ball(5, 3, 7)
+    start = time.perf_counter()
+    value = evaluate(top, ball)
+    middle = time.perf_counter()
+    (num,), den = evaluate_level(top, 5, 3, [7])
+    assert middle - start < 1 and time.perf_counter() - middle < 1
+    assert value == F(num, den) == 2**40 * evaluate(Mazur(), ball)
 
 
 # -------------------------------------------------------------- remark_pair

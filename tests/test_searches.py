@@ -1,18 +1,20 @@
 """The level-wise witness searches against the ball-by-ball ones they replace.
 
 `distinctness_witness`, `check_branch_hypothesis` and
-`check_graft_precondition` find the nodes their inputs hold in several
-places with `share` and evaluate with `evaluate_shared`, once per request
-for each of those nodes.  The scalar loops they replaced are kept here as
-oracles: on random expressions, faulty nodes included, each search must
-return what its oracle returns or raise the exception its oracle raises,
-with the same type and message.  Inputs that hold one object in several
-places must give what the same search gives without that memo.
+`check_graft_precondition` evaluate with `evaluate_shared`, which evaluates
+a node held in several places once per request.  The scalar loops they
+replaced are kept here as oracles: on random expressions, faulty nodes
+included, each search must return what its oracle returns or raise the
+exception its oracle raises, with the same type and message.  Inputs that
+hold one object in several places must give what the same search gives
+without that memo.
 """
 
 import gc
 import weakref
+from dataclasses import fields
 from fractions import Fraction as F
+from typing import get_args
 from unittest import mock
 
 import pytest
@@ -49,7 +51,7 @@ from padicdist import (
     distinctness_witness,
 )
 from padicdist import verify
-from padicdist.distributions import share
+from padicdist.distributions import DistExpr
 from padicdist.verify import (
     BranchWitness,
     GraftPreconditionReport,
@@ -211,9 +213,9 @@ def _requested_balls(search, *args):
     requested = []
     real = verify.evaluate_shared
 
-    def counting(exprs, shared, p, n, reps):
+    def counting(exprs, p, n, reps):
         requested.append(len(reps))
-        return real(exprs, shared, p, n, reps)
+        return real(exprs, p, n, reps)
 
     with mock.patch.object(verify, "evaluate_shared", counting):
         result = search(*args)
@@ -383,13 +385,14 @@ def test_graft_reads_the_right_side_before_the_next_ball():
 
 # ------------------------------------------------- shared sub-expressions
 
-def test_share_leaves_no_garbage_cycle():
-    # Every table `share` builds goes when it returns.  Left in a cycle,
-    # every call's tables would wait for the cyclic collector and make it
-    # run every few dozen calls.
+def test_shared_request_leaves_no_garbage_cycle():
+    # A request's memo of shared nodes goes when the request returns.  Left
+    # in a cycle, every request's memo would wait for the cyclic collector
+    # and make it run every few dozen requests.
     inner = Restrict(Ball(5, 1, 2), Mazur())
+    twice = LinearComb(((F(1), inner), (F(2), inner)))
     gc.collect()
-    share(LinearComb(((F(1), inner), (F(2), inner))), Mazur())
+    distinctness_witness(twice, Mazur(), 5, 2)
     assert gc.collect() == 0
 
 
@@ -404,10 +407,28 @@ def test_intern_table_holds_no_node_alive():
     assert dropped() is None
 
 
+NODE_TYPES = get_args(DistExpr)
+
+
 def unmemoized(search, *args):
-    """`outcome` of the search with no node evaluated once per request."""
-    with mock.patch.object(verify, "share", lambda *exprs: frozenset()):
+    """`outcome` of the search with no node evaluated once per request: the
+    parent count of every node in its arguments is 0 while it runs."""
+    nodes, stack = {}, list(args)
+    while stack:
+        x = stack.pop()
+        if isinstance(x, tuple):
+            stack += x
+        elif type(x) in NODE_TYPES and id(x) not in nodes:
+            nodes[id(x)] = x
+            stack += (getattr(x, f.name) for f in fields(x))
+    counts = [(x, x._uses) for x in nodes.values()]
+    try:
+        for x, _ in counts:
+            x.__dict__["_uses"] = 0
         return outcome(search, *args)
+    finally:
+        for x, uses in counts:
+            x.__dict__["_uses"] = uses
 
 
 def holding(p, e, faults=False):
