@@ -11,7 +11,8 @@ On top of the digit picture this module provides:
 * the ball algebra of Z_p: the compact-open cells a + (p^n) in canonical
   form (`Ball`, `ball_make`, `ball_children`, `ball_contains`),
 * eventually periodic digit paths with lexicographic comparison and
-  divergence bookkeeping (`Path`, `path_compare`, `divergence_index`).
+  divergence bookkeeping (`Path`, `path_compare`, `divergence_index`),
+* `Record`, the frozen-record base of the package's value classes.
 
 Rationals, balls, paths and tables also carry their plain-text and JSON forms
 here ("num/den" strings, {"a": ..., "n": ...}, {"preperiod": ..., "period":
@@ -21,7 +22,6 @@ here ("num/den" strings, {"a": ..., "n": ...}, {"preperiod": ..., "period":
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -35,6 +35,110 @@ class NotPAdicIntegerError(ValueError):
 
 class PrimeMismatchError(ValueError):
     """Two objects built over different primes were combined."""
+
+
+# =====================================================================
+# Records
+# =====================================================================
+
+NO_DEFAULT = object()
+_set = object.__setattr__
+
+
+class _Signature:
+    # A record class's `__signature__`, built from its field table when
+    # asked for (`inspect.signature`, `help()`), so that importing the
+    # package never imports inspect.
+    def __get__(self, record: object, cls: type):
+        from inspect import Parameter, Signature
+
+        return Signature([
+            Parameter(
+                name,
+                Parameter.POSITIONAL_OR_KEYWORD,
+                default=Parameter.empty if default is NO_DEFAULT else default,
+            )
+            for name, _, default in cls._fields
+        ])
+
+
+def bind_fields(cls: type, args: tuple, kwargs: dict) -> list:
+    """The values of a record class's fields, in order, from the arguments
+    of a call that does not give every field by position."""
+    fields = cls._fields
+    if len(args) > len(fields):
+        raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments, got {len(args)}")
+    values = list(args)
+    for name, _, default in fields[len(args) :]:
+        values.append(kwargs.pop(name, default))
+        if values[-1] is NO_DEFAULT:
+            raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+    if kwargs:
+        raise TypeError(f"{cls.__name__}() got an unexpected argument {min(kwargs)!r}")
+    return values
+
+
+class Record:
+    """A frozen record: its fields are set once, by the constructor.
+
+    A subclass declares its fields as annotations, in order; a class
+    attribute of the same name is that field's default.  `_fields` lists
+    them as (name, kind, default): the kind is the subclass's `_kinds`
+    entry for the name, None where it has none, and the default is
+    NO_DEFAULT where there is none.  The constructor takes the fields by
+    position or by name, sets each with `object.__setattr__`, then calls
+    `__post_init__`, which checks or normalizes them; a subclass built on
+    hot paths writes its own `__init__` that does the same.  Records
+    compare and hash by their fields in order, show them in their repr,
+    refuse assignment with AttributeError, and are copied and pickled
+    through the constructor.  Nothing is generated or compiled per class.
+    """
+
+    _fields: tuple = ()
+    _kinds: dict = {}
+    __signature__ = _Signature()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(
+            (name, cls._kinds.get(name), cls.__dict__.get(name, NO_DEFAULT))
+            for name in cls.__annotations__
+        )
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = bind_fields(type(self), args, kwargs)
+        for (name, _, _), value in zip(fields, args):
+            _set(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check or normalize the fields, once they are set."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name, _, _ in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name, _, _ in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
 
 
 # =====================================================================
@@ -224,8 +328,7 @@ def digits_to_int(digits: Sequence[int], p: int) -> int:
 # Paths
 # =====================================================================
 
-@dataclass(frozen=True)
-class Path:
+class Path(Record):
     """An eventually periodic digit stream: preperiod then repeating period.
 
     The stream is preperiod[0], ..., preperiod[-1], period[0], ...,
@@ -238,15 +341,17 @@ class Path:
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        require_prime(self.prime)
-        object.__setattr__(self, "preperiod", tuple(self.preperiod))
-        object.__setattr__(self, "period", tuple(self.period))
-        if not self.period:
+    def __init__(self, prime: int, preperiod: Sequence[int], period: Sequence[int]) -> None:
+        require_prime(prime)
+        preperiod, period = tuple(preperiod), tuple(period)
+        if not period:
             raise ValueError("period must be nonempty")
-        for d in self.preperiod + self.period:
-            if not is_int(d) or not 0 <= d < self.prime:
-                raise ValueError(f"digit {d!r} out of range for p={self.prime}")
+        for d in preperiod + period:
+            if not is_int(d) or not 0 <= d < prime:
+                raise ValueError(f"digit {d!r} out of range for p={prime}")
+        _set(self, "prime", prime)
+        _set(self, "preperiod", preperiod)
+        _set(self, "period", period)
 
     def digit(self, i: int) -> int:
         """Digit at index i of the infinite stream."""
@@ -353,8 +458,7 @@ def path_compare(a: Path, b: Path) -> Order:
 # Balls
 # =====================================================================
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(Record):
     """The cell rep + (p^depth) of Z_p in canonical form: 0 <= rep < p^depth.
 
     depth 0 is all of Z_p (rep forced to 0).  Balls over one prime nest or
@@ -364,6 +468,14 @@ class Ball:
     prime: int
     depth: int
     rep: int
+
+    def __init__(self, prime: int, depth: int, rep: int) -> None:
+        _set(self, "prime", prime)
+        _set(self, "depth", depth)
+        _set(self, "rep", rep)
+        # The checks stay a method of their own: bench/bench_trace.py
+        # counts Balls by wrapping it.
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         require_prime(self.prime)
@@ -448,8 +560,7 @@ class DivergenceKind(Enum):
     NEVER = "never"
 
 
-@dataclass(frozen=True)
-class Divergence:
+class Divergence(Record):
     """Where a digit stream departs from a reference path.
 
     kind SPLITS_AFTER: digits 0..index agree, digit index+1 differs.
@@ -460,6 +571,10 @@ class Divergence:
 
     kind: DivergenceKind
     index: int | None = None
+
+    def __init__(self, kind: DivergenceKind, index: int | None = None) -> None:
+        _set(self, "kind", kind)
+        _set(self, "index", index)
 
     @classmethod
     def splits_after(cls, m: int) -> "Divergence":

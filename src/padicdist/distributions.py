@@ -34,20 +34,21 @@ Values are exact Fractions; no node ever rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import comb, lcm
-from typing import Iterable, Mapping, Sequence, Union, get_args
+from typing import Iterable, Mapping, Sequence, Union
 from weakref import WeakValueDictionary
 
 from .core import (
     Ball,
     Path,
     PrimeMismatchError,
+    Record,
     as_rational,
+    bind_fields,
     digits_to_int,
     is_int,
     require_depth,
@@ -91,33 +92,109 @@ def bernoulli_polynomial(k: int, x: Fraction | int) -> Fraction:
 # Expression nodes
 # =====================================================================
 
-@dataclass(frozen=True, eq=False)
-class Dirac:
+# What each field holds, by name: `_parts` reads a node's fields by kind,
+# and `padicdist.serialize` keys its JSON codecs by kind.
+FIELD_KINDS = {
+    "k": "int", "cell": "ball", "path": "path",
+    "point": "rational", "scale": "rational", "alpha": "rational",
+    "expr": "expr", "left": "expr", "right": "expr", "terms": "terms", "children": "children",
+}
+# The live nodes by class, plain fields and sub-expression ids, held weakly.
+_INTERNED: WeakValueDictionary = WeakValueDictionary()
+_set = object.__setattr__
+
+
+class _Node(Record):
+    """An expression node: a record whose field kinds are FIELD_KINDS's,
+    built once per value.
+
+    Building a node equal to a live one returns that one, so nodes compare
+    and hash by identity.  A sub-expression keys by its id, which the node
+    keeps from reuse while it lives; a plain field (k, cell, path) must be
+    hashable.  Copies and unpickled nodes are built by the constructor, so
+    they are interned.
+
+    A node the constructor keeps starts a count of the parents built over
+    it at 0 and adds 1 to each sub-expression that is a node, once per
+    place that holds it; `_level` evaluates a node counted 2 or more once
+    per request.  The count `_uses` is no field, so `==`, `repr`, pickling
+    and the codecs never see it.  A parent freed since still counts, so the
+    count can only be too high, which costs an unneeded memo entry per
+    request and never a wrong value.
+    """
+
+    _kinds = FIELD_KINDS
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __new__(cls, *args, **kwargs):
+        # Record.__init__, inlined, and skipped for Mazur(), which has no
+        # field: calling it would cost Mazur() a sixth.
+        node = object.__new__(cls)
+        fields = cls._fields
+        if fields or args or kwargs:
+            if kwargs or len(args) != len(fields):
+                args = bind_fields(cls, args, kwargs)
+            for (name, _, _), value in zip(fields, args):
+                _set(node, name, value)
+        node.__post_init__()
+        plain, kids = _parts(node)
+        kept = _INTERNED.setdefault((cls, *plain, *map(id, kids)), node)
+        if kept is node:
+            _set(node, "_uses", 0)
+            for kid in kids:
+                if isinstance(kid, _Node):
+                    _set(kid, "_uses", kid._uses + 1)
+        return kept
+
+    # `type.__call__` initializes what `__new__` returns, which is built
+    # already: object's own `__init__` does nothing, in C.
+    __init__ = object.__init__
+
+
+def _parts(e: _Node) -> tuple[list, list]:
+    # e's plain fields (a rational as its two ints: hashing a Fraction costs
+    # more) and its sub-expressions, in field order.
+    plain, kids = [], []
+    for name, holds, _ in e._fields:
+        value = getattr(e, name)
+        if holds == "rational":
+            plain += value.numerator, value.denominator
+        elif holds == "expr":
+            kids.append(value)
+        elif holds == "terms":
+            plain += ((c.numerator, c.denominator) for c, _ in value)
+            kids += (x for _, x in value)
+        elif holds == "children":
+            kids += value
+        else:
+            plain.append(value)
+    return plain, kids
+
+
+class Dirac(_Node):
     """Point mass: value 1 on balls containing the point, else 0."""
 
     point: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "point", as_rational(self.point))
+        _set(self, "point", as_rational(self.point))
 
 
-@dataclass(frozen=True, eq=False)
-class Haar:
+class Haar(_Node):
     """Translation-invariant distribution: scale / p^n on each depth-n ball."""
 
-    scale: Fraction = field(default_factory=lambda: _ONE)
+    scale: Fraction = _ONE
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scale", as_rational(self.scale))
+        _set(self, "scale", as_rational(self.scale))
 
 
-@dataclass(frozen=True, eq=False)
-class Mazur:
+class Mazur(_Node):
     """rep/p^n - 1/2 on the ball rep + (p^n); equals Bernoulli(1)."""
 
 
-@dataclass(frozen=True, eq=False)
-class Bernoulli:
+class Bernoulli(_Node):
     """p^(n(k-1)) * B_k(rep / p^n) on the ball rep + (p^n), k >= 1."""
 
     k: int
@@ -127,28 +204,23 @@ class Bernoulli:
             raise ValueError(f"Bernoulli index must be an integer >= 1, got {self.k!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class LinearComb:
+class LinearComb(_Node):
     """sum of coef * expr over the given (coef, expr) terms."""
 
     terms: tuple[tuple[Fraction, "DistExpr"], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "terms", tuple((as_rational(c), e) for c, e in self.terms)
-        )
+        _set(self, "terms", tuple((as_rational(c), e) for c, e in self.terms))
 
 
-@dataclass(frozen=True, eq=False)
-class Restrict:
+class Restrict(_Node):
     """The inner distribution confined to a cell: value mu(B meet cell)."""
 
     cell: Ball
     expr: "DistExpr"
 
 
-@dataclass(frozen=True, eq=False)
-class Regularize:
+class Regularize(_Node):
     """mu(B) - alpha^(-k) * mu(alpha * B), alpha a unit of Z_p, alpha != 1.
 
     alpha * B is the depth-n ball with representative alpha * rep mod p^n.
@@ -162,13 +234,12 @@ class Regularize:
     def __post_init__(self) -> None:
         if not is_int(self.k) or self.k < 1:
             raise ValueError(f"regularization weight must be an integer >= 1, got {self.k!r}")
-        object.__setattr__(self, "alpha", as_rational(self.alpha))
+        _set(self, "alpha", as_rational(self.alpha))
         if self.alpha == 1:
             raise ValueError("alpha must differ from 1")
 
 
-@dataclass(frozen=True, eq=False)
-class Graft:
+class Graft(_Node):
     """Splice `left` and `right` along a digit path.
 
     On a ball whose digits all follow the path, the value is left's.  On any
@@ -182,8 +253,7 @@ class Graft:
     right: "DistExpr"
 
 
-@dataclass(frozen=True, eq=False)
-class Branch:
+class Branch(_Node):
     """Dispatch on the integer formed by the first k digits.
 
     children[t] governs the depth-k subtree of cells whose representative is
@@ -208,88 +278,12 @@ class Branch:
             ch = tuple(ch)
         if not ch:
             raise ValueError("branch needs at least one child")
-        object.__setattr__(self, "children", ch)
+        _set(self, "children", ch)
 
 
 DistExpr = Union[
     Dirac, Haar, Mazur, Bernoulli, LinearComb, Restrict, Regularize, Graft, Branch
 ]
-
-
-# What each field holds, by name: `_parts` reads a node's fields by kind,
-# and `padicdist.serialize` keys its JSON codecs by kind.
-FIELD_KINDS = {
-    "k": "int", "cell": "ball", "path": "path",
-    "point": "rational", "scale": "rational", "alpha": "rational",
-    "expr": "expr", "left": "expr", "right": "expr", "terms": "terms", "children": "children",
-}
-_NODE_FIELDS = {
-    cls: tuple((f.name, FIELD_KINDS[f.name]) for f in fields(cls))
-    for cls in get_args(DistExpr)
-}
-# The live nodes by class, plain fields and sub-expression ids, held weakly.
-_INTERNED: WeakValueDictionary = WeakValueDictionary()
-
-
-def _intern(cls: type) -> None:
-    """Make the node class cls intern its nodes: building a node equal to a
-    live one returns that one, so nodes compare and hash by identity.  A
-    sub-expression keys by its id, which the node keeps from reuse while it
-    lives; a plain field (k, cell, path) must be hashable.  Copies and
-    unpickled nodes are built by the constructor, so they are interned.
-
-    A node the constructor keeps starts a count of the parents built over
-    it at 0 and adds 1 to each sub-expression that is a node, once per
-    place that holds it; `_level` evaluates a node counted 2 or more once
-    per request.  The count is no field, so `==`, `repr`, pickling and the
-    codecs never see it.  A parent freed since still counts, so the count
-    can only be too high, which costs an unneeded memo entry per request
-    and never a wrong value.
-    """
-    init = cls.__init__
-
-    def __new__(cls, *args, **kwargs):
-        node = object.__new__(cls)
-        init(node, *args, **kwargs)
-        plain, kids = _parts(node)
-        kept = _INTERNED.setdefault((cls, *plain, *map(id, kids)), node)
-        if kept is node:
-            # Written to the instance dict, past the frozen dataclass's guard.
-            node.__dict__["_uses"] = 0
-            for kid in kids:
-                if type(kid) in _NODE_FIELDS:
-                    kid.__dict__["_uses"] += 1
-        return kept
-
-    __new__.__wrapped__ = init  # the dataclass signature, for inspect and help()
-    cls.__new__ = staticmethod(__new__)
-    # `type.__call__` initializes what `__new__` returns, which is built already.
-    cls.__init__ = lambda self, *args, **kwargs: None
-    cls.__reduce__ = lambda self: (cls, tuple(getattr(self, f) for f, _ in _NODE_FIELDS[cls]))
-
-
-def _parts(e: DistExpr) -> tuple[list, list]:
-    # e's plain fields (a rational as its two ints: hashing a Fraction costs
-    # more) and its sub-expressions, in field order; none for a non-node.
-    plain, kids = [], []
-    for name, holds in _NODE_FIELDS.get(type(e), ()):
-        value = getattr(e, name)
-        if holds == "rational":
-            plain += value.numerator, value.denominator
-        elif holds == "expr":
-            kids.append(value)
-        elif holds == "terms":
-            plain += ((c.numerator, c.denominator) for c, _ in value)
-            kids += (x for _, x in value)
-        elif holds == "children":
-            kids += value
-        else:
-            plain.append(value)
-    return plain, kids
-
-
-for _node_class in _NODE_FIELDS:
-    _intern(_node_class)
 
 
 # =====================================================================
@@ -376,9 +370,10 @@ def evaluate_shared(
     p is prime and reps a list or a range of valid reps, as the callers
     check.  A node that two or more parents hold is evaluated once per
     depth and rep set, through a memo that lives for one request: a request
-    costs its distinct sub-expressions times its balls.  The expressions
-    themselves are not counted, so one that another expression of the
-    request holds once is evaluated there and again at the top: twice.
+    costs its distinct sub-expressions times its balls.  An expression
+    that another expression of the request holds once is evaluated there
+    and again on its own, unless the request runs inside `counted(exprs)`,
+    as the searches of `padicdist.verify` do.
     A node meets its sub-expressions for all the balls at once, so a
     raising request is replayed one ball at a time, the expressions in
     order on each, to raise the first failing ball's error.
@@ -394,6 +389,53 @@ def evaluate_shared(
         for r in reps:
             request([r])
         raise
+
+
+class counted:
+    """Count each of exprs that another of them holds, or repeats, as one
+    more parent of itself while the `with` block runs.
+
+    The requests of `evaluate_shared` made in the block then evaluate such
+    an expression once, not once inside its holder and again on its own.
+    The count changes once for the block, not once per request: a search
+    makes many requests of the same expressions, and most hold no other.
+    Only an expression with fewer than two parents needs counting.  A
+    count left off by one, as by two threads counting one node at once,
+    costs a memo entry or a second evaluation, never a wrong value.
+    """
+
+    def __init__(self, exprs: Sequence[DistExpr]) -> None:
+        self.held = []
+        for i, e in enumerate(exprs):
+            if getattr(e, "_uses", 2) < 2:
+                for j, x in enumerate(exprs):
+                    if j != i and _within(e, x):
+                        self.held.append(e)
+                        break
+
+    def __enter__(self) -> None:
+        for e in self.held:
+            _set(e, "_uses", e._uses + 1)
+
+    def __exit__(self, *exc_info) -> None:
+        for e in self.held:
+            _set(e, "_uses", e._uses - 1)
+
+
+def _within(e: _Node, root: DistExpr) -> bool:
+    # Whether e is root or one of its sub-expressions.  A node with no
+    # parent can only be root, and a leaf holds nothing.
+    if e._uses == 0 or e is root or type(root) not in _KERNELS:
+        return e is root
+    seen, stack = set(), [root]
+    while stack:
+        x = stack.pop()
+        if x is e:
+            return True
+        if isinstance(x, _Node) and id(x) not in seen:
+            seen.add(id(x))
+            stack += _parts(x)[1]
+    return False
 
 
 # =====================================================================

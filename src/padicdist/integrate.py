@@ -14,12 +14,12 @@ test function's class.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .core import (
+    Record,
     as_rational,
     format_rational,
     is_int,
@@ -37,8 +37,7 @@ from .verify import DEFAULT_BALL_BUDGET, report_text, require_budget
 # Test functions
 # =====================================================================
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Record):
     """Dense rational polynomial, coefficients from degree 0 upward."""
 
     coeffs: tuple[Fraction, ...]
@@ -59,8 +58,7 @@ class Polynomial:
         return acc
 
 
-@dataclass(frozen=True)
-class StepFn:
+class StepFn(Record):
     """Locally constant function determined by the first `depth` digits.
 
     `values[r]` is the value on the cell r + (p^depth); the table must be
@@ -175,8 +173,7 @@ def classify_tail(fn: TestFn, diff_norms: list[Fraction]) -> ConvergenceVerdict:
     return ConvergenceVerdict.INCONCLUSIVE
 
 
-@dataclass(frozen=True)
-class IntegrationReport:
+class IntegrationReport(Record):
     """Partial sums S_1..S_max_depth, successive-difference norms, verdict."""
 
     prime: int

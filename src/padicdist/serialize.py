@@ -7,7 +7,7 @@ keys are the node constructor's field names, in field order, e.g.
     {"type": "branch", "k": 1, "children": {"0": {...}, "1": {...}, "2": {...}}}
 
 Each kind of field has one JSON form, whichever node carries it (`_CODECS`,
-keyed by the kinds of `distributions.FIELD_KINDS`): rationals (point, scale,
+keyed by the kinds of each node class's field table `_fields`): rationals (point, scale,
 alpha) are "num/den" strings, "num" when the denominator is 1; k is an
 integer; a cell is {"a": ..., "n": ...}; a path is {"preperiod": [...],
 "period": [...]}; a sub-expression (expr, left, right) is an expression
@@ -38,10 +38,10 @@ recurses into it.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, fields
 from typing import Any, Callable
 
 from .core import (
+    NO_DEFAULT,
     ball_from_json,
     ball_to_json,
     format_rational,
@@ -52,7 +52,6 @@ from .core import (
     table_from_json,
 )
 from .distributions import (
-    FIELD_KINDS,
     Bernoulli,
     Branch,
     Dirac,
@@ -115,9 +114,9 @@ _CODECS = {
 _SCHEMA = {
     cls: (
         name,
-        tuple((f.name, *_CODECS[FIELD_KINDS[f.name]]) for f in fields(cls)),
-        {"type"}.union(f.name for f in fields(cls)),
-        {"type"}.union(f.name for f in fields(cls) if f.default is f.default_factory is MISSING),
+        tuple((key, *_CODECS[kind]) for key, kind, _ in cls._fields),
+        {"type"}.union(key for key, _, _ in cls._fields),
+        {"type"}.union(key for key, _, default in cls._fields if default is NO_DEFAULT),
     )
     for name, cls in _TYPES.items()
 }

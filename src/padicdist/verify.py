@@ -27,7 +27,6 @@ thrashing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import add
@@ -36,6 +35,7 @@ from typing import Iterator, Sequence
 from .core import (
     Ball,
     Path,
+    Record,
     ball_to_json,
     format_rational,
     norm,
@@ -48,6 +48,7 @@ from .distributions import (
     BoundednessFlag,
     DistExpr,
     boundedness_flag,
+    counted,
     evaluate_shared,
 )
 
@@ -99,15 +100,13 @@ def report_text(title: str, fields: dict, *body: str | tuple | None) -> str:
 # Additivity relation
 # =====================================================================
 
-@dataclass(frozen=True)
-class RelationViolation:
+class RelationViolation(Record):
     ball: Ball
     lhs: Fraction
     rhs_sum: Fraction
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(Record):
     """Result of checking mu(B) = sum of mu over B's children, ball by ball.
 
     `checked_count` counts the parent balls examined: all balls of depth
@@ -214,22 +213,19 @@ def check_relation(
 # Graft precondition
 # =====================================================================
 
-@dataclass(frozen=True)
-class OnPathFailure:
+class OnPathFailure(Record):
     level: int
     left_value: Fraction
     right_value: Fraction
 
 
-@dataclass(frozen=True)
-class TailSumFailure:
+class TailSumFailure(Record):
     level: int
     left_sum: Fraction
     right_sum: Fraction
 
 
-@dataclass(frozen=True)
-class GraftPreconditionReport:
+class GraftPreconditionReport(Record):
     """Agreement checks that make a graft along a path additive.
 
     For each level n = 0..depth_checked, with P_n the ball spanned by the
@@ -312,25 +308,26 @@ def check_graft_precondition(
     p = path.prime
     on_path: list[OnPathFailure] = []
     tails: list[TailSumFailure] = []
-    rep = 0
-    (lnums, ld), (rnums, rd) = evaluate_shared((left, right), p, 0, [rep])
-    for n in range(max_depth + 1):
-        # The last ball of the previous request is P_n.
-        lv, rv = lnums[-1], rnums[-1]
-        if lv * rd != rv * ld:
-            on_path.append(OnPathFailure(n, Fraction(lv, ld), Fraction(rv, rd)))
-        i_n = path.digit(n)
-        q = p**n
-        balls = [rep + b * q for b in range(p) if b != i_n]
-        rep += i_n * q
-        if n < max_depth:
-            balls.append(rep)
-        (lnums, ld), (rnums, rd) = evaluate_shared((left, right), p, n + 1, balls)
-        diffs = [x * rd - y * ld for x, y in zip(lnums[: p - 1], rnums)]
-        below, above = sum(diffs[:i_n]), sum(diffs[i_n:])
-        if below or above:
-            den = ld * rd
-            tails.append(TailSumFailure(n, Fraction(below, den), Fraction(above, den)))
+    with counted((left, right)):
+        rep = 0
+        (lnums, ld), (rnums, rd) = evaluate_shared((left, right), p, 0, [rep])
+        for n in range(max_depth + 1):
+            # The last ball of the previous request is P_n.
+            lv, rv = lnums[-1], rnums[-1]
+            if lv * rd != rv * ld:
+                on_path.append(OnPathFailure(n, Fraction(lv, ld), Fraction(rv, rd)))
+            i_n = path.digit(n)
+            q = p**n
+            balls = [rep + b * q for b in range(p) if b != i_n]
+            rep += i_n * q
+            if n < max_depth:
+                balls.append(rep)
+            (lnums, ld), (rnums, rd) = evaluate_shared((left, right), p, n + 1, balls)
+            diffs = [x * rd - y * ld for x, y in zip(lnums[: p - 1], rnums)]
+            below, above = sum(diffs[:i_n]), sum(diffs[i_n:])
+            if below or above:
+                den = ld * rd
+                tails.append(TailSumFailure(n, Fraction(below, den), Fraction(above, den)))
     return GraftPreconditionReport(p, path, max_depth, tuple(on_path), tuple(tails))
 
 
@@ -338,8 +335,7 @@ def check_graft_precondition(
 # Branch hypothesis and distinctness witnesses
 # =====================================================================
 
-@dataclass(frozen=True)
-class BranchWitness:
+class BranchWitness(Record):
     t: int
     s: int
     ball: Ball
@@ -421,19 +417,20 @@ def _first_difference(sides: Sequence[DistExpr], p: int, lo: int, hi: int) -> Ba
     rep at a time, which returns a witness before its first faulty ball or
     raises what that ball raises.
     """
-    for n in range(lo, hi + 1):
-        m = p**n
-        start, stop = 0, max(1, m // p)
-        while start < m:
-            reps = range(start, stop)
-            try:
-                r = _first_differing(sides, p, n, reps)
-            except (ValueError, TypeError):
-                alone = (r for r in reps if _first_differing(sides, p, n, [r]) is not None)
-                r = next(alone, None)
-            if r is not None:
-                return Ball(p, n, r)
-            start, stop = stop, min(2 * stop, m)
+    with counted(sides):
+        for n in range(lo, hi + 1):
+            m = p**n
+            start, stop = 0, max(1, m // p)
+            while start < m:
+                reps = range(start, stop)
+                try:
+                    r = _first_differing(sides, p, n, reps)
+                except (ValueError, TypeError):
+                    alone = (r for r in reps if _first_differing(sides, p, n, [r]) is not None)
+                    r = next(alone, None)
+                if r is not None:
+                    return Ball(p, n, r)
+                start, stop = stop, min(2 * stop, m)
     return None
 
 
@@ -463,15 +460,13 @@ def _differing(xs: list[int], dx: int, ys: list[int], dy: int) -> Iterator[int]:
 # Norm scans and boundedness
 # =====================================================================
 
-@dataclass(frozen=True)
-class NormScanEntry:
+class NormScanEntry(Record):
     depth: int
     max_norm: Fraction
     argmax: Ball
 
 
-@dataclass(frozen=True)
-class NormScanReport:
+class NormScanReport(Record):
     """Per-depth maxima of |value|_p with the first ball attaining each."""
 
     prime: int
@@ -537,8 +532,7 @@ def norm_scan(
     return NormScanReport(prime, max_depth, tuple(entries))
 
 
-@dataclass(frozen=True)
-class BoundednessVerdict:
+class BoundednessVerdict(Record):
     """A syntactic flag next to an empirical scan, with any discrepancy noted.
 
     The note never overrides the flag; it flags a flag/scan disagreement for

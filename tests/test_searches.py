@@ -12,7 +12,6 @@ without that memo.
 
 import gc
 import weakref
-from dataclasses import fields
 from fractions import Fraction as F
 from typing import get_args
 from unittest import mock
@@ -50,7 +49,7 @@ from padicdist import (
     check_graft_precondition,
     distinctness_witness,
 )
-from padicdist import verify
+from padicdist import distributions, verify
 from padicdist.distributions import DistExpr
 from padicdist.verify import (
     BranchWitness,
@@ -396,6 +395,23 @@ def test_shared_request_leaves_no_garbage_cycle():
     assert gc.collect() == 0
 
 
+def test_a_root_that_the_other_root_holds_is_evaluated_once():
+    # e's one parent is the second root, so e counts two uses per request.
+    e = Regularize(1, 2, LinearComb(((1, Mazur()), (2, Bernoulli(3)))))
+    other = LinearComb(((1, e), (F(1, 3), Dirac(1)), (F(-1, 3), Dirac(6))))
+    balls = []
+    kernel = distributions._KERNELS[Regularize]
+
+    def counting(expr, p, n, reps, memo):
+        balls.append(len(reps))
+        return kernel(expr, p, n, reps, memo)
+
+    with mock.patch.dict(distributions._KERNELS, {Regularize: counting}):
+        witness = distinctness_witness(e, other, 5, 4)
+    assert witness == scalar_distinctness_witness(e, other, 5, 4)
+    assert sum(balls) == 11
+
+
 def test_intern_table_holds_no_node_alive():
     # A node built and dropped is freed at once: the intern table holds it
     # weakly, and its sub-expressions live on only where something holds them.
@@ -411,8 +427,9 @@ NODE_TYPES = get_args(DistExpr)
 
 
 def unmemoized(search, *args):
-    """`outcome` of the search with no node evaluated once per request: the
-    parent count of every node in its arguments is 0 while it runs."""
+    """`outcome` of the search with no sub-expression evaluated once per
+    request: the parent count of every node in its arguments is 0 while it
+    runs, so only a request's own expressions go through its memo."""
     nodes, stack = {}, list(args)
     while stack:
         x = stack.pop()
@@ -420,15 +437,15 @@ def unmemoized(search, *args):
             stack += x
         elif type(x) in NODE_TYPES and id(x) not in nodes:
             nodes[id(x)] = x
-            stack += (getattr(x, f.name) for f in fields(x))
+            stack += (getattr(x, name) for name, _, _ in x._fields)
     counts = [(x, x._uses) for x in nodes.values()]
     try:
         for x, _ in counts:
-            x.__dict__["_uses"] = 0
+            object.__setattr__(x, "_uses", 0)
         return outcome(search, *args)
     finally:
         for x, uses in counts:
-            x.__dict__["_uses"] = uses
+            object.__setattr__(x, "_uses", uses)
 
 
 def holding(p, e, faults=False):
