@@ -37,7 +37,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from math import comb, lcm
 from typing import Iterable, Mapping, Sequence, Union
 from weakref import WeakValueDictionary
@@ -401,15 +401,17 @@ class counted:
     makes many requests of the same expressions, and most hold no other.
     Only an expression with fewer than two parents needs counting.  A
     count left off by one, as by two threads counting one node at once,
-    costs a memo entry or a second evaluation, never a wrong value.
+    costs a memo entry or a second evaluation, never a wrong value.  `below`
+    keeps by root id the ids of the nodes it holds, for blocks over one root.
     """
 
-    def __init__(self, exprs: Sequence[DistExpr]) -> None:
+    def __init__(self, exprs: Sequence[DistExpr], below: dict | None = None) -> None:
+        below = {} if below is None else below
         self.held = []
         for i, e in enumerate(exprs):
             if getattr(e, "_uses", 2) < 2:
                 for j, x in enumerate(exprs):
-                    if j != i and _within(e, x):
+                    if j != i and _within(e, x, below):
                         self.held.append(e)
                         break
 
@@ -422,20 +424,20 @@ class counted:
             _set(e, "_uses", e._uses - 1)
 
 
-def _within(e: _Node, root: DistExpr) -> bool:
+def _within(e: _Node, root: DistExpr, below: dict) -> bool:
     # Whether e is root or one of its sub-expressions.  A node with no
     # parent can only be root, and a leaf holds nothing.
     if e._uses == 0 or e is root or type(root) not in _KERNELS:
         return e is root
-    seen, stack = set(), [root]
-    while stack:
-        x = stack.pop()
-        if x is e:
-            return True
-        if isinstance(x, _Node) and id(x) not in seen:
-            seen.add(id(x))
-            stack += _parts(x)[1]
-    return False
+    if id(root) not in below:
+        seen, stack = set(), [root]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, _Node) and id(x) not in seen:
+                seen.add(id(x))
+                stack += _parts(x)[1]
+        below[id(root)] = seen
+    return id(e) in below[id(root)]
 
 
 # =====================================================================
@@ -469,13 +471,9 @@ def _level(
         return [2 * a - m for a in reps], 2 * m
 
     if isinstance(expr, Bernoulli):
-        # p^(n(k-1)) B_k(a/m) = sum_j C(k,j) B_j a^(k-j) m^j / m, by Horner in a.
+        # p^(n(k-1)) B_k(a/m) = sum_j C(k,j) B_j a^(k-j) m^j / m, a polynomial in a.
         scale, coeffs = _bernoulli_coefficients(expr.k)
-        nums = [coeffs[0]] * len(reps)
-        for j in range(1, expr.k + 1):
-            c = coeffs[j] * m**j
-            nums = [x * a + c for x, a in zip(nums, reps)]
-        return nums, scale * m
+        return polynomial_values([c * m**j for j, c in enumerate(coeffs)], reps), scale * m
 
     kernel = _KERNELS.get(type(expr))
     if kernel is None:
@@ -486,6 +484,32 @@ def _level(
     if key not in memo:
         memo[key] = kernel(expr, p, n, reps, memo)
     return memo[key]
+
+
+def polynomial_values(coeffs: Sequence[int], reps: Sequence[int]) -> list[int]:
+    """The values at reps of the integer polynomial coeffs, leading term first.
+
+    On a range longer than degree + 1, by forward differences: the values at
+    its first degree + 1 entries, then one `accumulate` pass per degree.  On
+    a list or a shorter range, by Horner's rule, one step per coefficient.
+    """
+    if coeffs and type(reps) is range and len(reps) > len(coeffs):
+        # The differences of each order at reps[0]; the last order is constant.
+        head, starts = polynomial_values(coeffs, reps[: len(coeffs)]), []
+        while head:
+            starts.append(head[0])
+            head = [b - a for a, b in zip(head, head[1:])]
+        values = repeat(starts.pop(), len(reps) - len(starts))
+        for x in reversed(starts):
+            values = accumulate(values, initial=x)
+        return list(values)
+    nums = []
+    for a in reps:
+        x = 0
+        for c in coeffs:
+            x = x * a + c
+        nums.append(x)
+    return nums
 
 
 def _level_linear_comb(

@@ -16,6 +16,8 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Mapping, Sequence, Union
 
 from .core import (
@@ -29,7 +31,7 @@ from .core import (
     require_prime,
     table_from_json,
 )
-from .distributions import DistExpr, evaluate_shared
+from .distributions import DistExpr, evaluate_shared, polynomial_values
 from .verify import DEFAULT_BALL_BUDGET, report_text, require_budget
 
 
@@ -105,11 +107,11 @@ def riemann_sum(
 ) -> Fraction:
     """S_depth = sum of f(a) * mu(a + (p^depth)) over canonical reps a.
 
-    The level is evaluated once as numerators over one denominator.  A
-    polynomial sum is sum_j c_j * (sum_a a^j * num_a), one pass per
-    coefficient, so the budget counts (degree + 1) * p^depth; a step
-    function of period L = len(values) sums to sum_r v_r * (sum of num_a,
-    a = r mod L).  The denominator is divided out once at the end.
+    The level is evaluated once as numerators over one denominator and f
+    put on one integer denominator, so the sum is a dot product of ints.  A
+    polynomial's values come from `polynomial_values`, and the budget
+    counts (degree + 1) * p^depth, at least p^depth; a step function of
+    period L = len(values) sums to sum_r v_r * (sum of num_a, a = r mod L).
     """
     return _riemann_sums(expr, fn, prime, [require_depth(depth)], ball_budget)[0]
 
@@ -117,27 +119,26 @@ def riemann_sum(
 def _riemann_sums(
     expr: DistExpr, fn: TestFn, prime: int, depths: Sequence[int], ball_budget: int
 ) -> list[Fraction]:
-    # `riemann_sum` at each depth.
+    # `riemann_sum` at each depth; a polynomial's values grow with the depth.
     require_prime(prime)
-    if isinstance(fn, StepFn) and len(fn.values) != prime**fn.depth:
+    step = isinstance(fn, StepFn)
+    if step and len(fn.values) != prime**fn.depth:
         raise ValueError(f"step table has {len(fn.values)} entries, needs {prime}^{fn.depth}")
-    passes = len(fn.coeffs) if isinstance(fn, Polynomial) else 1
-    sums = []
+    terms = fn.values if step else fn.coeffs[::-1]
+    passes = 1 if step else max(len(terms), 1)
+    sums, values = [], []
     for depth in depths:
         require_budget(prime, depth, ball_budget, passes)
+        if not sums:  # once the budget admits as many terms
+            scale = lcm(*(t.denominator for t in terms))
+            ints = [t.numerator * (scale // t.denominator) for t in terms]
         nums, den = evaluate_shared((expr,), prime, depth, range(prime**depth))[0]
-        total = Fraction(0)
-        if isinstance(fn, StepFn):
-            period = len(fn.values)
-            for r, v in enumerate(fn.values):
-                total += v * sum(nums[r::period])
+        if step:
+            total = sum(v * sum(nums[r :: len(ints)]) for r, v in enumerate(ints[: len(nums)]))
         else:
-            weighted = nums
-            for j, c in enumerate(fn.coeffs):
-                if j:
-                    weighted = [w * a for a, w in enumerate(weighted)]
-                total += c * sum(weighted)
-        sums.append(total / den)
+            values += polynomial_values(ints, range(len(values), len(nums)))
+            total = sum(map(mul, values, nums))
+        sums.append(Fraction(total, scale * den))
     return sums
 
 

@@ -362,9 +362,9 @@ def check_branch_hypothesis(
     The first witness always has t = 0: if children t and s differ on a
     ball, child 0 differs there from at least one of them.  So only child 0
     is compared, against s = 1, 2, ... in turn, skipping children equal to
-    it, which are child 0 itself, and the work is linear in the number of
-    children.  Each request evaluates child 0 and child s together, a
-    sub-expression held in several places once (`evaluate_shared`).
+    it, which are child 0 itself, and the work, child 0's nodes listed
+    once, is linear in the number of children.  Each request evaluates the
+    two together, a sub-expression held in several places once.
     """
     require_prime(prime)
     if isinstance(children, Branch):
@@ -376,10 +376,11 @@ def check_branch_hypothesis(
     if len(table) != prime**k:
         raise ValueError(f"need {prime**k} children for p={prime}, k={k}, got {len(table)}")
     require_budget(prime, search_depth, ball_budget)
+    below: dict = {}
     for s in range(1, len(table)):
         if table[s] is table[0]:
             continue
-        ball = _first_difference((table[0], table[s]), prime, k, search_depth)
+        ball = _first_difference((table[0], table[s]), prime, k, search_depth, below)
         if ball is not None:
             return BranchWitness(0, s, ball)
     return None
@@ -404,7 +405,9 @@ def distinctness_witness(
     return _first_difference((first, second), prime, 0, max_depth)
 
 
-def _first_difference(sides: Sequence[DistExpr], p: int, lo: int, hi: int) -> Ball | None:
+def _first_difference(
+    sides: Sequence[DistExpr], p: int, lo: int, hi: int, below: dict | None = None
+) -> Ball | None:
     """First ball of depth lo..hi, by depth then rep, where the two differ.
 
     Depth n is scanned in consecutive rep ranges: the first holds p^(n-1)
@@ -415,9 +418,9 @@ def _first_difference(sides: Sequence[DistExpr], p: int, lo: int, hi: int) -> Ba
     one request for both sides, so it costs the distinct sub-expressions
     of the two times its balls.  A range that raises is scanned again one
     rep at a time, which returns a witness before its first faulty ball or
-    raises what that ball raises.
+    raises what that ball raises.  `below` is passed on to `counted`.
     """
-    with counted(sides):
+    with counted(sides, below):
         for n in range(lo, hi + 1):
             m = p**n
             start, stop = 0, max(1, m // p)

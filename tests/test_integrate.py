@@ -3,7 +3,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scalar_oracle import evaluate
+from test_evaluate_level import PRIMES, SETTINGS, coefficients, expressions
+from test_searches import outcome
 
 from padicdist import (
     Ball,
@@ -22,6 +26,7 @@ from padicdist import (
     riemann_sum,
     step_fn_from_json,
 )
+from padicdist.distributions import polynomial_values
 
 X = Polynomial((F(0), F(1)))
 HALF = F(1, 2)
@@ -91,6 +96,93 @@ def test_riemann_sum_validation():
         riemann_sum(Mazur(), StepFn(1, (F(1), F(2), F(3))), 5, 2)
     with pytest.raises(BallBudgetError):
         riemann_sum(Mazur(), X, 5, 2, ball_budget=5)
+
+
+def test_the_zero_polynomial_counts_one_pass_against_the_budget():
+    zero = Polynomial(())
+    with pytest.raises(BallBudgetError, match="enumerate 5\\^8 balls"):
+        riemann_sum(Mazur(), zero, 5, 8, ball_budget=100)
+    with pytest.raises(BallBudgetError, match="enumerate 5\\^8 balls"):
+        integrate(Mazur(), zero, 5, 8, ball_budget=5**7)
+    assert riemann_sum(Mazur(), zero, 5, 2, ball_budget=25) == 0
+
+
+# ------------------------------------------------ polynomial values on reps
+
+def expanded(coeffs, a):
+    # sum_j c_j a^(d-j), leading coefficient first, one power per term.
+    d = len(coeffs) - 1
+    return sum(c * a ** (d - j) for j, c in enumerate(coeffs))
+
+
+INT_COEFFS = st.lists(st.integers(-(10**6), 10**6), max_size=6)
+
+
+@SETTINGS
+@given(INT_COEFFS, st.integers(-50, 50), st.integers(-4, 4).filter(bool), st.integers(0, 12))
+def test_polynomial_values_on_ranges(coeffs, start, step, length):
+    # Lengths up to and past degree + 1, so both Horner and the differences.
+    reps = range(start, start + step * length, step)
+    assert polynomial_values(coeffs, reps) == [expanded(coeffs, a) for a in reps]
+
+
+@SETTINGS
+@given(INT_COEFFS, st.lists(st.integers(-100, 100), max_size=12))
+def test_polynomial_values_on_lists(coeffs, reps):
+    assert polynomial_values(coeffs, reps) == [expanded(coeffs, a) for a in reps]
+
+
+def test_polynomial_values_of_constants_and_of_no_coefficients():
+    assert polynomial_values((), range(5)) == [0] * 5
+    assert polynomial_values((), [3, 1]) == [0, 0]
+    assert polynomial_values((7,), range(3, 30, 4)) == [7] * 7
+    assert polynomial_values((-2,), [9]) == [-2]
+    assert polynomial_values((1, 0), range(0)) == []
+
+
+# ------------------------------------------- sums against the brute force
+
+def polynomials():
+    # The zero polynomial and constants included.
+    return st.lists(coefficients(), max_size=4).map(lambda cs: Polynomial(tuple(cs)))
+
+
+def step_fns(p, depth):
+    return st.builds(
+        lambda values: StepFn(depth, tuple(values)),
+        st.lists(coefficients(), min_size=p**depth, max_size=p**depth),
+    )
+
+
+@st.composite
+def sum_cases(draw, faults=False):
+    p = draw(st.sampled_from(PRIMES))
+    deepest = 3 if p <= 3 else 2
+    # Step tables up to one level deeper than the deepest sum.
+    step_depth = st.integers(0, deepest + (p <= 3))
+    fn = draw(st.one_of(polynomials(), step_depth.flatmap(lambda d: step_fns(p, d))))
+    return p, draw(expressions(p, faults=faults)), fn, draw(st.integers(0, deepest))
+
+
+@settings(SETTINGS, max_examples=100)
+@given(sum_cases())
+def test_riemann_sum_matches_brute_force_on_random_inputs(case):
+    p, expr, fn, depth = case
+    assert riemann_sum(expr, fn, p, depth) == brute_force_sum(expr, fn, p, depth)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(sum_cases(faults=True))
+def test_integrate_matches_brute_force_on_random_inputs(case):
+    # Where some ball is faulty, the first one's error, depth by depth.
+    p, expr, fn, depth = case
+    depth = max(depth, 2)
+
+    def brute_force_sums():
+        return tuple(brute_force_sum(expr, fn, p, n) for n in range(1, depth + 1))
+
+    got = outcome(lambda: integrate(expr, fn, p, depth).partial_sums)
+    assert got == outcome(brute_force_sums)
 
 
 # ------------------------------------------------------------ classification

@@ -412,6 +412,29 @@ def test_a_root_that_the_other_root_holds_is_evaluated_once():
     assert sum(balls) == 11
 
 
+def test_branch_check_walks_child_0_once_per_table():
+    # Child 0 is a chain of 20 links standing for Dirac(0); each other child
+    # has one parent, the branch, so each (child 0, child s) block looks for
+    # child s within child 0.  Child 0's nodes are listed once per table,
+    # however many children it is compared with.  The children equal child
+    # 0 on every ball searched but the last, so the search visits them all.
+    chain = Dirac(0)
+    for _ in range(20):
+        chain = LinearComb(((F(1, 2), chain), (F(1, 2), chain)))
+
+    def search(k):
+        size = 5**k
+        middle = [Dirac(s * 5**6) for s in range(1, size - 1)]
+        branch = Branch(k, (chain, *middle, Dirac(1)))
+        with mock.patch.object(distributions, "_parts", wraps=distributions._parts) as parts:
+            witness = check_branch_hypothesis(branch, 5, k, k + 1)
+        assert witness == BranchWitness(0, size - 1, Ball(5, k, 0))
+        return parts.call_count
+
+    few, many = search(1), search(2)
+    assert many - few < 20
+
+
 def test_intern_table_holds_no_node_alive():
     # A node built and dropped is freed at once: the intern table holds it
     # weakly, and its sub-expressions live on only where something holds them.
