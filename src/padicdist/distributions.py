@@ -54,7 +54,6 @@ from .core import (
     require_depth,
     require_padic_integer,
     require_prime,
-    valuation,
 )
 
 _ZERO = Fraction(0)
@@ -205,12 +204,18 @@ class Bernoulli(_Node):
 
 
 class LinearComb(_Node):
-    """sum of coef * expr over the given (coef, expr) terms."""
+    """sum of coef * expr over the given (coef, expr) terms.
+
+    `_ints` keeps each term as (numerator, denominator, expr) for the level
+    kernel, read once here; like `_uses`, it is no field.
+    """
 
     terms: tuple[tuple[Fraction, "DistExpr"], ...]
 
     def __post_init__(self) -> None:
-        _set(self, "terms", tuple((as_rational(c), e) for c, e in self.terms))
+        terms = tuple((as_rational(c), e) for c, e in self.terms)
+        _set(self, "terms", terms)
+        _set(self, "_ints", tuple((c.numerator, c.denominator, e) for c, e in terms))
 
 
 class Restrict(_Node):
@@ -453,28 +458,9 @@ def _level(
     # more parents so far in one request, by (id, depth, reps).
     if not reps:
         return [], 1
-    m = p**n
-
-    if isinstance(expr, Dirac):
-        t = require_padic_integer(expr.point, p)
-        nums = [0] * len(reps)
-        for i in _positions(reps, t.numerator * pow(t.denominator, -1, m) % m):
-            nums[i] = 1
-        return nums, 1
-
-    if isinstance(expr, Haar):
-        return [expr.scale.numerator] * len(reps), expr.scale.denominator * m
-
-    if isinstance(expr, Mazur):
-        if type(reps) is range:
-            return list(range(2 * reps.start - m, 2 * reps.stop - m, 2 * reps.step)), 2 * m
-        return [2 * a - m for a in reps], 2 * m
-
-    if isinstance(expr, Bernoulli):
-        # p^(n(k-1)) B_k(a/m) = sum_j C(k,j) B_j a^(k-j) m^j / m, a polynomial in a.
-        scale, coeffs = _bernoulli_coefficients(expr.k)
-        return polynomial_values([c * m**j for j, c in enumerate(coeffs)], reps), scale * m
-
+    leaf = _LEAVES.get(type(expr))
+    if leaf is not None:
+        return leaf(expr, p, p**n, reps)
     kernel = _KERNELS.get(type(expr))
     if kernel is None:
         raise TypeError(f"not a distribution expression: {type(expr).__name__}")
@@ -484,6 +470,44 @@ def _level(
     if key not in memo:
         memo[key] = kernel(expr, p, n, reps, memo)
     return memo[key]
+
+
+# The leaves, by exact type, on reps of depth n, m = p^n: they hold no
+# node, so `_level` calls them past its memo.
+
+def _dirac_rep(expr: Dirac, p: int, m: int) -> int:
+    # The rep of the ball of size m that holds the point.
+    t = require_padic_integer(expr.point, p)
+    return t.numerator * pow(t.denominator, -1, m) % m
+
+
+def _level_dirac(expr: Dirac, p: int, m: int, reps: Sequence[int]) -> tuple[list[int], int]:
+    nums = [0] * len(reps)
+    for i in _positions(reps, _dirac_rep(expr, p, m)):
+        nums[i] = 1
+    return nums, 1
+
+
+def _level_mazur(expr: Mazur, p: int, m: int, reps: Sequence[int]) -> tuple[list[int], int]:
+    if type(reps) is range:
+        return list(range(2 * reps.start - m, 2 * reps.stop - m, 2 * reps.step)), 2 * m
+    return [2 * a - m for a in reps], 2 * m
+
+
+def _level_bernoulli(
+    expr: Bernoulli, p: int, m: int, reps: Sequence[int]
+) -> tuple[list[int], int]:
+    # p^(n(k-1)) B_k(a/m) = sum_j C(k,j) B_j a^(k-j) m^j / m, a polynomial in a.
+    scale, coeffs = _bernoulli_coefficients(expr.k)
+    return polynomial_values([c * m**j for j, c in enumerate(coeffs)], reps), scale * m
+
+
+_LEAVES = {
+    Dirac: _level_dirac,
+    Haar: lambda e, p, m, reps: ([e.scale.numerator] * len(reps), e.scale.denominator * m),
+    Mazur: _level_mazur,
+    Bernoulli: _level_bernoulli,
+}
 
 
 def polynomial_values(coeffs: Sequence[int], reps: Sequence[int]) -> list[int]:
@@ -515,20 +539,31 @@ def polynomial_values(coeffs: Sequence[int], reps: Sequence[int]) -> list[int]:
 def _level_linear_comb(
     expr: LinearComb, p: int, n: int, reps: Sequence[int], memo: dict
 ) -> tuple[list[int], int]:
-    # Terms fold in over the running lcm, starting from the first term's
-    # values; every term is evaluated, zero coefficients included.
-    nums, den = [0] * len(reps), 1
-    for i, (c, e) in enumerate(expr.terms):
-        tn, td = _level(e, p, n, reps, memo)
-        new_den = lcm(den, c.denominator * td)
-        up, f = new_den // den, c.numerator * (new_den // (c.denominator * td))
+    # Every term is evaluated in order, zero coefficients included: a dense
+    # term on all the balls, a point mass as the rep of its one ball.  den
+    # is the lcm of all the terms' denominators, so the dense terms fold in
+    # at their final scale, one pass each, and a point mass adds its scaled
+    # coefficient where it hits.  The first dense term's list may be a memo
+    # entry, so it is copied before a point mass adds into it.
+    m = p**n
+    dense, masses = [], []
+    for cn, cd, e in expr._ints:
+        if type(e) is Dirac:
+            masses.append((cn, cd, _dirac_rep(e, p, m)))
+        else:
+            tn, td = _level(e, p, n, reps, memo)
+            dense.append((cn, cd * td, tn))
+    den = lcm(*(term[1] for term in chain(dense, masses)))
+    nums = [] if dense else [0] * len(reps)
+    for i, (cn, cd, tn) in enumerate(dense):
+        f = cn * (den // cd)
         if i == 0:
-            nums = tn if f == 1 else [f * y for y in tn]
-        elif up != 1:
-            nums = [x * up + f * y for x, y in zip(nums, tn)]
+            nums = (tn[:] if masses else tn) if f == 1 else [f * y for y in tn]
         elif f:
             nums = [x + f * y for x, y in zip(nums, tn)]
-        den = new_den
+    for cn, cd, at in masses:
+        for i in _positions(reps, at):
+            nums[i] += cn * (den // cd)
     return nums, den
 
 
@@ -582,7 +617,7 @@ def _level_regularize(
     expr: Regularize, p: int, n: int, reps: Sequence[int], memo: dict
 ) -> tuple[list[int], int]:
     alpha = expr.alpha
-    if valuation(alpha, p) != 0:
+    if alpha.numerator % p == 0 or alpha.denominator % p == 0:
         raise ValueError(f"alpha={alpha} is not a unit of Z_p for p={p}")
     m = p**n
     scale = alpha.numerator * pow(alpha.denominator, -1, m) % m

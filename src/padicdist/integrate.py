@@ -111,7 +111,8 @@ def riemann_sum(
     put on one integer denominator, so the sum is a dot product of ints.  A
     polynomial's values come from `polynomial_values`, and the budget
     counts (degree + 1) * p^depth, at least p^depth; a step function of
-    period L = len(values) sums to sum_r v_r * (sum of num_a, a = r mod L).
+    period L = len(values) sums to sum_r v_r * (sum of num_a, a = r mod L),
+    and only its first min(L, p^depth) entries are put on the denominator.
     """
     return _riemann_sums(expr, fn, prime, [require_depth(depth)], ball_budget)[0]
 
@@ -130,11 +131,14 @@ def _riemann_sums(
     for depth in depths:
         require_budget(prime, depth, ball_budget, passes)
         if not sums:  # once the budget admits as many terms
+            if step:  # no sum reads an entry past p^max(depths)
+                terms = terms[: prime ** min(fn.depth, max(depths))]
             scale = lcm(*(t.denominator for t in terms))
             ints = [t.numerator * (scale // t.denominator) for t in terms]
         nums, den = evaluate_shared((expr,), prime, depth, range(prime**depth))[0]
         if step:
-            total = sum(v * sum(nums[r :: len(ints)]) for r, v in enumerate(ints[: len(nums)]))
+            period = len(fn.values)
+            total = sum(v * sum(nums[r::period]) for r, v in enumerate(ints[: len(nums)]))
         else:
             values += polynomial_values(ints, range(len(values), len(nums)))
             total = sum(map(mul, values, nums))

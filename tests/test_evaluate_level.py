@@ -379,6 +379,52 @@ def test_named_cases(expr, p, n, reps):
     _assert_agrees(expr, p, n, reps)
 
 
+# Each expression below that holds _SHARED holds it twice, so a request
+# memoizes it.
+_SHARED = Regularize(1, 2, Mazur())
+_NOT_A_UNIT = Regularize(1, 5, Mazur())
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        # the shared node is the first dense term, with factor 1 (the point
+        # masses' coefficients are integers), and is read again afterwards:
+        # a point mass added into its memo entry would show in the second read
+        LinearComb((
+            (1, LinearComb(((1, _SHARED), (1, Dirac(2)), (-1, Dirac(7))))),
+            (2, _SHARED),
+        )),
+        # the same with a point mass before the dense term, and one that
+        # the step-1 range and the rep list miss
+        LinearComb((
+            (1, LinearComb(((3, Dirac(F(1, 3))), (1, _SHARED), (-3, Dirac(24))))),
+            (-1, _SHARED),
+        )),
+        # point masses only: two on one point, one with a zero coefficient
+        LinearComb((
+            (F(2, 3), Dirac(F(1, 2))), (F(-1, 4), Dirac(3)),
+            (F(5, 6), Dirac(F(1, 2))), (0, Dirac(7)),
+        )),
+        # a zero coefficient still evaluates its term: a point outside Z_p raises
+        LinearComb(((1, Mazur()), (0, Dirac(F(1, 5))))),
+        # a faulty point mass and a faulty dense term: the first one raises
+        LinearComb(((1, Dirac(F(1, 5))), (1, _NOT_A_UNIT))),
+        LinearComb(((1, _NOT_A_UNIT), (1, Dirac(F(1, 5))))),
+        LinearComb(((1, Mazur()), (F(1, 2), _NOT_A_UNIT), (F(1, 3), Dirac(F(2, 5))))),
+        LinearComb(((1, Haar(3)), (F(1, 3), Dirac(F(2, 5))), (F(1, 2), _NOT_A_UNIT))),
+    ],
+    ids=["shared-first", "shared-after-mass", "masses-only", "zero-outside",
+         "mass-then-dense", "dense-then-mass", "dense-fault-first", "mass-fault-first"],
+)
+@pytest.mark.parametrize(
+    "reps", [None, range(3, 20), range(24, 0, -3), [7, 2, 7, 0, 2, 13, 13]],
+    ids=["level", "range", "stepped-range", "duplicates"],
+)
+def test_linear_comb_named_cases(expr, reps):
+    _assert_agrees(expr, 5, 2, reps)
+
+
 def _scalar_violations(expr, p, depth):
     """(ball, value, children's sum) where additivity fails, ball by ball."""
     found = []

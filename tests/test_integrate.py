@@ -98,6 +98,21 @@ def test_riemann_sum_validation():
         riemann_sum(Mazur(), X, 5, 2, ball_budget=5)
 
 
+class _Unread:
+    # A step table entry that no sum may read: any attribute fails.
+    def __getattr__(self, name):
+        raise AssertionError(f"a sum read the entry's {name}")
+
+
+def test_a_step_table_deeper_than_the_sums_is_read_only_as_deep_as_they_go():
+    values = [F(a - 3, a + 1) for a in range(7)]
+    fn = StepFn(8, tuple(values[a % 7] for a in range(5**8)))
+    want = [brute_force_sum(Mazur(), fn, 5, n) for n in (1, 2)]
+    object.__setattr__(fn, "values", fn.values[:25] + (_Unread(),) * (5**8 - 25))
+    report = integrate(Mazur(), fn, 5, 2, ball_budget=100)
+    assert list(report.partial_sums) == want
+
+
 def test_the_zero_polynomial_counts_one_pass_against_the_budget():
     zero = Polynomial(())
     with pytest.raises(BallBudgetError, match="enumerate 5\\^8 balls"):
