@@ -44,6 +44,7 @@ from weakref import WeakValueDictionary
 
 from .core import (
     Ball,
+    NotPAdicIntegerError,
     Path,
     PrimeMismatchError,
     Record,
@@ -52,7 +53,6 @@ from .core import (
     digits_to_int,
     is_int,
     require_depth,
-    require_padic_integer,
     require_prime,
 )
 
@@ -172,12 +172,17 @@ def _parts(e: _Node) -> tuple[list, list]:
 
 
 class Dirac(_Node):
-    """Point mass: value 1 on balls containing the point, else 0."""
+    """Point mass: value 1 on balls containing the point, else 0.
+
+    `_ints` keeps the point's numerator and denominator for the level
+    kernels, read once here; like `_uses`, it is no field.
+    """
 
     point: Fraction
 
     def __post_init__(self) -> None:
         _set(self, "point", as_rational(self.point))
+        _set(self, "_ints", (self.point.numerator, self.point.denominator))
 
 
 class Haar(_Node):
@@ -230,6 +235,9 @@ class Regularize(_Node):
 
     alpha * B is the depth-n ball with representative alpha * rep mod p^n.
     The unit condition is checked against the ball's prime at evaluation.
+    `_ints` keeps alpha as (numerator, denominator) and alpha^k as (u, v),
+    signed so that u > 0, for the level kernel, read and raised once here;
+    like `_uses`, it is no field.
     """
 
     k: int
@@ -242,6 +250,9 @@ class Regularize(_Node):
         _set(self, "alpha", as_rational(self.alpha))
         if self.alpha == 1:
             raise ValueError("alpha must differ from 1")
+        a, b = self.alpha.numerator, self.alpha.denominator
+        u, v = a**self.k, b**self.k
+        _set(self, "_ints", (a, b, -u, -v) if u < 0 else (a, b, u, v))
 
 
 class Graft(_Node):
@@ -346,7 +357,7 @@ def evaluate_level(
     0..p^n-1 in order.  Each node is evaluated over all the balls at once,
     and one held in several places once, in O(balls) integer operations
     and memory (O(p^k) for a Branch at level k > n), and nested Regularize
-    nodes cost one inner request each.
+    nodes cost one inner request each (two plain ones over a leaf).
     A Graft also finds each ball's side: n steps per ball on a rep list, and
     on a step-1 range a walk over the residue classes the range meets, at
     most n * min(p, balls) + 1 of them.
@@ -384,15 +395,14 @@ def evaluate_shared(
     order on each, to raise the first failing ball's error.
     """
 
-    def request(balls: Sequence[int]) -> list[tuple[list[int], int]]:
-        memo: dict = {}
-        return [_level(e, p, n, balls, memo) for e in exprs]
-
+    memo: dict = {}
     try:
-        return request(reps)
+        return [_level(e, p, n, reps, memo) for e in exprs]
     except (ValueError, TypeError):
         for r in reps:
-            request([r])
+            memo = {}
+            for e in exprs:
+                _level(e, p, n, [r], memo)
         raise
 
 
@@ -477,8 +487,10 @@ def _level(
 
 def _dirac_rep(expr: Dirac, p: int, m: int) -> int:
     # The rep of the ball of size m that holds the point.
-    t = require_padic_integer(expr.point, p)
-    return t.numerator * pow(t.denominator, -1, m) % m
+    u, v = expr._ints
+    if v % p == 0:
+        raise NotPAdicIntegerError(f"{expr.point} is not a p-adic integer for p={p}")
+    return u % m if v == 1 else u * pow(v, -1, m) % m
 
 
 def _level_dirac(expr: Dirac, p: int, m: int, reps: Sequence[int]) -> tuple[list[int], int]:
@@ -616,21 +628,26 @@ def _level_restrict(
 def _level_regularize(
     expr: Regularize, p: int, n: int, reps: Sequence[int], memo: dict
 ) -> tuple[list[int], int]:
-    alpha = expr.alpha
-    if alpha.numerator % p == 0 or alpha.denominator % p == 0:
-        raise ValueError(f"alpha={alpha} is not a unit of Z_p for p={p}")
+    a, b, u, v = expr._ints
+    if a % p == 0 or b % p == 0:
+        raise ValueError(f"alpha={expr.alpha} is not a unit of Z_p for p={p}")
     m = p**n
-    scale = alpha.numerator * pow(alpha.denominator, -1, m) % m
+    scale = a * pow(b, -1, m) % m
     # mu(B) - alpha^(-k) mu(alpha B) = (u mu(B) - v mu(alpha B)) with
-    # alpha^k = u/v, over u * den; the signs keep the denominator positive.
-    u, v = alpha.numerator**expr.k, alpha.denominator**expr.k
-    if u < 0:
-        u, v = -u, -v
+    # alpha^k = u/v, over u * den; u > 0 keeps the denominator positive.
     if len(reps) == m and _slices(reps):
-        # a -> scale * a mod m permutes the level: one inner level suffices.
+        # r -> scale * r mod m permutes the level: one inner level suffices.
         inner, den = _level(expr.expr, p, n, reps, memo)
-        return [u * x - v * inner[scale * a % m] for a, x in enumerate(inner)], u * den
+        return [u * x - v * inner[scale * r % m] for r, x in enumerate(inner)], u * den
     scaled = [scale * r % m for r in reps]
+    leaf = _LEAVES.get(type(expr.expr))
+    if leaf is not None:
+        # A leaf's denominator depends on n alone, and its one error (a
+        # point outside Z_p) on no ball: the balls and their images are two
+        # plain requests, reps kept a range where it is one.
+        inner, den = leaf(expr.expr, p, m, reps)
+        image, _ = leaf(expr.expr, p, m, scaled)
+        return [u * x - v * y for x, y in zip(inner, image)], u * den
     union = list(dict.fromkeys(chain(reps, scaled)))
     try:
         inner, den = _level(expr.expr, p, n, union, memo)

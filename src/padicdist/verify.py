@@ -309,17 +309,16 @@ def check_graft_precondition(
     on_path: list[OnPathFailure] = []
     tails: list[TailSumFailure] = []
     with counted((left, right)):
-        rep = 0
+        rep, q = 0, 1
         (lnums, ld), (rnums, rd) = evaluate_shared((left, right), p, 0, [rep])
-        for n in range(max_depth + 1):
-            # The last ball of the previous request is P_n.
+        for n, i_n in enumerate(path.digits(max_depth + 1)):
+            # The last ball of the previous request is P_n; q is p^n.
             lv, rv = lnums[-1], rnums[-1]
             if lv * rd != rv * ld:
                 on_path.append(OnPathFailure(n, Fraction(lv, ld), Fraction(rv, rd)))
-            i_n = path.digit(n)
-            q = p**n
             balls = [rep + b * q for b in range(p) if b != i_n]
             rep += i_n * q
+            q *= p
             if n < max_depth:
                 balls.append(rep)
             (lnums, ld), (rnums, rd) = evaluate_shared((left, right), p, n + 1, balls)

@@ -30,6 +30,8 @@ from padicdist import (
     boundedness_flag,
     evaluate,
     evaluate_level,
+    expr_from_json,
+    expr_to_json,
     remark_pair,
 )
 
@@ -380,6 +382,46 @@ def test_nodes_are_one_object_only_when_equal():
 def test_unhashable_plain_field_is_refused_at_construction():
     with pytest.raises(TypeError):
         Restrict([5, 2, 7], Mazur())
+
+
+# Dirac and Regularize keep ints read from their fields for the level
+# kernels; they are no field, so nothing a caller sees of a node shows them.
+STORED = [
+    (lambda: Dirac(F(-7, 8)), "Dirac(point=Fraction(-7, 8))",
+     {"type": "dirac", "point": "-7/8"}),
+    (lambda: Regularize(3, "-3/2", Mazur()),
+     "Regularize(k=3, alpha=Fraction(-3, 2), expr=Mazur())",
+     {"type": "regularize", "k": 3, "alpha": "-3/2", "expr": {"type": "mazur"}}),
+]
+
+
+@pytest.mark.parametrize("build, text, data", STORED, ids=["Dirac", "Regularize"])
+def test_stored_ints_are_no_field(build, text, data):
+    node = build()
+    assert hasattr(node, "_ints")
+    assert "_ints" not in [name for name, _, _ in type(node)._fields]
+    assert build() is node and repr(node) == text
+    for twin in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+        assert twin is node
+    assert expr_to_json(node) == data
+    assert expr_from_json(data, 5) is node
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("inner", [Mazur(), LinearComb(((2, Mazur()),))], ids=["leaf", "node"])
+@pytest.mark.parametrize("reps", [None, range(3, 17), [4, 1]], ids=["level", "range", "list"])
+def test_negative_alpha_keeps_the_denominator_positive(k, inner, reps):
+    # alpha^k = (-3)^k / 2^k is negative for odd k: the kernel signs it.
+    r = Regularize(k, F(-3, 2), inner)
+    nums, den = evaluate_level(r, 5, 2, reps)
+    assert den > 0
+    balls = range(25) if reps is None else reps
+    # alpha * a mod 25 is -3 * 13 * a: 13 is 1/2 mod 25.
+    want = [
+        evaluate(inner, Ball(5, 2, a)) - F(-2, 3) ** k * evaluate(inner, Ball(5, 2, -39 * a % 25))
+        for a in balls
+    ]
+    assert [F(x, den) for x in nums] == want
 
 
 @SETTINGS

@@ -28,10 +28,12 @@ from padicdist import (
     Haar,
     LinearComb,
     Mazur,
+    NotPAdicIntegerError,
     Path,
     Regularize,
     Restrict,
     check_relation,
+    distributions,
     evaluate_level,
 )
 
@@ -423,6 +425,91 @@ _NOT_A_UNIT = Regularize(1, 5, Mazur())
 )
 def test_linear_comb_named_cases(expr, reps):
     _assert_agrees(expr, 5, 2, reps)
+
+
+# A Regularize over a leaf asks the leaf for the balls and their images as
+# two requests, the first kept a range where it is one.
+LEAVES = {
+    "mazur": Mazur(),
+    "haar": Haar(F(2, 3)),
+    "bernoulli": Bernoulli(2),
+    "dirac-inside": Dirac(F(7, 3)),
+    "dirac-outside": Dirac(F(1, 5)),
+}
+
+
+@pytest.mark.parametrize("leaf", LEAVES.values(), ids=LEAVES)
+@pytest.mark.parametrize(
+    "k, alpha", [(1, F(2)), (2, F(-3, 2)), (3, F(-3, 2)), (1, F(5)), (2, F(1, 5))],
+    ids=["2", "-3/2-even", "-3/2-odd", "not-a-unit", "not-a-unit-inverse"],
+)
+@pytest.mark.parametrize(
+    "reps", [range(10, 20), range(24, 0, -3), [7, 2, 7, 0, 2, 13, 13], [3]],
+    ids=["wrapping-range", "stepped-range", "duplicates", "one-ball"],
+)
+def test_regularize_over_a_leaf(leaf, k, alpha, reps):
+    # Under alpha = 2 the range 10..19 maps onto 20..24 and 0..13: its
+    # images wrap round the level, out of order.
+    _assert_agrees(Regularize(k, alpha, leaf), 5, 2, reps)
+
+
+@pytest.mark.parametrize(
+    "expr, error, message",
+    [
+        (Regularize(1, 5, Mazur()), ValueError, "alpha=5 is not a unit of Z_p for p=5"),
+        (Regularize(2, F(1, 5), Haar()), ValueError, "alpha=1/5 is not a unit of Z_p for p=5"),
+        (Regularize(1, 2, Dirac(F(1, 5))), NotPAdicIntegerError,
+         "1/5 is not a p-adic integer for p=5"),
+        (Regularize(1, 2, Dirac(F(-7, 10))), NotPAdicIntegerError,
+         "-7/10 is not a p-adic integer for p=5"),
+    ],
+)
+@pytest.mark.parametrize("reps", [None, range(10, 20), range(24, 0, -3), [7, 2, 7], [3]])
+def test_regularize_over_a_leaf_raises_its_one_error(expr, error, message, reps):
+    with pytest.raises(error) as info:
+        evaluate_level(expr, 5, 2, reps)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def _best_time(expr, p, n, reps, runs=3):
+    best = float("inf")
+    for _ in range(runs):
+        start = time.perf_counter()
+        evaluate_level(expr, p, n, reps)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def _same_alpha_chain(depth):
+    expr = Mazur()
+    for _ in range(depth):
+        expr = Regularize(1, 2, expr)
+    return expr
+
+
+@pytest.mark.parametrize(
+    "expr", [_same_alpha_chain(20), _nested_regularize(20)], ids=["same-alpha", "mixed-alpha"]
+)
+def test_nested_regularize_chains_stay_linear(expr, monkeypatch):
+    # Each Regularize above another asks it for the balls and their images
+    # in one request, so a 20-deep chain costs one request per node, of at
+    # most a level each.  Splitting those requests too would cost i + 1
+    # requests at nesting depth i, several times this time bound.
+    p, n, reps = 5, 6, range(100, 2100)
+    assert _best_time(expr, p, n, reps) < 0.5
+    requests = []
+    level = distributions._level
+
+    def counting(e, *args):
+        requests.append(e)
+        return level(e, *args)
+
+    monkeypatch.setattr(distributions, "_level", counting)
+    nums, den = evaluate_level(expr, p, n, reps)
+    assert len(requests) <= 21
+    monkeypatch.undo()
+    for i in (0, 777, 1999):
+        assert evaluate_level(expr, p, n, [reps[i]]) == ([nums[i]], den)
 
 
 def _scalar_violations(expr, p, depth):
