@@ -34,12 +34,13 @@ Values are exact Fractions; no node ever rounds.
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from math import comb, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 from weakref import WeakValueDictionary
 
 from .core import (
@@ -114,12 +115,13 @@ class _Node(Record):
     they are interned.
 
     A node the constructor keeps starts a count of the parents built over
-    it at 0 and adds 1 to each sub-expression that is a node, once per
-    place that holds it; `_level` evaluates a node counted 2 or more once
-    per request.  The count `_uses` is no field, so `==`, `repr`, pickling
-    and the codecs never see it.  A parent freed since still counts, so the
-    count can only be too high, which costs an unneeded memo entry per
-    request and never a wrong value.
+    it at 0, keeps its sub-expressions that are nodes as `_kids`, once per
+    place that holds them, and adds 1 to the count of each; `_level`
+    evaluates a node counted 2 or more once per request.  `_uses` and
+    `_kids` are no fields, so `==`, `repr`, pickling and the codecs never
+    see them.  A parent freed since still counts, and so does one that
+    `count_held` adds for a search, so the count can only be too high,
+    which costs an unneeded memo entry per request and never a wrong value.
     """
 
     _kinds = FIELD_KINDS
@@ -140,10 +142,11 @@ class _Node(Record):
         plain, kids = _parts(node)
         kept = _INTERNED.setdefault((cls, *plain, *map(id, kids)), node)
         if kept is node:
+            kids = tuple(kid for kid in kids if isinstance(kid, _Node))
             _set(node, "_uses", 0)
+            _set(node, "_kids", kids)
             for kid in kids:
-                if isinstance(kid, _Node):
-                    _set(kid, "_uses", kid._uses + 1)
+                _set(kid, "_uses", kid._uses + 1)
         return kept
 
     # `type.__call__` initializes what `__new__` returns, which is built
@@ -235,9 +238,10 @@ class Regularize(_Node):
 
     alpha * B is the depth-n ball with representative alpha * rep mod p^n.
     The unit condition is checked against the ball's prime at evaluation.
-    `_ints` keeps alpha as (numerator, denominator) and alpha^k as (u, v),
-    signed so that u > 0, for the level kernel, read and raised once here;
-    like `_uses`, it is no field.
+    `_ints` keeps alpha as (numerator, denominator), read once here, and
+    alpha^k as (u, v), signed so that u > 0, raised once by the level
+    kernel on the first evaluation that passes the unit check, so a large
+    k costs nothing until then; like `_uses`, it is no field.
     """
 
     k: int
@@ -250,9 +254,7 @@ class Regularize(_Node):
         _set(self, "alpha", as_rational(self.alpha))
         if self.alpha == 1:
             raise ValueError("alpha must differ from 1")
-        a, b = self.alpha.numerator, self.alpha.denominator
-        u, v = a**self.k, b**self.k
-        _set(self, "_ints", (a, b, -u, -v) if u < 0 else (a, b, u, v))
+        _set(self, "_ints", (self.alpha.numerator, self.alpha.denominator, None, None))
 
 
 class Graft(_Node):
@@ -388,8 +390,8 @@ def evaluate_shared(
     depth and rep set, through a memo that lives for one request: a request
     costs its distinct sub-expressions times its balls.  An expression
     that another expression of the request holds once is evaluated there
-    and again on its own, unless the request runs inside `counted(exprs)`,
-    as the searches of `padicdist.verify` do.
+    and again on its own, unless `count_held(exprs)` has counted it, as
+    the searches of `padicdist.verify` do.
     A node meets its sub-expressions for all the balls at once, so a
     raising request is replayed one ball at a time, the expressions in
     order on each, to raise the first failing ball's error.
@@ -406,53 +408,35 @@ def evaluate_shared(
         raise
 
 
-class counted:
+def count_held(exprs: Sequence[DistExpr]) -> None:
     """Count each of exprs that another of them holds, or repeats, as one
-    more parent of itself while the `with` block runs.
-
-    The requests of `evaluate_shared` made in the block then evaluate such
-    an expression once, not once inside its holder and again on its own.
-    The count changes once for the block, not once per request: a search
-    makes many requests of the same expressions, and most hold no other.
-    Only an expression with fewer than two parents needs counting.  A
-    count left off by one, as by two threads counting one node at once,
-    costs a memo entry or a second evaluation, never a wrong value.  `below`
-    keeps by root id the ids of the nodes it holds, for blocks over one root.
+    more parent of itself, for good, so that the requests of
+    `evaluate_shared` on exprs evaluate it once, not inside its holder and
+    again on its own.  A search calls this once.  Only an expression with
+    one parent is counted: one with none is held by no node, and one with
+    more is evaluated once already, so counting again changes nothing.  A
+    count never lowered, or lost by two threads counting at once, costs at
+    most a memo entry or a second evaluation, never a wrong value.
     """
-
-    def __init__(self, exprs: Sequence[DistExpr], below: dict | None = None) -> None:
-        below = {} if below is None else below
-        self.held = []
-        for i, e in enumerate(exprs):
-            if getattr(e, "_uses", 2) < 2:
-                for j, x in enumerate(exprs):
-                    if j != i and _within(e, x, below):
-                        self.held.append(e)
-                        break
-
-    def __enter__(self) -> None:
-        for e in self.held:
-            _set(e, "_uses", e._uses + 1)
-
-    def __exit__(self, *exc_info) -> None:
-        for e in self.held:
-            _set(e, "_uses", e._uses - 1)
+    single = {id(e): e for e in exprs if getattr(e, "_uses", 0) == 1}
+    if single:
+        # Once per place among exprs, and once more if below one of them.
+        held = Counter(map(id, exprs))
+        held.update(id(x) for x in _walk(x for e in exprs for x in getattr(e, "_kids", ())))
+        for key, e in single.items():
+            if held[key] > 1:
+                _set(e, "_uses", e._uses + 1)
 
 
-def _within(e: _Node, root: DistExpr, below: dict) -> bool:
-    # Whether e is root or one of its sub-expressions.  A node with no
-    # parent can only be root, and a leaf holds nothing.
-    if e._uses == 0 or e is root or type(root) not in _KERNELS:
-        return e is root
-    if id(root) not in below:
-        seen, stack = set(), [root]
-        while stack:
-            x = stack.pop()
-            if isinstance(x, _Node) and id(x) not in seen:
-                seen.add(id(x))
-                stack += _parts(x)[1]
-        below[id(root)] = seen
-    return id(e) in below[id(root)]
+def _walk(roots: Iterable[DistExpr]) -> Iterator[_Node]:
+    # Each distinct node among roots and the nodes below them, once.
+    seen, stack = set(), list(roots)
+    while stack:
+        x = stack.pop()
+        if id(x) not in seen:
+            seen.add(id(x))
+            yield x
+            stack += x._kids
 
 
 # =====================================================================
@@ -631,6 +615,9 @@ def _level_regularize(
     a, b, u, v = expr._ints
     if a % p == 0 or b % p == 0:
         raise ValueError(f"alpha={expr.alpha} is not a unit of Z_p for p={p}")
+    if u is None:
+        u, v = abs(a) ** expr.k, (-b if a < 0 else b) ** expr.k
+        _set(expr, "_ints", (a, b, u, v))
     m = p**n
     scale = a * pow(b, -1, m) % m
     # mu(B) - alpha^(-k) mu(alpha B) = (u mu(B) - v mu(alpha B)) with
@@ -797,16 +784,16 @@ def boundedness_flag(expr: DistExpr) -> BoundednessFlag:
     """Syntactic boundedness of sup over balls of |value|_p.
 
     The flag is propagated structurally and never consults ball values:
-    point masses are bounded; the Haar/Mazur/Bernoulli families are
-    unbounded; a graft is bounded iff both sides are and unbounded if either
-    side is; a branch is bounded iff all children are and unbounded if any
-    child is, each child judged on its own cell t + (p^k) only; a linear
-    combination is bounded if all terms are, unbounded if exactly one
-    unbounded term survives with a nonzero coefficient, and unknown
-    otherwise (cancellation can hide either outcome); restriction keeps the
-    inner flag on its cell, and nested cells meet, so a part whose cells are
-    disjoint is identically 0 and bounded; regularization is always unknown
-    here, its point being to cancel growth.
+    point masses and Haar(0) are bounded; any other Haar, Mazur and
+    Bernoulli are unbounded; a graft is bounded iff both sides are and
+    unbounded if either side is; a branch is bounded iff all children are
+    and unbounded if any child is, each child judged on its own cell
+    t + (p^k) only; a linear combination is bounded if all terms are,
+    unbounded if exactly one unbounded term survives with a nonzero
+    coefficient, and unknown otherwise (cancellation can hide either
+    outcome); restriction keeps the inner flag on its cell, and nested cells
+    meet, so a part whose cells are disjoint is identically 0 and bounded;
+    regularization is always unknown here, its point being to cancel growth.
     `padicdist.verify.boundedness_verdict` compares this flag with an
     empirical norm scan.
     """
@@ -825,7 +812,7 @@ def _flag_on(expr: DistExpr, cell: tuple[int, int], memo: dict) -> BoundednessFl
 
 def _flag(expr: DistExpr, cell: tuple[int, int], memo: dict) -> BoundednessFlag:
     # `_flag_on` past its memo, which holds the flags found so far in one call.
-    if isinstance(expr, Dirac):
+    if isinstance(expr, Dirac) or isinstance(expr, Haar) and not expr.scale:
         return BoundednessFlag.BOUNDED
     if isinstance(expr, (Haar, Mazur, Bernoulli)):
         return BoundednessFlag.UNBOUNDED

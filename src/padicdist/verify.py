@@ -48,7 +48,7 @@ from .distributions import (
     BoundednessFlag,
     DistExpr,
     boundedness_flag,
-    counted,
+    count_held,
     evaluate_shared,
 )
 
@@ -308,25 +308,25 @@ def check_graft_precondition(
     p = path.prime
     on_path: list[OnPathFailure] = []
     tails: list[TailSumFailure] = []
-    with counted((left, right)):
-        rep, q = 0, 1
-        (lnums, ld), (rnums, rd) = evaluate_shared((left, right), p, 0, [rep])
-        for n, i_n in enumerate(path.digits(max_depth + 1)):
-            # The last ball of the previous request is P_n; q is p^n.
-            lv, rv = lnums[-1], rnums[-1]
-            if lv * rd != rv * ld:
-                on_path.append(OnPathFailure(n, Fraction(lv, ld), Fraction(rv, rd)))
-            balls = [rep + b * q for b in range(p) if b != i_n]
-            rep += i_n * q
-            q *= p
-            if n < max_depth:
-                balls.append(rep)
-            (lnums, ld), (rnums, rd) = evaluate_shared((left, right), p, n + 1, balls)
-            diffs = [x * rd - y * ld for x, y in zip(lnums[: p - 1], rnums)]
-            below, above = sum(diffs[:i_n]), sum(diffs[i_n:])
-            if below or above:
-                den = ld * rd
-                tails.append(TailSumFailure(n, Fraction(below, den), Fraction(above, den)))
+    count_held((left, right))
+    rep, q = 0, 1
+    (lnums, ld), (rnums, rd) = evaluate_shared((left, right), p, 0, [rep])
+    for n, i_n in enumerate(path.digits(max_depth + 1)):
+        # The last ball of the previous request is P_n; q is p^n.
+        lv, rv = lnums[-1], rnums[-1]
+        if lv * rd != rv * ld:
+            on_path.append(OnPathFailure(n, Fraction(lv, ld), Fraction(rv, rd)))
+        balls = [rep + b * q for b in range(p) if b != i_n]
+        rep += i_n * q
+        q *= p
+        if n < max_depth:
+            balls.append(rep)
+        (lnums, ld), (rnums, rd) = evaluate_shared((left, right), p, n + 1, balls)
+        diffs = [x * rd - y * ld for x, y in zip(lnums[: p - 1], rnums)]
+        below, above = sum(diffs[:i_n]), sum(diffs[i_n:])
+        if below or above:
+            den = ld * rd
+            tails.append(TailSumFailure(n, Fraction(below, den), Fraction(above, den)))
     return GraftPreconditionReport(p, path, max_depth, tuple(on_path), tuple(tails))
 
 
@@ -361,7 +361,7 @@ def check_branch_hypothesis(
     The first witness always has t = 0: if children t and s differ on a
     ball, child 0 differs there from at least one of them.  So only child 0
     is compared, against s = 1, 2, ... in turn, skipping children equal to
-    it, which are child 0 itself, and the work, child 0's nodes listed
+    it, which are child 0 itself, and the work, the table's nodes listed
     once, is linear in the number of children.  Each request evaluates the
     two together, a sub-expression held in several places once.
     """
@@ -375,11 +375,11 @@ def check_branch_hypothesis(
     if len(table) != prime**k:
         raise ValueError(f"need {prime**k} children for p={prime}, k={k}, got {len(table)}")
     require_budget(prime, search_depth, ball_budget)
-    below: dict = {}
+    count_held(table)
     for s in range(1, len(table)):
         if table[s] is table[0]:
             continue
-        ball = _first_difference((table[0], table[s]), prime, k, search_depth, below)
+        ball = _first_difference((table[0], table[s]), prime, k, search_depth)
         if ball is not None:
             return BranchWitness(0, s, ball)
     return None
@@ -401,12 +401,11 @@ def distinctness_witness(
     require_prime(prime)
     require_depth(max_depth, "max_depth")
     require_budget(prime, max_depth, ball_budget)
+    count_held((first, second))
     return _first_difference((first, second), prime, 0, max_depth)
 
 
-def _first_difference(
-    sides: Sequence[DistExpr], p: int, lo: int, hi: int, below: dict | None = None
-) -> Ball | None:
+def _first_difference(sides: Sequence[DistExpr], p: int, lo: int, hi: int) -> Ball | None:
     """First ball of depth lo..hi, by depth then rep, where the two differ.
 
     Depth n is scanned in consecutive rep ranges: the first holds p^(n-1)
@@ -417,22 +416,21 @@ def _first_difference(
     one request for both sides, so it costs the distinct sub-expressions
     of the two times its balls.  A range that raises is scanned again one
     rep at a time, which returns a witness before its first faulty ball or
-    raises what that ball raises.  `below` is passed on to `counted`.
+    raises what that ball raises.
     """
-    with counted(sides, below):
-        for n in range(lo, hi + 1):
-            m = p**n
-            start, stop = 0, max(1, m // p)
-            while start < m:
-                reps = range(start, stop)
-                try:
-                    r = _first_differing(sides, p, n, reps)
-                except (ValueError, TypeError):
-                    alone = (r for r in reps if _first_differing(sides, p, n, [r]) is not None)
-                    r = next(alone, None)
-                if r is not None:
-                    return Ball(p, n, r)
-                start, stop = stop, min(2 * stop, m)
+    for n in range(lo, hi + 1):
+        m = p**n
+        start, stop = 0, max(1, m // p)
+        while start < m:
+            reps = range(start, stop)
+            try:
+                r = _first_differing(sides, p, n, reps)
+            except (ValueError, TypeError):
+                alone = (r for r in reps if _first_differing(sides, p, n, [r]) is not None)
+                r = next(alone, None)
+            if r is not None:
+                return Ball(p, n, r)
+            start, stop = stop, min(2 * stop, m)
     return None
 
 

@@ -384,27 +384,47 @@ def test_unhashable_plain_field_is_refused_at_construction():
         Restrict([5, 2, 7], Mazur())
 
 
-# Dirac and Regularize keep ints read from their fields for the level
-# kernels; they are no field, so nothing a caller sees of a node shows them.
+# Dirac, Regularize and LinearComb keep ints read from their fields for the
+# level kernels, and every node its sub-expressions that are nodes as
+# `_kids`, once per place; they are no field, so nothing a caller sees of a
+# node shows them.
 STORED = [
     (lambda: Dirac(F(-7, 8)), "Dirac(point=Fraction(-7, 8))",
-     {"type": "dirac", "point": "-7/8"}),
+     {"type": "dirac", "point": "-7/8"}, ()),
     (lambda: Regularize(3, "-3/2", Mazur()),
      "Regularize(k=3, alpha=Fraction(-3, 2), expr=Mazur())",
-     {"type": "regularize", "k": 3, "alpha": "-3/2", "expr": {"type": "mazur"}}),
+     {"type": "regularize", "k": 3, "alpha": "-3/2", "expr": {"type": "mazur"}}, (Mazur(),)),
+    (lambda: LinearComb(((2, Mazur()), (F(1, 3), Mazur()))),
+     "LinearComb(terms=((Fraction(2, 1), Mazur()), (Fraction(1, 3), Mazur())))",
+     {"type": "lincomb", "terms": [["2", {"type": "mazur"}], ["1/3", {"type": "mazur"}]]},
+     (Mazur(), Mazur())),
 ]
 
 
-@pytest.mark.parametrize("build, text, data", STORED, ids=["Dirac", "Regularize"])
-def test_stored_ints_are_no_field(build, text, data):
+@pytest.mark.parametrize(
+    "build, text, data, kids", STORED, ids=["Dirac", "Regularize", "LinearComb"]
+)
+def test_stored_ints_are_no_field(build, text, data, kids):
     node = build()
-    assert hasattr(node, "_ints")
-    assert "_ints" not in [name for name, _, _ in type(node)._fields]
+    assert hasattr(node, "_ints") and node._kids == kids
+    assert not {"_ints", "_kids"} & {name for name, _, _ in type(node)._fields}
     assert build() is node and repr(node) == text
     for twin in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
         assert twin is node
     assert expr_to_json(node) == data
     assert expr_from_json(data, 5) is node
+
+
+def test_regularize_with_a_huge_k_builds_and_is_refused_at_once():
+    # alpha^k is raised on the first evaluation that passes the unit check,
+    # so a non-unit alpha with k = 10^7 costs nothing to build or refuse.
+    start = time.perf_counter()
+    node = Regularize(10**7, 3, Mazur())
+    assert time.perf_counter() - start < 0.1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^alpha=3 is not a unit of Z_p for p=3$"):
+        evaluate_level(node, 3, 2)
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -440,6 +460,9 @@ def test_copies_and_unpickled_nodes_are_the_original(expr):
 def test_boundedness_base_families():
     assert boundedness_flag(Dirac(4)) is BoundednessFlag.BOUNDED
     assert boundedness_flag(Haar()) is BoundednessFlag.UNBOUNDED
+    # Every value of Haar(0) is 0, and so of what is built from it alone.
+    for zero in (Haar(0), LinearComb(((2, Haar(0)),)), Restrict(Ball(3, 1, 2), Haar(0))):
+        assert boundedness_flag(zero) is BoundednessFlag.BOUNDED
     assert boundedness_flag(Mazur()) is BoundednessFlag.UNBOUNDED
     assert boundedness_flag(Bernoulli(3)) is BoundednessFlag.UNBOUNDED
     assert boundedness_flag(Regularize(1, F(3), Mazur())) is BoundednessFlag.UNKNOWN

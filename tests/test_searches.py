@@ -47,6 +47,7 @@ from padicdist import (
     Restrict,
     check_branch_hypothesis,
     check_graft_precondition,
+    check_relation,
     distinctness_witness,
 )
 from padicdist import distributions, verify
@@ -413,26 +414,52 @@ def test_a_root_that_the_other_root_holds_is_evaluated_once():
 
 
 def test_branch_check_walks_child_0_once_per_table():
-    # Child 0 is a chain of 20 links standing for Dirac(0); each other child
-    # has one parent, the branch, so each (child 0, child s) block looks for
-    # child s within child 0.  Child 0's nodes are listed once per table,
-    # however many children it is compared with.  The children equal child
-    # 0 on every ball searched but the last, so the search visits them all.
+    # Child 0 is a chain of 20 links standing for Dirac(0); each child has
+    # one parent, the branch, so the search looks for each child below the
+    # others.  Child 0's nodes are listed once per table, however many
+    # children it is compared with.  The children equal child 0 on every
+    # ball searched but the last, so the search visits them all.
     chain = Dirac(0)
     for _ in range(20):
         chain = LinearComb(((F(1, 2), chain), (F(1, 2), chain)))
+    walk = distributions._walk
 
     def search(k):
         size = 5**k
         middle = [Dirac(s * 5**6) for s in range(1, size - 1)]
         branch = Branch(k, (chain, *middle, Dirac(1)))
-        with mock.patch.object(distributions, "_parts", wraps=distributions._parts) as parts:
+        listed = []
+
+        def listing(roots):
+            for x in walk(roots):
+                listed.append(x)
+                yield x
+
+        with mock.patch.object(distributions, "_walk", listing):
             witness = check_branch_hypothesis(branch, 5, k, k + 1)
         assert witness == BranchWitness(0, size - 1, Ball(5, k, 0))
-        return parts.call_count
+        return len(listed)
 
     few, many = search(1), search(2)
-    assert many - few < 20
+    assert 0 < few and many - few < 20
+
+
+def test_a_search_counts_a_held_input_once_and_for_good():
+    # e's one parent is `other`: the first search given both counts e's
+    # second parent, and no later search counts it again or takes it back.
+    e = Regularize(1, 3, LinearComb(((1, Mazur()), (2, Bernoulli(3)))))
+    other = Graft(Path(5, (), (1,)), Mazur(), e)
+    report = check_relation(e, 5, 3)
+    assert e._uses == 1
+    distinctness_witness(e, other, 5, 3)
+    assert e._uses == 2
+    check_graft_precondition(other, e, Path(5, (2,), (3,)), 3)
+    check_branch_hypothesis((other, *[e] * 4), 5, 1, 2)
+    assert e._uses == 2
+    with pytest.raises(ValueError, match="not a unit"):
+        distinctness_witness(e, other, 3, 2)
+    assert e._uses == 2
+    assert check_relation(e, 5, 3) == report
 
 
 def test_intern_table_holds_no_node_alive():

@@ -309,11 +309,19 @@ def test_boundedness_verdict_agreement_leaves_no_note():
 
 
 def test_boundedness_verdict_flags_constant_scan_of_unbounded_flag():
-    # Haar(0) is structurally "unbounded" but evaluates to zero everywhere;
+    # The graft's right side owns no ball (no digit exceeds the path's 2),
+    # so it is Dirac(0) everywhere, but Mazur makes the flag "unbounded";
     # the verdict keeps the flag and notes the disagreement.
-    verdict = boundedness_verdict(Haar(0), 3, 4)
+    verdict = boundedness_verdict(Graft(Path(3, (), (2,)), Dirac(0), Mazur()), 3, 4)
     assert verdict.flag is BoundednessFlag.UNBOUNDED
     assert verdict.note is not None and "constant" in verdict.note
+    assert [e.max_norm for e in verdict.scan.entries] == [1, 1, 1, 1, 1]
+
+
+def test_boundedness_verdict_of_haar_0_is_bounded_without_note():
+    # Every value of Haar(0) is 0.
+    verdict = boundedness_verdict(Haar(0), 3, 4)
+    assert verdict.flag is BoundednessFlag.BOUNDED and verdict.note is None
     assert [e.max_norm for e in verdict.scan.entries] == [0, 0, 0, 0, 0]
 
 
