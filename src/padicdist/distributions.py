@@ -214,8 +214,9 @@ class Bernoulli(_Node):
 class LinearComb(_Node):
     """sum of coef * expr over the given (coef, expr) terms.
 
-    `_ints` keeps each term as (numerator, denominator, expr) for the level
-    kernel, read once here; like `_uses`, it is no field.
+    `_ints` keeps each term as (numerator, denominator, expr, expr's kernel
+    in `_LEAVES` or None) for the level kernel, read once here; like
+    `_uses`, it is no field.
     """
 
     terms: tuple[tuple[Fraction, "DistExpr"], ...]
@@ -223,7 +224,8 @@ class LinearComb(_Node):
     def __post_init__(self) -> None:
         terms = tuple((as_rational(c), e) for c, e in self.terms)
         _set(self, "terms", terms)
-        _set(self, "_ints", tuple((c.numerator, c.denominator, e) for c, e in terms))
+        ints = ((c.numerator, c.denominator, e, _LEAVES.get(type(e))) for c, e in terms)
+        _set(self, "_ints", tuple(ints))
 
 
 class Restrict(_Node):
@@ -535,21 +537,22 @@ def polynomial_values(coeffs: Sequence[int], reps: Sequence[int]) -> list[int]:
 def _level_linear_comb(
     expr: LinearComb, p: int, n: int, reps: Sequence[int], memo: dict
 ) -> tuple[list[int], int]:
-    # Every term is evaluated in order, zero coefficients included: a dense
-    # term on all the balls, a point mass as the rep of its one ball.  den
-    # is the lcm of all the terms' denominators, so the dense terms fold in
-    # at their final scale, one pass each, and a point mass adds its scaled
-    # coefficient where it hits.  The first dense term's list may be a memo
-    # entry, so it is copied before a point mass adds into it.
-    m = p**n
+    # Every term is evaluated in order, zero coefficients included: a leaf
+    # by its kernel, a combinator through `_level`, a point mass as the rep
+    # of its one ball.  den is the running lcm of the terms' denominators,
+    # so the dense terms fold in at their final scale, one pass each, and a
+    # point mass adds its scaled coefficient where it hits.  The first dense
+    # term's list may be a memo entry, copied before a point mass adds in.
+    m, den = p**n, 1
     dense, masses = [], []
-    for cn, cd, e in expr._ints:
-        if type(e) is Dirac:
+    for cn, cd, e, leaf in expr._ints:
+        if leaf is _level_dirac:
             masses.append((cn, cd, _dirac_rep(e, p, m)))
         else:
-            tn, td = _level(e, p, n, reps, memo)
-            dense.append((cn, cd * td, tn))
-    den = lcm(*(term[1] for term in chain(dense, masses)))
+            tn, td = _level(e, p, n, reps, memo) if leaf is None else leaf(e, p, m, reps)
+            cd *= td
+            dense.append((cn, cd, tn))
+        den = lcm(den, cd)
     nums = [] if dense else [0] * len(reps)
     for i, (cn, cd, tn) in enumerate(dense):
         f = cn * (den // cd)
@@ -786,14 +789,16 @@ def boundedness_flag(expr: DistExpr) -> BoundednessFlag:
     The flag is propagated structurally and never consults ball values:
     point masses and Haar(0) are bounded; any other Haar, Mazur and
     Bernoulli are unbounded; a graft is bounded iff both sides are and
-    unbounded if either side is; a branch is bounded iff all children are
-    and unbounded if any child is, each child judged on its own cell
-    t + (p^k) only; a linear combination is bounded if all terms are,
-    unbounded if exactly one unbounded term survives with a nonzero
-    coefficient, and unknown otherwise (cancellation can hide either
-    outcome); restriction keeps the inner flag on its cell, and nested cells
-    meet, so a part whose cells are disjoint is identically 0 and bounded;
-    regularization is always unknown here, its point being to cancel growth.
+    unbounded if either side is, or its left side's flag when every digit
+    of its path is p - 1, as the right side then owns no ball; a branch is
+    bounded iff all children are and unbounded if any child is, each child
+    judged on its own cell t + (p^k) only; a linear combination is bounded
+    if all terms are, unbounded if exactly one unbounded term survives with
+    a nonzero coefficient, and unknown otherwise (cancellation can hide
+    either outcome); restriction keeps the inner flag on its cell, and
+    nested cells meet, so a part whose cells are disjoint is identically 0
+    and bounded; regularization is always unknown here, its point being to
+    cancel growth.
     `padicdist.verify.boundedness_verdict` compares this flag with an
     empirical norm scan.
     """
@@ -832,7 +837,11 @@ def _flag(expr: DistExpr, cell: tuple[int, int], memo: dict) -> BoundednessFlag:
     if isinstance(expr, Regularize):
         return BoundednessFlag.UNKNOWN
     if isinstance(expr, Graft):
-        return _join_flags(_flag_on(side, cell, memo) for side in (expr.left, expr.right))
+        # No ball leaves a path of digits p - 1 by a larger digit.
+        path = expr.path
+        right_owns = set(path.preperiod + path.period) != {path.prime - 1}
+        sides = (expr.left, expr.right) if right_owns else (expr.left,)
+        return _join_flags(_flag_on(side, cell, memo) for side in sides)
     if isinstance(expr, Branch):
         size = len(expr.children)
         return _join_flags(

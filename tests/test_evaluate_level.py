@@ -512,6 +512,28 @@ def test_nested_regularize_chains_stay_linear(expr, monkeypatch):
         assert evaluate_level(expr, p, n, [reps[i]]) == ([nums[i]], den)
 
 
+@pytest.mark.parametrize("reps", [range(25), [3, 17, 3]], ids=["range", "list"])
+def test_linear_comb_calls_its_leaf_terms_kernels_directly(reps, monkeypatch):
+    # A linear combination of base families is one request, its own: each
+    # leaf term goes to its kernel, and a point mass to the rep it hits.
+    expr = LinearComb(((F(2, 3), Mazur()), (F(-1), Haar(F(5, 7))), (F(3), Dirac(F(1, 3)))))
+    p, n = 5, 2
+    expected = evaluate_level(expr, p, n, reps)
+    requests = []
+    level = distributions._level
+
+    def counting(e, *args):
+        requests.append(e)
+        return level(e, *args)
+
+    monkeypatch.setattr(distributions, "_level", counting)
+    assert evaluate_level(expr, p, n, reps) == expected
+    assert requests == [expr]
+    monkeypatch.undo()
+    for i, r in enumerate(reps):
+        assert evaluate(expr, Ball(p, n, r)) == F(expected[0][i], expected[1])
+
+
 def _scalar_violations(expr, p, depth):
     """(ball, value, children's sum) where additivity fails, ball by ball."""
     found = []

@@ -19,6 +19,7 @@ from padicdist import (
     Polynomial,
     Regularize,
     Restrict,
+    boundedness_flag,
     boundedness_verdict,
     check_branch_hypothesis,
     check_graft_precondition,
@@ -309,13 +310,24 @@ def test_boundedness_verdict_agreement_leaves_no_note():
 
 
 def test_boundedness_verdict_flags_constant_scan_of_unbounded_flag():
-    # The graft's right side owns no ball (no digit exceeds the path's 2),
-    # so it is Dirac(0) everywhere, but Mazur makes the flag "unbounded";
-    # the verdict keeps the flag and notes the disagreement.
-    verdict = boundedness_verdict(Graft(Path(3, (), (2,)), Dirac(0), Mazur()), 3, 4)
+    # Mazur on a depth-5 cell is unbounded, but a scan to depth 3 sees only
+    # the balls around the cell, each with the cell's value -1/2; the
+    # verdict keeps the flag and notes that the scan stopped too early.
+    verdict = boundedness_verdict(Restrict(Ball(3, 5, 0), Mazur()), 3, 3)
     assert verdict.flag is BoundednessFlag.UNBOUNDED
     assert verdict.note is not None and "constant" in verdict.note
+    assert [e.max_norm for e in verdict.scan.entries] == [1, 1, 1, 1]
+
+
+def test_boundedness_flag_of_a_graft_whose_right_side_owns_no_ball():
+    # No digit exceeds the path's 2 at p = 3, so the graft is Dirac(0)
+    # everywhere and judged by its left side alone.
+    verdict = boundedness_verdict(Graft(Path(3, (), (2,)), Dirac(0), Mazur()), 3, 4)
+    assert verdict.flag is BoundednessFlag.BOUNDED and verdict.note is None
     assert [e.max_norm for e in verdict.scan.entries] == [1, 1, 1, 1, 1]
+    # One smaller digit anywhere on the path hands the right side a subtree.
+    assert boundedness_flag(Graft(Path(3, (1,), (2,)), Dirac(0), Mazur())) is BoundednessFlag.UNBOUNDED
+    assert boundedness_flag(Graft(Path(3, (2,), (2, 0)), Dirac(0), Mazur())) is BoundednessFlag.UNBOUNDED
 
 
 def test_boundedness_verdict_of_haar_0_is_bounded_without_note():
