@@ -40,6 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from math import comb, lcm
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 from weakref import WeakValueDictionary
 
@@ -59,6 +60,7 @@ from .core import (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+MAX_BERNOULLI_K = 200  # B_k's coefficients cost about k^3 Fraction steps
 
 
 # =====================================================================
@@ -189,34 +191,43 @@ class Dirac(_Node):
 
 
 class Haar(_Node):
-    """Translation-invariant distribution: scale / p^n on each depth-n ball."""
+    """Translation-invariant distribution: scale / p^n on each depth-n ball;
+    its affine form `_affine` is (0, u, 0, v) for scale = u/v (no field)."""
 
     scale: Fraction = _ONE
 
     def __post_init__(self) -> None:
         _set(self, "scale", as_rational(self.scale))
+        _set(self, "_affine", (0, self.scale.numerator, 0, self.scale.denominator))
 
 
 class Mazur(_Node):
-    """rep/p^n - 1/2 on the ball rep + (p^n); equals Bernoulli(1)."""
+    """rep/p^n - 1/2 on the ball rep + (p^n); equals Bernoulli(1).  Its
+    affine form `_affine` is (2, 0, -1, 2): (2 rep - p^n) / (2 p^n)."""
+
+    _affine = (2, 0, -1, 2)
 
 
 class Bernoulli(_Node):
-    """p^(n(k-1)) * B_k(rep / p^n) on the ball rep + (p^n), k >= 1."""
+    """p^(n(k-1)) * B_k(rep / p^n) on the ball rep + (p^n), 1 <= k <= MAX_BERNOULLI_K."""
 
     k: int
 
     def __post_init__(self) -> None:
         if not is_int(self.k) or self.k < 1:
             raise ValueError(f"Bernoulli index must be an integer >= 1, got {self.k!r}")
+        if self.k > MAX_BERNOULLI_K:
+            raise ValueError(f"Bernoulli index must be at most {MAX_BERNOULLI_K}, got {self.k}")
 
 
 class LinearComb(_Node):
     """sum of coef * expr over the given (coef, expr) terms.
 
-    `_ints` keeps each term as (numerator, denominator, expr, expr's kernel
-    in `_LEAVES` or None) for the level kernel, read once here; like
-    `_uses`, it is no field.
+    Its affine terms (Haar, Mazur and linear combinations affine throughout,
+    by exact type) are summed over the lcm of their denominators into one
+    form `_affine`.  `_ints` keeps the others in order as (numerator,
+    denominator, expr, `_LEAVES` kernel or None), after (1, 1, a holder of
+    the form, `_level_affine`) if any is affine; None if all are (no fields).
     """
 
     terms: tuple[tuple[Fraction, "DistExpr"], ...]
@@ -224,8 +235,19 @@ class LinearComb(_Node):
     def __post_init__(self) -> None:
         terms = tuple((as_rational(c), e) for c, e in self.terms)
         _set(self, "terms", terms)
-        ints = ((c.numerator, c.denominator, e, _LEAVES.get(type(e))) for c, e in terms)
-        _set(self, "_ints", tuple(ints))
+        ints, form = [], None
+        for c, e in terms:
+            if type(e) in (Haar, Mazur) or type(e) is LinearComb and e._ints is None:
+                (a, b, k, s), (fa, fb, fk, fs) = e._affine, form or (0, 0, 0, 1)
+                d = lcm(fs, s * c.denominator)
+                f, g = d // fs, c.numerator * (d // (s * c.denominator))
+                form = (f * fa + g * a, f * fb + g * b, f * fk + g * k, d)
+            else:
+                ints.append((c.numerator, c.denominator, e, _LEAVES.get(type(e))))
+        if form is not None:
+            ints = ((1, 1, SimpleNamespace(_affine=form), _level_affine), *ints) if ints else None
+        _set(self, "_affine", form)
+        _set(self, "_ints", ints if ints is None else tuple(ints))
 
 
 class Restrict(_Node):
@@ -335,7 +357,7 @@ def evaluate(expr: DistExpr, ball: Ball) -> Fraction:
     first down to level k.  A node held in several places is evaluated
     once, so an expression built with shared parts costs its distinct nodes.
     """
-    (num,), den = _level(expr, ball.prime, ball.depth, [ball.rep], {})
+    (num,), den = _level(expr, ball.prime, ball.depth, ball.prime**ball.depth, [ball.rep], {})
     return Fraction(num, den)
 
 
@@ -362,6 +384,7 @@ def evaluate_level(
     and one held in several places once, in O(balls) integer operations
     and memory (O(p^k) for a Branch at level k > n), and nested Regularize
     nodes cost one inner request each (two plain ones over a leaf).
+    Haar, Mazur and their sums, nested to any depth, are one affine form.
     A Graft also finds each ball's side: n steps per ball on a rep list, and
     on a step-1 range a walk over the residue classes the range meets, at
     most n * min(p, balls) + 1 of them.
@@ -399,14 +422,14 @@ def evaluate_shared(
     order on each, to raise the first failing ball's error.
     """
 
-    memo: dict = {}
+    m, memo = p**n, {}
     try:
-        return [_level(e, p, n, reps, memo) for e in exprs]
+        return [_level(e, p, n, m, reps, memo) for e in exprs]
     except (ValueError, TypeError):
         for r in reps:
             memo = {}
             for e in exprs:
-                _level(e, p, n, [r], memo)
+                _level(e, p, n, m, [r], memo)
         raise
 
 
@@ -446,9 +469,10 @@ def _walk(roots: Iterable[DistExpr]) -> Iterator[_Node]:
 # =====================================================================
 
 def _level(
-    expr: DistExpr, p: int, n: int, reps: Sequence[int], memo: dict
+    expr: DistExpr, p: int, n: int, m: int, reps: Sequence[int], memo: dict
 ) -> tuple[list[int], int]:
-    # reps is a list or a range of valid reps; a whole level is range(p^n).
+    # reps is a list or a range of valid reps of depth n, m = p^n, worked
+    # out once per request and depth; a whole level is range(m).
     # An empty request evaluates nothing, so, like `evaluate` on no balls,
     # it raises nothing.  memo holds the values of the nodes with two or
     # more parents so far in one request, by (id, depth, reps).
@@ -456,15 +480,15 @@ def _level(
         return [], 1
     leaf = _LEAVES.get(type(expr))
     if leaf is not None:
-        return leaf(expr, p, p**n, reps)
+        return leaf(expr, p, m, reps)
     kernel = _KERNELS.get(type(expr))
     if kernel is None:
         raise TypeError(f"not a distribution expression: {type(expr).__name__}")
     if expr._uses < 2:
-        return kernel(expr, p, n, reps, memo)
+        return kernel(expr, p, n, m, reps, memo)
     key = id(expr), n, reps if type(reps) is range else tuple(reps)
     if key not in memo:
-        memo[key] = kernel(expr, p, n, reps, memo)
+        memo[key] = kernel(expr, p, n, m, reps, memo)
     return memo[key]
 
 
@@ -486,10 +510,15 @@ def _level_dirac(expr: Dirac, p: int, m: int, reps: Sequence[int]) -> tuple[list
     return nums, 1
 
 
-def _level_mazur(expr: Mazur, p: int, m: int, reps: Sequence[int]) -> tuple[list[int], int]:
+def _level_affine(expr: DistExpr, p: int, m: int, reps: Sequence[int]) -> tuple[list[int], int]:
+    # (A a + B + C m) / (S m) on each ball a + (m), (A, B, C, S) = `_affine`.
+    a, b, c, s = expr._affine
+    b += c * m
+    if not a:
+        return [b] * len(reps), s * m
     if type(reps) is range:
-        return list(range(2 * reps.start - m, 2 * reps.stop - m, 2 * reps.step)), 2 * m
-    return [2 * a - m for a in reps], 2 * m
+        return list(range(a * reps.start + b, a * reps.stop + b, a * reps.step)), s * m
+    return [a * r + b for r in reps], s * m
 
 
 def _level_bernoulli(
@@ -502,8 +531,8 @@ def _level_bernoulli(
 
 _LEAVES = {
     Dirac: _level_dirac,
-    Haar: lambda e, p, m, reps: ([e.scale.numerator] * len(reps), e.scale.denominator * m),
-    Mazur: _level_mazur,
+    Haar: _level_affine,
+    Mazur: _level_affine,
     Bernoulli: _level_bernoulli,
 }
 
@@ -535,29 +564,31 @@ def polynomial_values(coeffs: Sequence[int], reps: Sequence[int]) -> list[int]:
 
 
 def _level_linear_comb(
-    expr: LinearComb, p: int, n: int, reps: Sequence[int], memo: dict
+    expr: LinearComb, p: int, n: int, m: int, reps: Sequence[int], memo: dict
 ) -> tuple[list[int], int]:
-    # Every term is evaluated in order, zero coefficients included: a leaf
-    # by its kernel, a combinator through `_level`, a point mass as the rep
-    # of its one ball.  den is the running lcm of the terms' denominators,
-    # so the dense terms fold in at their final scale, one pass each, and a
-    # point mass adds its scaled coefficient where it hits.  The first dense
-    # term's list may be a memo entry, copied before a point mass adds in.
-    m, den = p**n, 1
+    # Every term is evaluated in order, zero coefficients included: the
+    # affine ones as one form, a leaf by its kernel, a combinator through
+    # `_level`, a point mass as its ball's rep.  den is the running lcm of
+    # the terms' denominators, so dense terms fold in at their final scale,
+    # one pass each, and a point mass adds its scaled coefficient where it
+    # hits.  A memo entry as first dense term is copied before a mass adds in.
+    if expr._ints is None:
+        return _level_affine(expr, p, m, reps)
+    den = 1
     dense, masses = [], []
     for cn, cd, e, leaf in expr._ints:
         if leaf is _level_dirac:
             masses.append((cn, cd, _dirac_rep(e, p, m)))
         else:
-            tn, td = _level(e, p, n, reps, memo) if leaf is None else leaf(e, p, m, reps)
+            tn, td = _level(e, p, n, m, reps, memo) if leaf is None else leaf(e, p, m, reps)
             cd *= td
-            dense.append((cn, cd, tn))
+            dense.append((cn, cd, tn, leaf))
         den = lcm(den, cd)
     nums = [] if dense else [0] * len(reps)
-    for i, (cn, cd, tn) in enumerate(dense):
+    for i, (cn, cd, tn, leaf) in enumerate(dense):
         f = cn * (den // cd)
         if i == 0:
-            nums = (tn[:] if masses else tn) if f == 1 else [f * y for y in tn]
+            nums = (tn[:] if masses and leaf is None else tn) if f == 1 else [f * y for y in tn]
         elif f:
             nums = [x + f * y for x, y in zip(nums, tn)]
     for cn, cd, at in masses:
@@ -589,31 +620,31 @@ def _clip(start: int, step: int, reps: range) -> range:
 
 
 def _level_restrict(
-    expr: Restrict, p: int, n: int, reps: Sequence[int], memo: dict
+    expr: Restrict, p: int, n: int, m: int, reps: Sequence[int], memo: dict
 ) -> tuple[list[int], int]:
     cell = expr.cell
     if cell.prime != p:
         raise PrimeMismatchError("balls over different primes")
+    q = p**cell.depth
     if n < cell.depth:
         # The one ball containing the cell carries the inner value on the cell.
         nums = [0] * len(reps)
-        hits = _positions(reps, cell.rep % p**n)
+        hits = _positions(reps, cell.rep % m)
         if not hits:
             return nums, 1
-        (value,), den = _level(expr.expr, p, cell.depth, [cell.rep], memo)
+        (value,), den = _level(expr.expr, p, cell.depth, q, [cell.rep], memo)
         for i in hits:
             nums[i] = value
         return nums, den
-    q = p**cell.depth
     if _slices(reps):
         own = [_clip(cell.rep, q, reps)]
     else:
         own = [i for i, r in enumerate(reps) if r % q == cell.rep]
-    return _gather(p, n, reps, [(expr.expr, own)], memo)
+    return _gather(p, n, m, reps, [(expr.expr, own)], memo)
 
 
 def _level_regularize(
-    expr: Regularize, p: int, n: int, reps: Sequence[int], memo: dict
+    expr: Regularize, p: int, n: int, m: int, reps: Sequence[int], memo: dict
 ) -> tuple[list[int], int]:
     a, b, u, v = expr._ints
     if a % p == 0 or b % p == 0:
@@ -621,13 +652,12 @@ def _level_regularize(
     if u is None:
         u, v = abs(a) ** expr.k, (-b if a < 0 else b) ** expr.k
         _set(expr, "_ints", (a, b, u, v))
-    m = p**n
-    scale = a * pow(b, -1, m) % m
+    scale = a % m if b == 1 else a * pow(b, -1, m) % m
     # mu(B) - alpha^(-k) mu(alpha B) = (u mu(B) - v mu(alpha B)) with
     # alpha^k = u/v, over u * den; u > 0 keeps the denominator positive.
     if len(reps) == m and _slices(reps):
         # r -> scale * r mod m permutes the level: one inner level suffices.
-        inner, den = _level(expr.expr, p, n, reps, memo)
+        inner, den = _level(expr.expr, p, n, m, reps, memo)
         return [u * x - v * inner[scale * r % m] for r, x in enumerate(inner)], u * den
     scaled = [scale * r % m for r in reps]
     leaf = _LEAVES.get(type(expr.expr))
@@ -640,27 +670,26 @@ def _level_regularize(
         return [u * x - v * y for x, y in zip(inner, image)], u * den
     union = list(dict.fromkeys(chain(reps, scaled)))
     try:
-        inner, den = _level(expr.expr, p, n, union, memo)
+        inner, den = _level(expr.expr, p, n, m, union, memo)
     except (ValueError, TypeError):
         if len(reps) == 1 < len(union):
             # One ball meets the errors on B before those on alpha * B.
             # Where alpha * B = B the union was the one-ball request itself;
             # replaying it would double the work per nesting level.
-            _level(expr.expr, p, n, reps, memo)
-            _level(expr.expr, p, n, scaled, memo)
+            _level(expr.expr, p, n, m, reps, memo)
+            _level(expr.expr, p, n, m, scaled, memo)
         raise
     at = dict(zip(union, inner))
     return [u * at[r] - v * at[s] for r, s in zip(reps, scaled)], u * den
 
 
 def _level_graft(
-    expr: Graft, p: int, n: int, reps: Sequence[int], memo: dict
+    expr: Graft, p: int, n: int, m: int, reps: Sequence[int], memo: dict
 ) -> tuple[list[int], int]:
     path = expr.path
     if path.prime != p:
         raise PrimeMismatchError(f"graft path over p={path.prime} evaluated at p={p}")
     digits = path.digits(n)
-    m = p**n
     own: tuple[list, list] = ([], [])
     if _slices(reps):
         # The balls that first leave the path at digit j with digit d form
@@ -691,14 +720,13 @@ def _level_graft(
                     j += 1
                     q *= p
             own[bool(gap) and r // q % p > digits[j]].append(i)
-    return _gather(p, n, reps, [(expr.left, own[0]), (expr.right, own[1])], memo)
+    return _gather(p, n, m, reps, [(expr.left, own[0]), (expr.right, own[1])], memo)
 
 
 def _level_branch(
-    expr: Branch, p: int, n: int, reps: Sequence[int], memo: dict
+    expr: Branch, p: int, n: int, m: int, reps: Sequence[int], memo: dict
 ) -> tuple[list[int], int]:
     size = _branch_table_size(expr, p)
-    m = p**n
     if n < expr.k:
         # Sum over the depth-k descendants r + t * m, t < p^(k-n), in the
         # order a walk down the children in digit order meets them: the
@@ -707,7 +735,7 @@ def _level_branch(
         for j in reversed(range(expr.k - n)):
             ts = [d * p**j + t for d in range(p) for t in ts]
         q = len(ts)
-        deep, den = _level(expr, p, expr.k, [r + t * m for r in reps for t in ts], memo)
+        deep, den = _level(expr, p, expr.k, size, [r + t * m for r in reps for t in ts], memo)
         return [sum(deep[i : i + q]) for i in range(0, len(deep), q)], den
     # Children in the order their balls are first requested, which for one
     # ball below the level is the order the scalar walk meets them in.  On
@@ -722,11 +750,12 @@ def _level_branch(
         for i, r in enumerate(reps):
             groups.setdefault(r % size, []).append(i)
         parts = [(expr.children[t], own) for t, own in groups.items()]
-    return _gather(p, n, reps, parts, memo)
+    return _gather(p, n, m, reps, parts, memo)
 
 
 def _gather(
-    p: int, n: int, reps: Sequence[int], parts: Sequence[tuple[DistExpr, list]], memo: dict
+    p: int, n: int, m: int, reps: Sequence[int], parts: Sequence[tuple[DistExpr, list]],
+    memo: dict,
 ) -> tuple[list[int], int]:
     # The values on reps put together from parts (expr, own), each expr
     # owning some of the balls: on a step-1 range, `own` lists residue
@@ -743,7 +772,7 @@ def _gather(
             balls = own[0]
         else:
             balls = list(chain.from_iterable(own))
-        got, d = _level(e, p, n, balls, memo)
+        got, d = _level(e, p, n, m, balls, memo)
         values.append((got, d, own))
         den = lcm(den, d)
     nums = [0] * len(reps)

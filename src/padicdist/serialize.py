@@ -32,7 +32,8 @@ each node, `ref` nodes included, is one level below its parent, so a chain
 of references counts as deep as the tree it stands for: a `ref` at level L
 to a def of height h reaches level L + h.  Deeper input, and JSON nested
 too deeply for the parser, is refused with ValueError before any evaluator
-recurses into it.
+recurses into it.  The constructor refuses a Bernoulli index above
+`distributions.MAX_BERNOULLI_K` the same way.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ import pytest
 import padicdist
 from padicdist import evaluate_level, format_rational, norm
 from padicdist.cli import main
+from padicdist.distributions import MAX_BERNOULLI_K
 from padicdist.serialize import MAX_NESTING, load_document
 
 MAZUR5 = {"prime": 5, "expr": {"type": "mazur"}}
@@ -699,6 +700,24 @@ def test_nesting_cap_regularize_chain(doc, capsys, ball):
     code, out, err = run(capsys, "eval", "--spec", doc(document), "--ball", ball)
     assert (code, out) == (2, "")
     assert err == "error: 1/5 is not a p-adic integer for p=5\n"
+
+
+@pytest.mark.parametrize("argv", [["eval", "--ball", "1/1"], ["dump", "--depth", "1"]])
+def test_bernoulli_index_cap(doc, capsys, argv):
+    # B_k's coefficients cost about k^3 Fraction steps (k = 1200 took 15 s):
+    # a larger k than the cap is refused as the spec is decoded, with exit 2
+    # and one line, and the largest one accepted answers in well under a
+    # second.
+    start = time.perf_counter()
+    spec = doc({"prime": 5, "expr": {"type": "bernoulli", "k": 10**5}})
+    code, out, err = run(capsys, argv[0], "--spec", spec, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: Bernoulli index must be at most {MAX_BERNOULLI_K}, got 100000\n"
+    assert time.perf_counter() - start < 1
+    spec = doc({"prime": 5, "expr": {"type": "bernoulli", "k": MAX_BERNOULLI_K}})
+    code, out, err = run(capsys, argv[0], "--spec", spec, *argv[1:])
+    assert (code, err) == (0, "") and out
+    assert time.perf_counter() - start < 3
 
 
 def _ref_chain(n):

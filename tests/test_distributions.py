@@ -34,6 +34,7 @@ from padicdist import (
     expr_to_json,
     remark_pair,
 )
+from padicdist.distributions import MAX_BERNOULLI_K
 
 HALF = F(1, 2)
 
@@ -154,6 +155,9 @@ def test_bernoulli_index_validation():
         Bernoulli("2")
     with pytest.raises(ValueError):
         Bernoulli(True)
+    assert Bernoulli(MAX_BERNOULLI_K).k == MAX_BERNOULLI_K
+    with pytest.raises(ValueError, match=f"at most {MAX_BERNOULLI_K}, got {MAX_BERNOULLI_K + 1}"):
+        Bernoulli(MAX_BERNOULLI_K + 1)
 
 
 def test_base_families_are_additive():

@@ -13,6 +13,7 @@ object, so the memo of shared nodes is checked against the oracle too.
 import time
 from fractions import Fraction as F
 from functools import lru_cache
+from math import lcm
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -427,6 +428,60 @@ def test_linear_comb_named_cases(expr, reps):
     _assert_agrees(expr, 5, 2, reps)
 
 
+def affine_trees():
+    """Haar and Mazur terms and linear combinations affine throughout, nested
+    a few deep, zero and negative coefficients included."""
+    return st.recursive(
+        st.one_of(coefficients().map(Haar), st.just(Mazur())),
+        lambda inner: st.lists(st.tuples(coefficients(), inner), min_size=1, max_size=3).map(
+            lambda terms: LinearComb(tuple(terms))
+        ),
+        max_leaves=8,
+    )
+
+
+@st.composite
+def affine_requests(draw):
+    """(p, n, reps), reps never empty: a whole level, a step-1 range, a
+    range stepped by p^j as a Graft or a Branch passes its residue classes
+    down, or a list with repeats."""
+    p = draw(st.sampled_from(PRIMES))
+    kind = draw(st.sampled_from(["whole", "step-1", "stepped", "repeats"]))
+    if kind == "whole":
+        n = draw(st.integers(0, max(d for d in range(MAX_DEPTH + 1) if p**d <= 125)))
+        return p, n, None
+    n = draw(st.integers(1 if kind == "stepped" else 0, MAX_DEPTH))
+    m = p**n
+    if kind == "repeats":
+        reps = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=8))
+        return p, n, reps + draw(st.lists(st.sampled_from(reps), min_size=1, max_size=4))
+    step = p ** draw(st.integers(1, n)) if kind == "stepped" else 1
+    start = draw(st.integers(0, m - 1))
+    return p, n, range(start, draw(st.integers(start + 1, min(m, start + 30 * step))), step)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_linear_comb_with_affine_terms_agrees_with_scalar_evaluate(data):
+    # The affine terms of a linear combination are summed into one form when
+    # it is built, and evaluated as one dense term; the point masses and the
+    # other terms are evaluated as before, so the values, the denominator
+    # and the first failing ball's error are those of term-by-term evaluation.
+    p, n, reps = data.draw(affine_requests())
+    others = st.one_of(points(p).map(Dirac), st.integers(1, 3).map(Bernoulli), expressions(p))
+    affine = data.draw(st.lists(st.tuples(coefficients(), affine_trees()), min_size=1, max_size=4))
+    mixed = data.draw(
+        st.lists(st.tuples(coefficients(), st.one_of(affine_trees(), others)), max_size=4)
+    )
+    for terms in (affine, affine + mixed, mixed + affine):
+        expr = LinearComb(tuple(terms))
+        _assert_agrees(expr, p, n, reps)
+        dens = (c.denominator * evaluate_level(e, p, n, reps)[1] for c, e in expr.terms)
+        assert evaluate_level(expr, p, n, reps)[1] == lcm(*dens)
+    fault = (data.draw(coefficients()), data.draw(faulty_leaves(p)))
+    _assert_agrees(LinearComb(tuple(affine + [fault] + mixed)), p, n, reps)
+
+
 # A Regularize over a leaf asks the leaf for the balls and their images as
 # two requests, the first kept a range where it is one.
 LEAVES = {
@@ -512,12 +567,28 @@ def test_nested_regularize_chains_stay_linear(expr, monkeypatch):
         assert evaluate_level(expr, p, n, [reps[i]]) == ([nums[i]], den)
 
 
-@pytest.mark.parametrize("reps", [range(25), [3, 17, 3]], ids=["range", "list"])
-def test_linear_comb_calls_its_leaf_terms_kernels_directly(reps, monkeypatch):
-    # A linear combination of base families is one request, its own: each
-    # leaf term goes to its kernel, and a point mass to the rep it hits.
-    expr = LinearComb(((F(2, 3), Mazur()), (F(-1), Haar(F(5, 7))), (F(3), Dirac(F(1, 3)))))
-    p, n = 5, 2
+def _doubling_chain(links):
+    # a_i = a_(i-1) + a_(i-1) over a_0 = Mazur: 2^links * Mazur.
+    expr = Mazur()
+    for _ in range(links):
+        expr = LinearComb(((1, expr), (1, expr)))
+    return expr
+
+
+_MIXED = LinearComb(((F(2, 3), Mazur()), (F(-1), Haar(F(5, 7))), (F(3), Dirac(F(1, 3)))))
+
+
+@pytest.mark.parametrize(
+    "expr, n, reps",
+    [(_MIXED, 2, range(25)), (_MIXED, 2, [3, 17, 3]), (_doubling_chain(40), 6, range(5**6))],
+    ids=["range", "list", "chain-40"],
+)
+def test_linear_comb_calls_its_leaf_terms_kernels_directly(expr, n, reps, monkeypatch):
+    # A linear combination of base families is one request, its own: its
+    # affine terms are one form, and a point mass goes to the rep it hits.
+    # A linear combination affine throughout, nested however deep, is one
+    # form: the 40-link chain is one request of one pass, not 2^40 leaves.
+    p = 5
     expected = evaluate_level(expr, p, n, reps)
     requests = []
     level = distributions._level
@@ -530,8 +601,13 @@ def test_linear_comb_calls_its_leaf_terms_kernels_directly(reps, monkeypatch):
     assert evaluate_level(expr, p, n, reps) == expected
     assert requests == [expr]
     monkeypatch.undo()
-    for i, r in enumerate(reps):
-        assert evaluate(expr, Ball(p, n, r)) == F(expected[0][i], expected[1])
+    if expr is _MIXED:
+        for i, r in enumerate(reps):
+            assert evaluate(expr, Ball(p, n, r)) == F(expected[0][i], expected[1])
+    else:
+        # The scalar oracle would walk the chain's 2^40 leaves.
+        nums, den = evaluate_level(Mazur(), p, n, reps)
+        assert expected == ([2**40 * x for x in nums], den)
 
 
 def _scalar_violations(expr, p, depth):

@@ -403,9 +403,9 @@ def test_a_root_that_the_other_root_holds_is_evaluated_once():
     balls = []
     kernel = distributions._KERNELS[Regularize]
 
-    def counting(expr, p, n, reps, memo):
+    def counting(expr, p, n, m, reps, memo):
         balls.append(len(reps))
-        return kernel(expr, p, n, reps, memo)
+        return kernel(expr, p, n, m, reps, memo)
 
     with mock.patch.dict(distributions._KERNELS, {Regularize: counting}):
         witness = distinctness_witness(e, other, 5, 4)

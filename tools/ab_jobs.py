@@ -16,8 +16,12 @@ sides print the same output for every job; a difference stops the script.
 It prints, in milliseconds, the median over rounds of each job's time
 (copies of one job name are summed within a round), then the same per group
 (the part of the name before the first "/") and for the whole cycle, with
-the relative change.  Only `sweep`, `search` and `point` run in process;
-`cli` starts processes and is measured by `bench/run.py`.
+the relative change.  A group row also gives the spread of the change from
+round to round, as the interquartile range of the per-round changes, and
+the number of rounds the AFTER side was faster in: a change within that
+spread, or won in about half the rounds, cannot be told from noise.  Only
+`sweep`, `search` and `point` run in process; `cli` starts processes and is
+measured by `bench/run.py`.
 """
 
 from __future__ import annotations
@@ -105,9 +109,19 @@ def main(argv=None) -> int:
             for name, t in round_sums[s].items():
                 times[s][name].append(t)
 
-    def row(label, before, after):
+    def row(label, before, after, spread=""):
         b, a = (statistics.median(x) * 1e3 for x in (before, after))
-        print(f"{label:<36} {b:>10.3f} {a:>10.3f} {100 * (a - b) / b:>+8.1f}%")
+        print(f"{label:<36} {b:>10.3f} {a:>10.3f} {100 * (a - b) / b:>+8.1f}%{spread}")
+
+    def spread(before, after):
+        # The interquartile range of the per-round changes (0 for one round),
+        # and the rounds won.
+        changes = [100 * (a - b) / b for b, a in zip(before, after)]
+        q1, q3 = 0, 0
+        if len(changes) > 1:
+            q1, _, q3 = statistics.quantiles(changes, n=4, method="inclusive")
+        wins = sum(a < b for b, a in zip(before, after))
+        return f" {q3 - q1:>8.1f}% {wins:>5}/{len(changes)}"
 
     print(f"{args.workload} seed {args.seed}, median of {args.rounds} interleaved rounds (ms)")
     print(f"{'job':<36} {'before':>10} {'after':>10} {'change':>9}")
@@ -118,10 +132,11 @@ def main(argv=None) -> int:
     for name in names:
         groups[name.split("/")[0]].append(name)
     print()
+    print(f"{'group':<36} {'before':>10} {'after':>10} {'change':>9} {'IQR':>9} {'won':>8}")
     for group, members in [*groups.items(), ("all", names)]:
         per_round = [[sum(times[s][n][r] for n in members) for r in range(args.rounds)] for s in (0, 1)]
         count = sum(job.name in members for job in jobs)
-        row(f"{group} ({count} jobs)", *per_round)
+        row(f"{group} ({count} jobs)", *per_round, spread(*per_round))
     return 0
 
 
