@@ -1,5 +1,6 @@
 """`tools/ab_jobs.py` on this checkout against itself, on the small job set."""
 
+import importlib.util
 import re
 import subprocess
 import sys
@@ -27,3 +28,15 @@ def test_group_rows_give_the_spread_and_the_rounds_won(rounds):
         assert re.fullmatch(rf"\d+/{rounds}", won), line
         if rounds == 1:
             assert iqr == "0.0%"
+
+
+def test_main_runs_twice_in_one_process(capsys, monkeypatch):
+    # Each call loads both checkouts afresh under the same module names.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds bench/
+    spec = importlib.util.spec_from_file_location("ab_jobs", ROOT / "tools" / "ab_jobs.py")
+    ab_jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab_jobs)
+    argv = [str(ROOT), str(ROOT), "--workload", "point", "--tiny", "--rounds", "1"]
+    for _ in range(2):
+        assert ab_jobs.main(argv) == 0
+        assert "\nall (" in capsys.readouterr().out

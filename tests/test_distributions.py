@@ -105,6 +105,15 @@ def test_bernoulli_polynomial_rejects_negative_index():
         bernoulli_polynomial(True, 0)
 
 
+def test_bernoulli_polynomial_refuses_an_index_past_the_cap_at_once():
+    # Its coefficients cost about k^3 Fraction steps: k = 600 took seconds.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"at most {MAX_BERNOULLI_K}, got 100000"):
+        bernoulli_polynomial(10**5, F(1, 3))
+    assert time.perf_counter() - start < 0.1
+    assert bernoulli_polynomial(MAX_BERNOULLI_K, 0) == bernoulli_polynomial(MAX_BERNOULLI_K, 1)
+
+
 # ----------------------------------------------------------- base families
 
 def test_dirac_is_indicator():

@@ -526,6 +526,94 @@ def test_regularize_over_a_leaf_raises_its_one_error(expr, error, message, reps)
     assert type(info.value) is error and str(info.value) == message
 
 
+def regularize_alphas(p, n):
+    """Units alpha != 1: small integers, whose images wrap round p^n a few
+    times on a level, integers near p^n / 2, and fractions, which wrap
+    round so often that the general path serves the range instead."""
+    half = p**n // 2
+    return st.one_of(
+        st.integers(-6, 6),
+        st.integers(half - 3, half + 3),
+        st.builds(F, st.integers(-12, 12), st.integers(2, 9)),
+    ).map(F).filter(lambda a: a != 1 and a.numerator % p and a.denominator % p)
+
+
+@st.composite
+def regularize_runs_cases(draw):
+    """(expr, p, n, reps): a Regularize over an affine inner, on a whole
+    level, a step-1 sub-range or a one-ball range."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(0, max(d for d in range(7) if p**d <= 729)))
+    inner = draw(st.one_of(st.just(Haar(0)), affine_trees()))
+    expr = Regularize(draw(st.integers(1, 3)), draw(regularize_alphas(p, n)), inner)
+    m = p**n
+    kind = draw(st.sampled_from(["whole", "step-1", "one-ball"]))
+    if kind == "whole":
+        return expr, p, n, None
+    start = draw(st.integers(0, m - 1))
+    stop = start + 1 if kind == "one-ball" else draw(st.integers(start + 1, m))
+    return expr, p, n, range(start, stop)
+
+
+@SETTINGS
+@given(regularize_runs_cases())
+def test_regularize_runs_agree_with_the_general_path_and_scalar_evaluate(case):
+    # A Regularize over an affine inner serves a step-1 range as one
+    # progression per run of reps whose images do not wrap round p^n, where
+    # the runs hold enough balls: the same numerators and denominator as
+    # the general path, which a prohibitive cut forces, and as the oracle.
+    expr, p, n, reps = case
+    _assert_agrees(expr, p, n, reps)
+    runs = evaluate_level(expr, p, n, reps)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distributions, "_BALLS_PER_RUN", float("inf"))
+        assert evaluate_level(expr, p, n, reps) == runs
+
+
+def _count_calls(patch, kernel, names=(), leaves=()):
+    # Wrap kernel in distributions under each of names and each _LEAVES key
+    # of leaves; the list of the first arguments it was called with.
+    calls = []
+
+    def counting(e, *args):
+        calls.append(e)
+        return kernel(e, *args)
+
+    for name in names:
+        patch.setattr(distributions, name, counting)
+    for leaf in leaves:
+        patch.setitem(distributions._LEAVES, leaf, counting)
+    return calls
+
+
+def test_regularize_over_mazur_on_a_whole_level_calls_no_leaf_kernel(monkeypatch):
+    # E_(1,2) at p = 5, depth 6: alpha * rep wraps round 5^6 once on the
+    # level, so the level is two runs of one value each.
+    expr, p, n = Regularize(1, 2, Mazur()), 5, 6
+    expected = evaluate_level(expr, p, n, list(range(p**n)))  # a list takes no runs
+    calls = _count_calls(
+        monkeypatch, distributions._level_affine, ["_level_affine"], [Haar, Mazur]
+    )
+    nums, den = evaluate_level(expr, p, n)
+    assert calls == []
+    monkeypatch.undo()
+    assert (nums, den) == expected and len(set(nums)) == 2
+    for r in (0, 1, 7812, 7813, 15624):
+        assert F(nums[r], den) == evaluate(expr, Ball(p, n, r))
+
+
+def test_regularize_over_an_affine_linear_comb_on_a_list_makes_no_inner_request(monkeypatch):
+    # A linear combination affine throughout is one affine form, asked for
+    # the balls and their images as two plain requests: no union request.
+    inner = LinearComb(((2, Mazur()), (-1, Haar(3))))
+    expr, p, n, reps = Regularize(1, 2, inner), 7, 3, [10, 20, 30, 40, 50]
+    calls = _count_calls(monkeypatch, distributions._level, ["_level"])
+    nums, den = evaluate_level(expr, p, n, reps)
+    assert calls == [expr]  # the Regularize's own request, none for its inner
+    monkeypatch.undo()
+    assert [F(x, den) for x in nums] == [evaluate(expr, Ball(p, n, r)) for r in reps]
+
+
 def _best_time(expr, p, n, reps, runs=3):
     best = float("inf")
     for _ in range(runs):

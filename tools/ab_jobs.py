@@ -44,7 +44,11 @@ MAKE = {"sweep": bj.sweep_jobs, "search": bj.search_jobs, "point": bj.point_jobs
 
 
 def load(checkout: Path, name: str):
-    """The package at checkout/src/padicdist, imported as module `name`."""
+    """The package at checkout/src/padicdist, imported afresh as module `name`."""
+    # A package loaded under this name before would lend the new one its
+    # submodules, which the new package would then not hold as attributes.
+    for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+        del sys.modules[key]
     package = checkout.resolve() / "src" / "padicdist"
     spec = importlib.util.spec_from_file_location(
         name, package / "__init__.py", submodule_search_locations=[str(package)]
