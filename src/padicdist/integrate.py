@@ -9,6 +9,15 @@ representative:
 successive differences and classifies the tail behaviour.  Everything is an
 exact Fraction; the verdict is a pure function of the recorded norms and the
 test function's class.
+
+On the family S (Haar, Mazur, Bernoulli(k) and Dirac, closed under
+LinearComb and under Regularize over an affine inner) a level is a few
+pieces, ranges of reps with an integer polynomial numerator, plus point
+masses (`padicdist.distributions.level_pieces`), and S_N is summed in
+closed form: Faulhaber's sums of powers for a polynomial, and whole periods
+plus prefix tables for a step function, with no ball enumerated
+(Washington, GTM 83, Ch. 12; Robert, GTM 198, Ch. 5).  Any other
+expression is evaluated level by level.
 """
 
 from __future__ import annotations
@@ -16,8 +25,10 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from functools import lru_cache
+from itertools import accumulate, repeat
+from math import comb, lcm
+from operator import mul, sub
 from typing import Mapping, Sequence, Union
 
 from .core import (
@@ -31,7 +42,14 @@ from .core import (
     require_prime,
     table_from_json,
 )
-from .distributions import DistExpr, evaluate_shared, polynomial_values
+from .distributions import (
+    DistExpr,
+    Pieces,
+    _bernoulli_coefficients,
+    evaluate_shared,
+    level_pieces,
+    polynomial_values,
+)
 from .verify import DEFAULT_BALL_BUDGET, report_text, require_budget
 
 
@@ -107,12 +125,16 @@ def riemann_sum(
 ) -> Fraction:
     """S_depth = sum of f(a) * mu(a + (p^depth)) over canonical reps a.
 
-    The level is evaluated once as numerators over one denominator and f
-    put on one integer denominator, so the sum is a dot product of ints.  A
-    polynomial's values come from `polynomial_values`, and the budget
-    counts (degree + 1) * p^depth, at least p^depth; a step function of
-    period L = len(values) sums to sum_r v_r * (sum of num_a, a = r mod L),
-    and only its first min(L, p^depth) entries are put on the denominator.
+    f is put on one integer denominator, a step function of period
+    L = len(values) only as far as its first min(L, p^depth) entries.  On
+    the family S the level's pieces are summed in closed form, in
+    O(pieces * degree^2) integer steps whatever p^depth is; any other
+    expression's level is evaluated once as numerators over one
+    denominator, and the sum is a dot product of ints: a polynomial's
+    values come from `polynomial_values`, and a step function sums to
+    sum_r v_r * (sum of num_a, a = r mod L).  Either way the budget counts
+    (degree + 1) * p^depth for a polynomial, at least p^depth, and p^depth
+    for a step function.
     """
     return _riemann_sums(expr, fn, prime, [require_depth(depth)], ball_budget)[0]
 
@@ -120,14 +142,16 @@ def riemann_sum(
 def _riemann_sums(
     expr: DistExpr, fn: TestFn, prime: int, depths: Sequence[int], ball_budget: int
 ) -> list[Fraction]:
-    # `riemann_sum` at each depth; a polynomial's values grow with the depth.
+    # `riemann_sum` at each depth; a polynomial's values grow with the depth,
+    # and the moment tables of `_moments` with the degree of the pieces.
     require_prime(prime)
     step = isinstance(fn, StepFn)
     if step and len(fn.values) != prime**fn.depth:
         raise ValueError(f"step table has {len(fn.values)} entries, needs {prime}^{fn.depth}")
     terms = fn.values if step else fn.coeffs[::-1]
     passes = 1 if step else max(len(terms), 1)
-    sums, values = [], []
+    period = len(fn.values) if step else None
+    sums, values, tables = [], [], []
     for depth in depths:
         require_budget(prime, depth, ball_budget, passes)
         if not sums:  # once the budget admits as many terms
@@ -135,15 +159,92 @@ def _riemann_sums(
                 terms = terms[: prime ** min(fn.depth, max(depths))]
             scale = lcm(*(t.denominator for t in terms))
             ints = [t.numerator * (scale // t.denominator) for t in terms]
-        nums, den = evaluate_shared((expr,), prime, depth, range(prime**depth))[0]
-        if step:
-            period = len(fn.values)
-            total = sum(v * sum(nums[r::period]) for r, v in enumerate(ints[: len(nums)]))
+        form = level_pieces(expr, prime, depth)
+        if form is not None:
+            pieces, masses, den = form
+            total = _piece_sum(pieces, masses, ints, period, tables)
         else:
-            values += polynomial_values(ints, range(len(values), len(nums)))
-            total = sum(map(mul, values, nums))
+            nums, den = evaluate_shared((expr,), prime, depth, range(prime**depth))[0]
+            if step:
+                total = sum(v * sum(nums[r::period]) for r, v in enumerate(ints[: len(nums)]))
+            else:
+                values += polynomial_values(ints, range(len(values), len(nums)))
+                total = sum(map(mul, values, nums))
         sums.append(Fraction(total, scale * den))
     return sums
+
+
+def _piece_sum(
+    pieces: Pieces, masses: dict[int, int], ints: list[int], period: int | None, tables: list
+) -> int:
+    # The sum over the level of w(a) times the numerator, from its piece
+    # form: w(a) is ints[a mod period] for a step function, and for a
+    # polynomial (period None) the value of ints, leading term first.  A
+    # piece sum_k c_k a^k on start..stop-1 adds sum_k c_k (M_k(stop) -
+    # M_k(start)), M_k(N) = sum over 0 <= a < N of w(a) a^k, each end's M_k
+    # found once.
+    reps = list(masses)
+    weights = polynomial_values(ints, reps) if period is None else [ints[r % period] for r in reps]
+    total = sum(map(mul, masses.values(), weights))
+    count = max(map(len, pieces.values()), default=0)
+    at = {0: [0] * count}
+    for run, coeffs in pieces.items():
+        for end in run.start, run.stop:
+            if end not in at:
+                at[end] = _moments(ints, period, tables, end, count)
+        total += sum(map(mul, coeffs, map(sub, at[run.stop], at[run.start])))
+    return total
+
+
+def _moments(ints: list[int], period: int | None, tables: list, stop: int, count: int) -> list[int]:
+    # M_k(stop) for k < count, tables growing to count entries (D, c, R):
+    # q times the polynomial c (leading term first) at q, over D, is the
+    # sum of w(a) a^k over the first q whole periods of L reps, and R, for
+    # a step function, holds the prefix sums of ints[c] c^k.  A polynomial
+    # w counts as one period of 1 rep, so that q = stop.  With
+    # stop = q L + r and a = t L + c, the whole periods sum
+    # g_k(t) = sum_i C(k, i) L^i W_(k-i) t^i over t < q, W_j the total of
+    # ints[c] c^j, and the last r reps add sum_j C(k, j) (q L)^(k-j) R_j(r).
+    while len(tables) < count:
+        k = len(tables)
+        if period is None:
+            tables.append((*_polynomial_moment(ints, k), None))
+            continue
+        prefix = list(accumulate(map(mul, ints, map(pow, range(len(ints)), repeat(k))), initial=0))
+        totals = [t[2][-1] for t in tables] + [prefix[-1]]
+        g = [comb(k, i) * period**i * totals[k - i] for i in range(k, -1, -1)]
+        tables.append((*_polynomial_moment(g, 0), prefix))
+    q, r = divmod(stop, period) if period else (stop, 0)
+    moments = []
+    for k, (d, c, prefix) in enumerate(tables[:count]):
+        x = polynomial_values(c, [q])[0] * q // d
+        if r:
+            x += prefix[r]
+            for j in range(k):
+                x += comb(k, j) * (stop - r) ** (k - j) * tables[j][2][r]
+        moments.append(x)
+    return moments
+
+
+def _polynomial_moment(ints: list[int], k: int) -> tuple[int, list[int]]:
+    # (D, c): the sum over 0 <= a < N of w(a) a^k is N times the polynomial
+    # c at N, over D, for w the polynomial ints; both leading term first.
+    size = len(ints) + k
+    d = lcm(*(_faulhaber(i + k)[0] for i in range(len(ints))))
+    coeffs = [0] * size
+    for i, x in enumerate(reversed(ints)):
+        e, sums = _faulhaber(i + k)
+        for t, y in enumerate(sums, size - len(sums)):
+            coeffs[t] += x * (d // e) * y
+    return d, coeffs
+
+
+@lru_cache(maxsize=None)
+def _faulhaber(k: int) -> tuple[int, tuple[int, ...]]:
+    # (D, c): the sum over 0 <= a < N of a^k is N times the polynomial c at
+    # N, over D, from (B_(k+1)(N) - B_(k+1)) / (k + 1), first convention.
+    scale, coeffs = _bernoulli_coefficients(k + 1)
+    return scale * (k + 1), coeffs[:-1]
 
 
 class ConvergenceVerdict(Enum):

@@ -614,6 +614,23 @@ def test_regularize_over_an_affine_linear_comb_on_a_list_makes_no_inner_request(
     assert [F(x, den) for x in nums] == [evaluate(expr, Ball(p, n, r)) for r in reps]
 
 
+@pytest.mark.parametrize(
+    "reps", [None, range(3, 40), [7, 7, 15000, 2]], ids=["whole", "range", "list"]
+)
+def test_regularize_over_haar_is_one_value_on_any_request_for_any_alpha(reps, monkeypatch):
+    # With alpha = 1/3 the images wrap round 5^6 on almost every ball, yet a
+    # Haar takes one value on the whole level: every ball's numerator is
+    # (u - v)(B + C m), with no inner request and no general path.
+    expr, p, n = Regularize(1, F(1, 3), Haar()), 5, 6
+    requests = _count_calls(monkeypatch, distributions._level, ["_level"])
+    leaves = _count_calls(monkeypatch, distributions._level_affine, ["_level_affine"], [Haar])
+    nums, den = evaluate_level(expr, p, n, reps)
+    assert requests == [expr] and leaves == []  # the Regularize's own request only
+    monkeypatch.undo()
+    assert len(set(nums)) == 1 and len(nums) == (p**n if reps is None else len(reps))
+    assert F(nums[0], den) == evaluate(expr, Ball(p, n, 7))
+
+
 def _best_time(expr, p, n, reps, runs=3):
     best = float("inf")
     for _ in range(runs):

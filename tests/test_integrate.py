@@ -6,27 +6,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scalar_oracle import evaluate
-from test_evaluate_level import PRIMES, SETTINGS, coefficients, expressions
+from test_evaluate_level import (
+    PRIMES,
+    SETTINGS,
+    _count_calls,
+    affine_trees,
+    coefficients,
+    expressions,
+    points,
+    units,
+)
 from test_searches import outcome
 
 from padicdist import (
     Ball,
     BallBudgetError,
+    Bernoulli,
     ConvergenceVerdict,
     Dirac,
+    Graft,
     Haar,
     LinearComb,
     Mazur,
+    Path,
     Polynomial,
     Regularize,
     StepFn,
     classify_tail,
+    distributions,
+    evaluate_level,
     integrate,
     parse_polynomial,
     riemann_sum,
     step_fn_from_json,
 )
 from padicdist.distributions import polynomial_values
+from padicdist.integrate import _moments
 
 X = Polynomial((F(0), F(1)))
 HALF = F(1, 2)
@@ -198,6 +213,113 @@ def test_integrate_matches_brute_force_on_random_inputs(case):
 
     got = outcome(lambda: integrate(expr, fn, p, depth).partial_sums)
     assert got == outcome(brute_force_sums)
+
+
+# ------------------------------------- closed sums on the family S
+
+def family(p, faults=False):
+    """The family S: Haar, Mazur, Bernoulli(k <= 5) and point masses with
+    denominators, closed under LinearComb (zero and negative coefficients
+    included) and Regularize with positive, negative and non-integer
+    alpha, over affine trees, whose runs take the closed sums, and over any
+    member, which takes the enumerating path.  faults adds points outside
+    Z_p and non-unit alphas, anywhere in a sum, a later term included."""
+    leaves = [points(p).map(Dirac), coefficients().map(Haar), st.just(Mazur()),
+              st.integers(1, 5).map(Bernoulli)]
+    alphas = units(p)
+    if faults:
+        leaves.append(st.integers(1, 9).filter(lambda u: u % p).map(lambda u: Dirac(F(u, p))))
+        alphas = st.one_of(alphas, st.sampled_from([F(p), F(1, p), F(-2 * p)]))
+
+    def extend(inner):
+        return st.one_of(
+            st.lists(st.tuples(coefficients(), inner), max_size=3).map(
+                lambda terms: LinearComb(tuple(terms))
+            ),
+            st.builds(Regularize, st.integers(1, 3), alphas, st.one_of(affine_trees(), inner)),
+        )
+
+    return st.recursive(st.one_of(leaves), extend, max_leaves=5)
+
+
+@st.composite
+def family_cases(draw, faults=False):
+    # Depths 2..6 while p^depth <= 729, so S_1..S_6 all occur; step tables
+    # of depth 0..3, shallower than, as deep as and deeper than the sums.
+    p = draw(st.sampled_from(PRIMES))
+    depth = draw(st.integers(2, max(n for n in range(2, 7) if p**n <= 729)))
+    fn = draw(st.one_of(polynomials(), st.integers(0, 3).flatmap(lambda d: step_fns(p, d))))
+    return p, draw(family(p, faults)), fn, depth
+
+
+def dotted_sums(expr, fn, p, depth):
+    """S_1..S_depth as `evaluate_level`'s values dotted with fn.value_at."""
+    sums = []
+    for n in range(1, depth + 1):
+        nums, den = evaluate_level(expr, p, n)
+        sums.append(sum((fn.value_at(a) * x for a, x in enumerate(nums)), F(0)) / den)
+    return tuple(sums)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(family_cases())
+def test_closed_sums_on_the_family_match_the_enumerated_level(case):
+    # Then again with every Regularize over an affine tree in runs, however
+    # short, so that run pieces of every alpha are summed.
+    p, expr, fn, depth = case
+    want = dotted_sums(expr, fn, p, depth)
+    assert integrate(expr, fn, p, depth).partial_sums == want
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distributions, "_PIECE_BALLS_PER_RUN", 1)
+        assert integrate(expr, fn, p, depth).partial_sums == want
+
+
+@settings(SETTINGS, max_examples=150)
+@given(family_cases(faults=True))
+def test_closed_sums_raise_what_the_enumerated_level_raises(case):
+    p, expr, fn, depth = case
+    got = outcome(lambda: integrate(expr, fn, p, depth).partial_sums)
+    assert got == outcome(dotted_sums, expr, fn, p, depth)
+
+
+@st.composite
+def step_tables(draw):
+    p, d = draw(st.sampled_from(PRIMES)), draw(st.integers(0, 3))
+    return draw(st.lists(st.integers(-9, 9), min_size=p**d, max_size=p**d))
+
+
+@SETTINGS
+@given(
+    step_tables(), st.lists(st.integers(-9, 9), max_size=4), st.integers(0, 400), st.integers(0, 5)
+)
+def test_moments_are_the_weighted_power_sums(step, poly, stop, count):
+    # M_k(N) = sum over a < N of w(a) a^k, for a step table w of period
+    # p^d, N below, at and past whole periods, and for a polynomial w.
+    want = [sum(step[a % len(step)] * a**k for a in range(stop)) for k in range(count)]
+    assert _moments(step, len(step), [], stop, count) == want
+    want = [sum(expanded(poly, a) * a**k for a in range(stop)) for k in range(count)]
+    assert _moments(poly, None, [], stop, count) == want
+
+
+def test_integrate_on_the_family_makes_no_level_request(monkeypatch):
+    # Bernoulli, Mazur, Haar, a point mass, a Regularize over Haar (one
+    # value per level) and E_(1,2), whose two runs are long from depth 3
+    # on at p = 5: every sum comes from the piece form.
+    members = LinearComb((
+        (F(1, 2), Bernoulli(3)), (F(-2), Mazur()), (F(3), Dirac(F(1, 2))),
+        (F(2, 3), Haar(F(5))), (F(1), Regularize(2, F(1, 3), Haar())),
+    ))
+    step = StepFn(2, tuple(F(r % 7 - 3, 2) for r in range(25)))
+    want = [dotted_sums(members, fn, 5, 5) for fn in (X, step)]
+    want.append(tuple(brute_force_sum(Regularize(1, 2, Mazur()), X, 5, n) for n in (3, 4)))
+    calls = _count_calls(monkeypatch, distributions._level, ["_level"])
+    got = [integrate(members, fn, 5, 5).partial_sums for fn in (X, step)]
+    got.append(tuple(riemann_sum(Regularize(1, 2, Mazur()), X, 5, n) for n in (3, 4)))
+    assert calls == []
+    assert got == want
+    graft = Graft(Path(5, (), (1,)), Mazur(), Haar())
+    assert integrate(graft, X, 5, 3).partial_sums == dotted_sums(graft, X, 5, 3)
+    assert graft in calls
 
 
 # ------------------------------------------------------------ classification

@@ -24,7 +24,18 @@ from math import inf, prod
 
 import pytest
 
-from padicdist import Bernoulli, Dirac, Haar, LinearComb, Mazur, Polynomial, Regularize, integrate
+from padicdist import (
+    Bernoulli,
+    Dirac,
+    Haar,
+    LinearComb,
+    Mazur,
+    Polynomial,
+    Regularize,
+    bernoulli_polynomial,
+    integrate,
+    riemann_sum,
+)
 
 MAX_J = 4
 # Depth 7 at p = 7 would need 5 * 7^7 balls, past the default budget.
@@ -155,3 +166,23 @@ def test_e1_2_is_bounded_in_j_and_haar_is_not(p):
     m = haar_moments(p)[p - 1]
     assert v(m, p) == -1
     assert v(integrate(Haar(), binomial_polynomial(p - 1), p, depth).partial_sums[-1], p) == -1
+
+
+# S_D of x^j, j <= 3, at depths whose p^D balls no enumeration could visit:
+# the budget (j + 1) p^D admits them, and the sums come from the closed
+# form.  Against Haar the limit is the Volkenborn integral B_j; against
+# E_(1,2) = Regularize(1, 2, Mazur()), whose value on B is
+# mu(B) - mu(2B) / 2 for Mazur's mu, it is (1 - 2^(-j-1)) B_(j+1) / (j+1).
+DEEP = [(3, 40), (5, 25)]
+
+
+@pytest.mark.parametrize("p, depth", DEEP, ids=[f"p{p}-D{d}" for p, d in DEEP])
+@pytest.mark.parametrize("j", range(4))
+def test_deep_riemann_sums_reach_the_bernoulli_limits(p, depth, j):
+    x_j = Polynomial((F(0),) * j + (F(1),))
+    budget = (j + 1) * p**depth
+    haar = riemann_sum(Haar(), x_j, p, depth, ball_budget=budget)
+    assert v(haar - bernoulli_polynomial(j, 0), p) >= depth - 1
+    e12 = riemann_sum(Regularize(1, 2, Mazur()), x_j, p, depth, ball_budget=budget)
+    limit = (1 - F(1, 2 ** (j + 1))) * bernoulli_polynomial(j + 1, 0) / (j + 1)
+    assert v(e12 - limit, p) >= depth - 1
