@@ -414,7 +414,8 @@ def evaluate_level(
     on a step-1 range a walk over the residue classes the range meets, at
     most n * min(p, balls) + 1 of them.
     On input that `evaluate` rejects it raises exactly what `evaluate`
-    raises on the first requested ball that fails.
+    raises on the first requested ball that fails.  nums is always a list,
+    whatever the request and the node.
     """
     require_prime(p)
     m = p ** require_depth(n)
@@ -427,13 +428,16 @@ def evaluate_level(
         for r in reps:
             if not is_int(r) or not 0 <= r < m:
                 raise ValueError(f"rep must satisfy 0 <= rep < {p}^{n}, got {r!r}")
-    return evaluate_shared((expr,), p, n, reps)[0]
+    nums, den = evaluate_shared((expr,), p, n, reps)[0]
+    return (nums if type(nums) is list else list(nums)), den
 
 
 def evaluate_shared(
     exprs: Sequence[DistExpr], p: int, n: int, reps: Sequence[int]
-) -> list[tuple[list[int], int]]:
-    """`evaluate_level` of each expression, first to last, on one request.
+) -> list[tuple[Sequence[int], int]]:
+    """`evaluate_level` of each expression, first to last, on one request,
+    but nums is a list or a range: an affine level (a Haar, a Mazur, a sum
+    of them) on a range of reps stays the one range its form gives.
 
     p is prime and reps a list or a range of valid reps, as the callers
     check.  A node that two or more parents hold is evaluated once per
@@ -495,7 +499,7 @@ def _walk(roots: Iterable[DistExpr]) -> Iterator[_Node]:
 
 def _level(
     expr: DistExpr, p: int, n: int, m: int, reps: Sequence[int], memo: dict
-) -> tuple[list[int], int]:
+) -> tuple[Sequence[int], int]:
     # reps is a list or a range of valid reps of depth n, m = p^n, worked
     # out once per request and depth; a whole level is range(m).
     # An empty request evaluates nothing, so, like `evaluate` on no balls,
@@ -535,14 +539,15 @@ def _level_dirac(expr: Dirac, p: int, m: int, reps: Sequence[int]) -> tuple[list
     return nums, 1
 
 
-def _level_affine(expr: DistExpr, p: int, m: int, reps: Sequence[int]) -> tuple[list[int], int]:
-    # (A a + B + C m) / (S m) on each ball a + (m), (A, B, C, S) = `_affine`.
+def _level_affine(expr: DistExpr, p: int, m: int, reps: Sequence[int]) -> tuple[Sequence, int]:
+    # (A a + B + C m) / (S m) on each ball a + (m), (A, B, C, S) = `_affine`,
+    # one range of numerators on a range of reps, never listed.
     a, b, c, s = expr._affine
     b += c * m
     if not a:
         return [b] * len(reps), s * m
     if type(reps) is range:
-        return list(range(a * reps.start + b, a * reps.stop + b, a * reps.step)), s * m
+        return range(a * reps.start + b, a * reps.stop + b, a * reps.step), s * m
     return [a * r + b for r in reps], s * m
 
 
@@ -596,7 +601,8 @@ def _level_linear_comb(
     # `_level`, a point mass as its ball's rep.  den is the running lcm of
     # the terms' denominators, so dense terms fold in at their final scale,
     # one pass each, and a point mass adds its scaled coefficient where it
-    # hits.  A memo entry as first dense term is copied before a mass adds in.
+    # hits.  A memo entry or a range as first dense term is copied into a
+    # list before a mass adds in.
     if expr._ints is None:
         return _level_affine(expr, p, m, reps)
     den = 1
@@ -613,7 +619,8 @@ def _level_linear_comb(
     for i, (cn, cd, tn, leaf) in enumerate(dense):
         f = cn * (den // cd)
         if i == 0:
-            nums = (tn[:] if masses and leaf is None else tn) if f == 1 else [f * y for y in tn]
+            copy = masses and (leaf is None or type(tn) is range)
+            nums = (list(tn) if copy else tn) if f == 1 else [f * y for y in tn]
         elif f:
             nums = [x + f * y for x, y in zip(nums, tn)]
     for cn, cd, at in masses:

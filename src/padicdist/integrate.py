@@ -155,8 +155,8 @@ def _riemann_sums(
     for depth in depths:
         require_budget(prime, depth, ball_budget, passes)
         if not sums:  # once the budget admits as many terms
-            if step:  # no sum reads an entry past p^max(depths)
-                terms = terms[: prime ** min(fn.depth, max(depths))]
+            if step:  # no sum reads an entry past p^depths[-1], depths ascending
+                terms = terms[: prime ** min(fn.depth, depths[-1])]
             scale = lcm(*(t.denominator for t in terms))
             ints = [t.numerator * (scale // t.denominator) for t in terms]
         form = level_pieces(expr, prime, depth)

@@ -11,14 +11,15 @@ Values are compared by cross-multiplying, and a Fraction is built only
 for what a report shows.
 The checkers that cover whole levels (`check_relation`, `norm_scan`)
 request each depth once; `check_relation` compares a whole level with one
-list comparison and goes ball by ball only through a level that holds a
-violation.  The searches that stop at the first witness scan each depth in
-consecutive step-1 rep ranges that double in length, which the kernels
-serve by residue classes and slices as they do a whole level, so the work
-before a witness stays within a small multiple of the balls up to it.  A
-request that raises raises the error of its first failing ball; a search
-then scans that range one ball at a time, so it returns the same witness
-or raises the same error as a ball-by-ball search.
+comparison and goes ball by ball only through a level that holds a
+violation; an affine level stays one range throughout.  The searches that
+stop at the first witness scan each depth in consecutive step-1 rep
+ranges that double in length, which the kernels serve by residue classes
+and slices as they do a whole level, so the work before a witness stays
+within a small multiple of the balls up to it.  A request that raises
+raises the error of its first failing ball; a search then scans that range
+one ball at a time, so it returns the same witness or raises the same
+error as a ball-by-ball search.
 
 Enumeration size is guarded: a checker refuses to start when p^depth exceeds
 its ball budget (default 10^6) and raises BallBudgetError instead of
@@ -62,10 +63,12 @@ class BallBudgetError(RuntimeError):
 def require_budget(prime: int, depth: int, ball_budget: int, per_ball: int = 1) -> None:
     """Raise BallBudgetError when per_ball * p^depth exceeds the budget.
 
-    per_ball counts the passes a caller makes over each ball of the level,
-    such as the degree + 1 terms of a polynomial Riemann sum.
+    per_ball >= 1 counts the passes a caller makes over each ball of the
+    level, such as the degree + 1 terms of a polynomial Riemann sum.  A
+    depth of at least the budget's bit length is refused before p^depth
+    >= 2^depth is raised, so the refusal is immediate at any depth.
     """
-    if per_ball * prime**depth > ball_budget:
+    if depth >= ball_budget.bit_length() or per_ball * prime**depth > ball_budget:
         work = f"{prime}^{depth} balls"
         if per_ball != 1:
             work = f"{per_ball} terms on each of {work}"
@@ -181,9 +184,11 @@ def check_relation(
     level above and then as parents.  The children of a + (p^n) are
     a + b p^n + (p^(n+1)), b < p: entry a of the child level's p
     consecutive blocks of length p^n, which are added block to block.  A
-    level is checked with one comparison of whole lists, parent numerators
-    and children's sums brought to one denominator; only a level where the
-    lists differ is gone through ball by ball to list its violations.
+    level is checked with one comparison of whole levels, parent numerators
+    and children's sums brought to one denominator; only a level where they
+    differ is gone through ball by ball to list its violations.  An affine
+    level (a Haar, a Mazur, a sum of them) is one range, added, scaled and
+    compared as one: O(max_depth * p) steps, not O(p^max_depth).
     """
     require_prime(prime)
     require_depth(max_depth, "max_depth", 1)
@@ -197,7 +202,7 @@ def check_relation(
         child_nums, child_den = evaluate_shared((expr,), prime, n + 1, range(m * prime))[0]
         sums = child_nums[:m]
         for b in range(1, prime):
-            sums = list(map(add, sums, child_nums[b * m : (b + 1) * m]))
+            sums = _added(sums, child_nums[b * m : (b + 1) * m])
         for a in _differing(nums, den, sums, child_den):
             violations.append(
                 RelationViolation(
@@ -442,18 +447,42 @@ def _first_differing(sides: Sequence[DistExpr], p: int, n: int, reps: Sequence[i
     return None if i is None else reps[i]
 
 
-def _differing(xs: list[int], dx: int, ys: list[int], dy: int) -> Iterator[int]:
-    # The indices where xs / dx and ys / dy differ.  The whole lists are
-    # compared first; only lists that differ are walked ball by ball.
-    if dy % dx == 0:
-        f = dy // dx
-        if (xs if f == 1 else [x * f for x in xs]) == ys:
-            return
-    elif [x * dy for x in xs] == [y * dx for y in ys]:
+def _differing(xs: Sequence[int], dx: int, ys: Sequence[int], dy: int) -> Iterator[int]:
+    # The indices where xs / dx and ys / dy differ.  The whole sequences
+    # are compared first; only ones that differ are walked ball by ball.
+    g = gcd(dx, dy)
+    if _same(_scaled(xs, dy // g), _scaled(ys, dx // g)):
         return
     for i, (x, y) in enumerate(zip(xs, ys)):
         if x * dy != y * dx:
             yield i
+
+
+# Entry-by-entry arithmetic on numerators, a list or a range each, that
+# keeps a range a range where the result is one progression.
+
+def _scaled(xs: Sequence[int], f: int) -> Sequence[int]:
+    if f == 1:
+        return xs
+    if type(xs) is range and f:
+        return range(f * xs.start, f * xs.stop, f * xs.step)
+    return [f * x for x in xs]
+
+
+def _added(xs: Sequence[int], ys: Sequence[int]) -> Sequence[int]:
+    # xs + ys, of one length; two ranges give a range unless their steps cancel.
+    if type(xs) is range and type(ys) is range and xs.step + ys.step:
+        start, step = xs.start + ys.start, xs.step + ys.step
+        return range(start, start + len(xs) * step, step)
+    return list(map(add, xs, ys))
+
+
+def _same(xs: Sequence[int], ys: Sequence[int]) -> bool:
+    # xs == ys entry by entry: a range and a list compare as lists, the
+    # list not copied.
+    if type(xs) is not type(ys):
+        xs, ys = (list(xs), ys) if type(xs) is range else (xs, list(ys))
+    return xs == ys
 
 
 # =====================================================================
@@ -513,6 +542,8 @@ def norm_scan(
     Over one common denominator the largest norm belongs to the numerator of
     least p-adic valuation, which is the valuation of their gcd; the first
     rep attaining it is the argmax (rep 0 when the whole level is zero).
+    An affine level is one range x0 + i * step, of gcd gcd(x0, step) when
+    it holds two entries or more: O(max_depth) steps, not O(p^max_depth).
     """
     require_prime(prime)
     require_depth(max_depth, "max_depth")
@@ -521,7 +552,8 @@ def norm_scan(
     for n in range(max_depth + 1):
         nums, den = evaluate_shared((expr,), prime, n, range(prime**n))[0]
         best_rep = 0
-        common = gcd(*nums)
+        stepped = type(nums) is range and len(nums) > 1
+        common = gcd(nums[0], nums.step) if stepped else gcd(*nums)
         if common:
             step = prime
             while common % step == 0:

@@ -231,6 +231,39 @@ def test_verify_budget_exceeded(doc, capsys):
     assert code == 3
 
 
+STEP5 = {"depth": 1, "values": {str(r): str(r) for r in range(5)}}
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["verify"], "5^D balls"),
+        (["norms"], "5^D balls"),
+        (["dump"], "5^D balls"),
+        (["integrate", "--fn", "x^2"], "3 terms on each of 5^D balls"),
+        # A step function's sums go depth by depth, to the first one past the budget.
+        (["integrate", "--step-fn", "STEP5"], "5^9 balls"),
+        (["distinct", "--other", "MAZUR5"], "5^D balls"),
+        (["branch-check", "--spec", "SAME_BRANCH"], "3^D balls"),
+    ],
+)
+def test_a_huge_depth_is_refused_at_once(doc, capsys, argv, work):
+    # p^(10^15) is never raised: the depth alone passes the budget.
+    files = {"MAZUR5": (MAZUR5, "mazur.json"), "SAME_BRANCH": (SAME_BRANCH, "branch.json"),
+             "STEP5": (STEP5, "step.json")}
+    argv = [doc(*files[a]) if a in files else a for a in argv]
+    if "--spec" not in argv:
+        argv += ["--spec", doc(MAZUR5, "mazur.json")]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--depth", str(10**15))
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err == (
+        f"error: refusing to enumerate {work.replace('D', str(10**15))} (budget 1000000); "
+        "raise the ball budget to proceed\n"
+    )
+
+
 # ---------------------------------------------------------------- graft-check
 
 def test_graft_check_pass(doc, capsys):

@@ -36,6 +36,7 @@ from padicdist.verify import (
     OnPathFailure,
     RelationViolation,
     TailSumFailure,
+    require_budget,
 )
 
 PI5 = Path(5, (), (2,))
@@ -45,6 +46,23 @@ GOOD_GRAFT = Graft(PI5, MU1, MU2)
 BAD_GRAFT = Graft(PI5, Dirac(1), Dirac(4))
 LEAKY_GRAFT = Graft(PI5, Haar(), Dirac(0))
 
+
+
+def test_require_budget_refuses_exactly_when_the_work_passes_the_budget():
+    # The bit-length shortcut refuses nothing that p^depth would admit.
+    for budget in (1, 2, 7, 8, 9, 100, 10**6):
+        for p in (2, 3, 5):
+            for depth in range(budget.bit_length() + 3):
+                for per_ball in (1, 2, 3):
+                    over = per_ball * p**depth > budget
+                    try:
+                        require_budget(p, depth, budget, per_ball)
+                    except BallBudgetError:
+                        assert over
+                    else:
+                        assert not over
+    with pytest.raises(BallBudgetError, match=r"^refusing to enumerate 2\^99999999999999 balls"):
+        require_budget(2, 99999999999999, 10**6)
 
 # ------------------------------------------------------------ check_relation
 
