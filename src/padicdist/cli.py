@@ -129,7 +129,8 @@ def cmd_graft_check(args: argparse.Namespace) -> int:
     prime, expr = _load(args)
     if not isinstance(expr, Graft):
         raise ValueError("graft-check needs a spec whose root expression is a graft")
-    report = check_graft_precondition(expr.left, expr.right, expr.path, args.depth)
+    sides = expr.left, expr.right, expr.path
+    report = check_graft_precondition(*sides, args.depth, ball_budget=args.budget)
     _emit(args, report)
     return 0 if report.passed else 1
 
@@ -363,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("graft-check", help="check the graft precondition")
     _add_common(sub)
     sub.add_argument("--depth", type=integer, required=True)
+    _add_budget(sub, "largest p (depth + 1)(depth + 2) / 2 the check may enumerate")
     _add_format(sub, ("text", "json"), "text")
     sub.set_defaults(func=cmd_graft_check)
 

@@ -392,6 +392,14 @@ def _bernoulli_coefficients(k: int) -> tuple[int, tuple[int, ...]]:
     return scale, tuple(int(t * scale) for t in terms)
 
 
+@lru_cache(maxsize=None)
+def _faulhaber(k: int) -> tuple[int, tuple[int, ...]]:
+    # (D, c): the sum over 0 <= a < N of a^k is N times the polynomial c at
+    # N, over D, from (B_(k+1)(N) - B_(k+1)) / (k + 1), first convention.
+    scale, coeffs = _bernoulli_coefficients(k + 1)
+    return scale * (k + 1), coeffs[:-1]
+
+
 def evaluate_level(
     expr: DistExpr, p: int, n: int, reps: Sequence[int] | None = None
 ) -> tuple[list[int], int]:
@@ -1009,16 +1017,43 @@ def _pieces(expr, p: int, m: int, memo: dict) -> tuple[Pieces, dict[int, int], i
             f = cn * (den // cd)
             if f:
                 for run, coeffs in ps.items():
-                    have = pieces.setdefault(run, [])
-                    have += [0] * (len(coeffs) - len(have))
-                    for i, c in enumerate(coeffs):
-                        have[i] += f * c
+                    _add_into(pieces.setdefault(run, []), coeffs, f)
                 for rep, c in ms.items():
                     masses[rep] = masses.get(rep, 0) + f * c
         found = pieces, masses, den
     if expr._uses > 1:
         memo[id(expr)] = found
     return found
+
+
+def _add_into(have: list[int], coeffs: Sequence[int], f: int = 1) -> None:
+    # have += f * coeffs, in place, two polynomials lowest degree first.
+    have += [0] * (len(coeffs) - len(have))
+    for i, c in enumerate(coeffs):
+        have[i] += f * c
+
+
+def disjoint_runs(
+    pieces: Pieces, masses: dict[int, int], m: int
+) -> list[tuple[int, int, list[int]]]:
+    """The level 0..m-1 of the piece form (pieces, masses) as disjoint runs
+    (start, stop, coeffs) in rep order, the numerator on start <= a < stop
+    the polynomial coeffs (lowest degree first) at a; a point mass is a
+    run of one ball, its one coefficient the numerator there."""
+    steps: dict[int, list[int]] = {0: [], m: []}
+    for run, coeffs in pieces.items():
+        _add_into(steps.setdefault(run.start, []), coeffs)
+        _add_into(steps.setdefault(run.stop, []), coeffs, -1)
+    steps.update((e, steps.get(e, [])) for r in masses for e in (r, r + 1))
+    ends = sorted(steps)
+    runs, now = [], []
+    for start, stop in zip(ends, ends[1:]):
+        if any(steps[start]):
+            now = now.copy()
+            _add_into(now, steps[start])
+        at = [polynomial_values(now[::-1], [start])[0] + masses[start]] if start in masses else now
+        runs.append((start, stop, at))
+    return runs
 
 
 # =====================================================================

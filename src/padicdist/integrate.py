@@ -25,7 +25,6 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb, lcm
 from operator import mul, sub
@@ -45,7 +44,7 @@ from .core import (
 from .distributions import (
     DistExpr,
     Pieces,
-    _bernoulli_coefficients,
+    _faulhaber,
     evaluate_shared,
     level_pieces,
     polynomial_values,
@@ -237,14 +236,6 @@ def _polynomial_moment(ints: list[int], k: int) -> tuple[int, list[int]]:
         for t, y in enumerate(sums, size - len(sums)):
             coeffs[t] += x * (d // e) * y
     return d, coeffs
-
-
-@lru_cache(maxsize=None)
-def _faulhaber(k: int) -> tuple[int, tuple[int, ...]]:
-    # (D, c): the sum over 0 <= a < N of a^k is N times the polynomial c at
-    # N, over D, from (B_(k+1)(N) - B_(k+1)) / (k + 1), first convention.
-    scale, coeffs = _bernoulli_coefficients(k + 1)
-    return scale * (k + 1), coeffs[:-1]
 
 
 class ConvergenceVerdict(Enum):

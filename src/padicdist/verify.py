@@ -1,14 +1,15 @@
 """Finite-depth verification of distribution laws, with exact reports.
 
-Every checker enumerates balls in a fixed order (depth ascending, then
+Every checker reads balls in a fixed order (depth ascending, then
 representative ascending) and compares exact rationals, so a report is a
-pure function of its inputs: byte-identical across runs.  Each checker
-requests values with `evaluate_shared`, as integer numerators over one
-denominator; it evaluates a sub-expression held in several places (equal
-ones are one object) once per request, so a request costs the distinct
-sub-expressions times its balls, however often a spec's defs are used.
-Values are compared by cross-multiplying, and a Fraction is built only
-for what a report shows.
+pure function of its inputs: byte-identical across runs.  `check_relation`
+and `norm_scan` read a level of the family S from its pieces, visiting no
+ball; otherwise a checker requests values with `evaluate_shared`, as integer
+numerators over one denominator; it evaluates a sub-expression held in
+several places (equal ones are one object) once per request, so a request
+costs the distinct sub-expressions times its balls, however often a spec's
+defs are used.  Values are compared by cross-multiplying, and a Fraction
+is built only for what a report shows.
 The checkers that cover whole levels (`check_relation`, `norm_scan`)
 request each depth once; `check_relation` compares a whole level with one
 comparison and goes ball by ball only through a level that holds a
@@ -22,14 +23,14 @@ one ball at a time, so it returns the same witness or raises the same
 error as a ball-by-ball search.
 
 Enumeration size is guarded: a checker refuses to start when p^depth exceeds
-its ball budget (default 10^6) and raises BallBudgetError instead of
-thrashing.
+its ball budget (default 10^6), on S too, and raises BallBudgetError instead
+of thrashing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from operator import add
 from typing import Iterator, Sequence
 
@@ -48,12 +49,21 @@ from .distributions import (
     Branch,
     BoundednessFlag,
     DistExpr,
+    Graft,
+    Restrict,
+    _add_into,
+    _affine_form,
+    _faulhaber,
     boundedness_flag,
     count_held,
+    disjoint_runs,
     evaluate_shared,
+    level_pieces,
+    polynomial_values,
 )
 
 DEFAULT_BALL_BUDGET = 10**6
+_RAISE = "raise the ball budget to proceed"
 
 
 class BallBudgetError(RuntimeError):
@@ -72,10 +82,7 @@ def require_budget(prime: int, depth: int, ball_budget: int, per_ball: int = 1) 
         work = f"{prime}^{depth} balls"
         if per_ball != 1:
             work = f"{per_ball} terms on each of {work}"
-        raise BallBudgetError(
-            f"refusing to enumerate {work} "
-            f"(budget {ball_budget}); raise the ball budget to proceed"
-        )
+        raise BallBudgetError(f"refusing to enumerate {work} (budget {ball_budget}); {_RAISE}")
 
 
 def report_text(title: str, fields: dict, *body: str | tuple | None) -> str:
@@ -180,15 +187,14 @@ def check_relation(
 ) -> RelationReport:
     """Verify the additivity relation on every ball of depth < max_depth.
 
-    Each level is evaluated once, serving first as the children of the
-    level above and then as parents.  The children of a + (p^n) are
-    a + b p^n + (p^(n+1)), b < p: entry a of the child level's p
-    consecutive blocks of length p^n, which are added block to block.  A
-    level is checked with one comparison of whole levels, parent numerators
-    and children's sums brought to one denominator; only a level where they
-    differ is gone through ball by ball to list its violations.  An affine
-    level (a Haar, a Mazur, a sum of them) is one range, added, scaled and
-    compared as one: O(max_depth * p) steps, not O(p^max_depth).
+    Levels n, n+1 of the family S, less its affine members, are proved from
+    their piece forms (`_sums_to`) in steps that grow with the pieces, not
+    with p^n.  Any other pair, or one the forms do not prove, is listed,
+    each level once: the children of a + (p^n) are entry a of the child
+    level's p blocks of length p^n, added block to block, and compared with
+    the parents as whole levels over one denominator; only a level where
+    they differ is gone through ball by ball.  An affine level is one range,
+    added, scaled and compared as one: O(max_depth * p) steps.
     """
     require_prime(prime)
     require_depth(max_depth, "max_depth", 1)
@@ -196,22 +202,65 @@ def check_relation(
 
     violations: list[RelationViolation] = []
     checked = 0
-    nums, den = evaluate_shared((expr,), prime, 0, range(1))[0]
+    forms = type(expr) not in (Restrict, Graft, Branch) and _affine_form(expr) is None
+    form = level_pieces(expr, prime, 0) if forms else None
+    level = None  # the parent level, when the pair above was enumerated
     for n in range(max_depth):
         m = prime**n
-        child_nums, child_den = evaluate_shared((expr,), prime, n + 1, range(m * prime))[0]
-        sums = child_nums[:m]
-        for b in range(1, prime):
-            sums = _added(sums, child_nums[b * m : (b + 1) * m])
-        for a in _differing(nums, den, sums, child_den):
-            violations.append(
-                RelationViolation(
-                    Ball(prime, n, a), Fraction(nums[a], den), Fraction(sums[a], child_den)
+        child_form = level_pieces(expr, prime, n + 1) if forms else None
+        if form and child_form and _sums_to(form, child_form, m):
+            level = None
+        else:
+            nums, den = level or evaluate_shared((expr,), prime, n, range(m))[0]
+            level = evaluate_shared((expr,), prime, n + 1, range(m * prime))[0]
+            child_nums, child_den = level
+            sums = child_nums[:m]
+            for b in range(1, prime):
+                sums = _added(sums, child_nums[b * m : (b + 1) * m])
+            for a in _differing(nums, den, sums, child_den):
+                violations.append(
+                    RelationViolation(
+                        Ball(prime, n, a), Fraction(nums[a], den), Fraction(sums[a], child_den)
+                    )
                 )
-            )
         checked += m
-        nums, den = child_nums, child_den
+        form = child_form
     return RelationReport(prime, max_depth, checked, tuple(violations))
+
+
+def _sums_to(parent: tuple, children: tuple, m: int) -> bool:
+    # Whether the piece form parent less the sum over b < p of children on
+    # a + b m vanishes on every ball a + (m): child pieces summed over their
+    # blocks as polynomials in a, child masses folded onto their reps mod m.
+    (pieces, masses, den), (kids, kid_masses, kid_den) = parent, children
+    g = gcd(den, kid_den)
+    f, h = kid_den // g, -(den // g)
+    diff = {run: [f * c for c in coeffs] for run, coeffs in pieces.items()}
+    held = {r: f * c for r, c in masses.items()}
+    for run, coeffs in kids.items():
+        # Blocks lo..hi-1, the first from rep first on, the last up to last.
+        lo, hi = run.start // m, -(-run.stop // m)
+        first, last = run.start - lo * m, run.stop - (hi - 1) * m
+        cuts = sorted({0, first, last, m})
+        for x, y in zip(cuts, cuts[1:]):
+            b0, b1 = lo + (x < first), hi - 1 + (x < last)
+            if b0 < b1:
+                _add_into(diff.setdefault(range(x, y), []), _block_sum(coeffs, m, b0, b1), h)
+    for r, c in kid_masses.items():
+        held[r % m] = held.get(r % m, 0) + h * c
+    return not any(x for run in disjoint_runs(diff, held, m) for _, x in _head(run))
+
+
+def _block_sum(coeffs: list[int], m: int, lo: int, hi: int) -> list[int]:
+    # sum over lo <= b < hi of coeffs at a + b m, lowest degree first: c_i
+    # (a + b m)^i adds c_i C(i, j) m^(i-j) b^(i-j) to a^j, summed by Faulhaber.
+    def power_sum(e: int, stop: int) -> int:  # b^e over 0 <= b < stop
+        d, c = _faulhaber(e)
+        return polynomial_values(c, [stop])[0] * stop // d
+
+    d = len(coeffs)
+    sums = [m**e * (power_sum(e, hi) - power_sum(e, lo)) for e in range(d)]
+    return [sum(comb(i, j) * coeffs[i] * sums[i - j] for i in range(j, d)) for j in range(d)]
 
 
 # =====================================================================
@@ -297,10 +346,13 @@ class GraftPreconditionReport(Record):
 
 
 def check_graft_precondition(
-    left: DistExpr, right: DistExpr, path: Path, max_depth: int
+    left: DistExpr, right: DistExpr, path: Path, max_depth: int, *,
+    ball_budget: int = DEFAULT_BALL_BUDGET,
 ) -> GraftPreconditionReport:
     """Check on-path agreement and tail sums at levels 0..max_depth.
 
+    A ball of level n has an n-digit rep: the check refuses to start when
+    p (max_depth + 1)(max_depth + 2) / 2 exceeds the ball budget.
     Balls are requested in the order a ball-by-ball check reads them: P_0,
     then at each level n the off-path children of P_n in digit order, and
     last, when n < max_depth, the on-path child P_(n+1), whose values the
@@ -311,6 +363,10 @@ def check_graft_precondition(
     """
     require_depth(max_depth, "max_depth")
     p = path.prime
+    weighted = p * (max_depth + 1) * (max_depth + 2) // 2
+    if weighted > ball_budget:
+        raise BallBudgetError(f"refusing to enumerate {p} balls on each of levels 0..{max_depth}, "
+                              f"{weighted} weighted by depth (budget {ball_budget}); {_RAISE}")
     on_path: list[OnPathFailure] = []
     tails: list[TailSumFailure] = []
     count_held((left, right))
@@ -542,26 +598,42 @@ def norm_scan(
     Over one common denominator the largest norm belongs to the numerator of
     least p-adic valuation, which is the valuation of their gcd; the first
     rep attaining it is the argmax (rep 0 when the whole level is zero).
-    An affine level is one range x0 + i * step, of gcd gcd(x0, step) when
-    it holds two entries or more: O(max_depth) steps, not O(p^max_depth).
+    A level of S, less its affine members, is read from its disjoint runs,
+    each from its first degree + 1 values (`_head`), and an affine level is
+    one range x0 + i * step, a run of degree 1.
     """
     require_prime(prime)
     require_depth(max_depth, "max_depth")
     require_budget(prime, max_depth, ball_budget)
     entries: list[NormScanEntry] = []
+    forms = type(expr) not in (Restrict, Graft, Branch) and _affine_form(expr) is None
     for n in range(max_depth + 1):
-        nums, den = evaluate_shared((expr,), prime, n, range(prime**n))[0]
-        best_rep = 0
+        form = level_pieces(expr, prime, n) if forms else None
+        if form is None:
+            nums, den = evaluate_shared((expr,), prime, n, range(prime**n))[0]
+            reps = range(len(nums))
+        else:
+            reps, nums = zip(*(x for run in disjoint_runs(*form[:2], prime**n) for x in _head(run)))
+            den = form[2]
+        best = 0
         stepped = type(nums) is range and len(nums) > 1
         common = gcd(nums[0], nums.step) if stepped else gcd(*nums)
         if common:
             step = prime
             while common % step == 0:
                 step *= prime
-            best_rep = next(r for r, x in enumerate(nums) if x % step)
-        value = Fraction(nums[best_rep], den)
-        entries.append(NormScanEntry(n, norm(value, prime), Ball(prime, n, best_rep)))
+            best = next(i for i, x in enumerate(nums) if x % step)
+        value = Fraction(nums[best], den)
+        entries.append(NormScanEntry(n, norm(value, prime), Ball(prime, n, reps[best])))
     return NormScanReport(prime, max_depth, tuple(entries))
+
+
+def _head(run: tuple[int, int, list[int]]) -> list[tuple[int, int]]:
+    # (rep, numerator) on the first degree + 1 reps of a run, which hold, by
+    # forward differences, its gcd and its first numerator of least valuation.
+    start, stop, coeffs = run
+    reps = range(start, min(stop, start + (len(coeffs) or 1)))
+    return list(zip(reps, polynomial_values(coeffs[::-1], reps)))
 
 
 class BoundednessVerdict(Record):

@@ -264,6 +264,25 @@ def test_a_huge_depth_is_refused_at_once(doc, capsys, argv, work):
     )
 
 
+def test_a_huge_graft_check_depth_is_refused_at_once(doc, capsys):
+    # The path's digits are never listed: the depth-weighted count refuses first.
+    spec = doc({"prime": 5, "expr": {"type": "graft", "path": {"preperiod": [], "period": [2]},
+                                     "left": {"type": "mazur"}, "right": {"type": "mazur"}}})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "graft-check", "--spec", spec, "--depth", str(10**15))
+    assert time.perf_counter() - start < 1
+    weighted = 5 * (10**15 + 1) * (10**15 + 2) // 2
+    assert code == 3 and out == ""
+    assert err == (
+        f"error: refusing to enumerate 5 balls on each of levels 0..{10**15}, {weighted} "
+        "weighted by depth (budget 1000000); raise the ball budget to proceed\n"
+    )
+    code, _, _ = run(capsys, "graft-check", "--spec", spec, "--depth", "4", "--budget", "74")
+    assert code == 3
+    code, out, _ = run(capsys, "graft-check", "--spec", spec, "--depth", "4", "--budget", "75")
+    assert code == 0 and out.rstrip().endswith("result: PASS")
+
+
 # ---------------------------------------------------------------- graft-check
 
 def test_graft_check_pass(doc, capsys):

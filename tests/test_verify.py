@@ -1,6 +1,7 @@
 """Relation checks, graft/branch witnesses, norm scans, determinism."""
 
 import re
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -171,6 +172,22 @@ def test_graft_precondition_pass_fixture():
     assert report.on_path_agreement == ()
     assert report.tail_sum_failures == ()
     assert report.to_text().endswith("result: PASS")
+
+
+def test_graft_precondition_budget_counts_balls_weighted_by_depth():
+    # p (D + 1)(D + 2) / 2: 5 * 6 * 7 / 2 = 105 at D = 5.
+    assert check_graft_precondition(MU1, MU2, PI5, 5, ball_budget=105).passed
+    with pytest.raises(BallBudgetError, match=r"^refusing to enumerate 5 balls on each of "
+                       r"levels 0\.\.5, 105 weighted by depth \(budget 104\)"):
+        check_graft_precondition(MU1, MU2, PI5, 5, ball_budget=104)
+    # The largest graft check the benchmark runs, p = 3 to depth 100,
+    # passes at the default budget; a depth of 10^15 is refused before the
+    # path's digits are read.
+    check_graft_precondition(Mazur(), Mazur(), Path(3, (), (1, 2)), 100)
+    start = time.perf_counter()
+    with pytest.raises(BallBudgetError):
+        check_graft_precondition(Mazur(), Mazur(), PI5, 10**15)
+    assert time.perf_counter() - start < 1
 
 
 def test_graft_precondition_tail_failure_fixture():
