@@ -7,7 +7,7 @@ rationals as num/den.  Every command but dump prints its answer through
 itself, and a command without a report hands over its JSON payload and its
 text lines.  dump streams its csv or dot lines a block at a time.  Exit
 codes: 0 success, 1 verification failure or no witness found, 2 usage or
-input error, 3 ball budget exceeded.
+input error, 3 ball budget exceeded or a number too long to write.
 """
 
 from __future__ import annotations
@@ -446,6 +446,11 @@ def main(argv: list[str] | None = None) -> int:
     except BallBudgetError as exc:
         return _fail(str(exc), 3)
     except (ValueError, TypeError, OSError) as exc:
+        if str(exc).startswith("Exceeds the limit ("):
+            # Python's refusal to write or read an int of more digits as
+            # text, where str() takes quadratic time: an exact value too long.
+            limit = sys.get_int_max_str_digits()
+            return _fail(f"refusing to write or read a number of more than {limit} digits", 3)
         return _fail(str(exc), 2)
 
 

@@ -38,9 +38,8 @@ from collections import Counter
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, repeat, zip_longest
 from math import comb, lcm
-from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 from weakref import WeakValueDictionary
 
@@ -58,8 +57,8 @@ from .core import (
     require_prime,
 )
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
+_ZERO_FORM = (1, ((0, 0), (0,)))
 MAX_BERNOULLI_K = 200  # B_k's coefficients cost about k^3 Fraction steps
 
 
@@ -86,11 +85,17 @@ def bernoulli_polynomial(k: int, x: Fraction | int) -> Fraction:
         raise ValueError(f"polynomial index must be an integer >= 0, got {k!r}")
     if k > MAX_BERNOULLI_K:
         raise ValueError(f"polynomial index must be at most {MAX_BERNOULLI_K}, got {k}")
-    t = as_rational(x)
-    return sum(
-        (comb(k, j) * _bernoulli_number(j) * t ** (k - j) for j in range(k + 1)),
-        _ZERO,
-    )
+    t, (scale, poly) = as_rational(x), _bernoulli_form(k)
+    return sum(c[-1] * t**i for i, c in enumerate(poly)) / scale
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_form(k: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    # Bernoulli(k)'s form (S, P): P(a, m) = sum_j S C(k, j) B_j a^(k-j) m^j,
+    # S the lcm of the denominators of C(k, j) B_j.
+    terms = [comb(k, j) * _bernoulli_number(j) for j in range(k + 1)]
+    scale = lcm(*(t.denominator for t in terms))
+    return scale, tuple((0,) * (k - i) + (int(terms[k - i] * scale),) for i in range(k + 1))
 
 
 # =====================================================================
@@ -127,9 +132,16 @@ class _Node(Record):
     see them.  A parent freed since still counts, and so does one that
     `count_held` adds for a search, so the count can only be too high,
     which costs an unneeded memo entry per request and never a wrong value.
+
+    A Haar, a Mazur, a Bernoulli(k) and a LinearComb of them take the value
+    P(a, m) / (S m) on the ball a + (m), m = p^n; `_form` is (S, P), else
+    None.  P, of degree d = len(P) - 1 >= 1, is its coefficients in a,
+    lowest degree first: that of a^i an int polynomial in m of d + 1 - i
+    coefficients, lowest first, so ((B, C), (A,)) is A a + B + C m.
     """
 
     _kinds = FIELD_KINDS
+    _form = None
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -195,20 +207,20 @@ class Dirac(_Node):
 
 class Haar(_Node):
     """Translation-invariant distribution: scale / p^n on each depth-n ball;
-    its affine form `_affine` is (0, u, 0, v) for scale = u/v (no field)."""
+    its form `_form` is (S, P) = (v, u) for scale = u/v (no field)."""
 
     scale: Fraction = _ONE
 
     def __post_init__(self) -> None:
         _set(self, "scale", as_rational(self.scale))
-        _set(self, "_affine", (0, self.scale.numerator, 0, self.scale.denominator))
+        _set(self, "_form", (self.scale.denominator, ((self.scale.numerator, 0), (0,))))
 
 
 class Mazur(_Node):
-    """rep/p^n - 1/2 on the ball rep + (p^n); equals Bernoulli(1).  Its
-    affine form `_affine` is (2, 0, -1, 2): (2 rep - p^n) / (2 p^n)."""
+    """rep/p^n - 1/2 on the ball rep + (p^n); equals Bernoulli(1), whose
+    form `_form` it takes: (2 rep - p^n) / (2 p^n)."""
 
-    _affine = (2, 0, -1, 2)
+    _form = _bernoulli_form(1)
 
 
 class Bernoulli(_Node):
@@ -221,16 +233,17 @@ class Bernoulli(_Node):
             raise ValueError(f"Bernoulli index must be an integer >= 1, got {self.k!r}")
         if self.k > MAX_BERNOULLI_K:
             raise ValueError(f"Bernoulli index must be at most {MAX_BERNOULLI_K}, got {self.k}")
+        _set(self, "_form", _bernoulli_form(self.k))
 
 
 class LinearComb(_Node):
     """sum of coef * expr over the given (coef, expr) terms.
 
-    Its affine terms (Haar, Mazur and linear combinations affine throughout,
-    by exact type) are summed over the lcm of their denominators into one
-    form `_affine`.  `_ints` keeps the others in order as (numerator,
-    denominator, expr, `_LEAVES` kernel or None), after (1, 1, a holder of
-    the form, `_level_affine`) if any is affine; None if all are (no fields).
+    Its terms with a form (Haar, Mazur, Bernoulli and sums of them) are
+    summed into one form over the lcm of their denominators: that is
+    `_form` if every term has one.  Otherwise `_ints` keeps (that form or
+    None, the other terms in order as (numerator, denominator, expr)); it
+    is None on a node with a form (no fields).
     """
 
     terms: tuple[tuple[Fraction, "DistExpr"], ...]
@@ -238,28 +251,23 @@ class LinearComb(_Node):
     def __post_init__(self) -> None:
         terms = tuple((as_rational(c), e) for c, e in self.terms)
         _set(self, "terms", terms)
-        ints, form = [], None
+        form, rest = None, []
         for c, e in terms:
-            affine = _affine_form(e)
-            if affine is not None:
-                (a, b, k, s), (fa, fb, fk, fs) = affine, form or (0, 0, 0, 1)
-                d = lcm(fs, s * c.denominator)
-                f, g = d // fs, c.numerator * (d // (s * c.denominator))
-                form = (f * fa + g * a, f * fb + g * b, f * fk + g * k, d)
-            else:
-                ints.append((c.numerator, c.denominator, e, _LEAVES.get(type(e))))
-        if form is not None:
-            ints = ((1, 1, SimpleNamespace(_affine=form), _level_affine), *ints) if ints else None
-        _set(self, "_affine", form)
-        _set(self, "_ints", ints if ints is None else tuple(ints))
-
-
-def _affine_form(e: "DistExpr") -> tuple[int, int, int, int] | None:
-    # The form of a Haar, a Mazur or a LinearComb affine throughout, chosen
-    # by exact type; None for any other node.
-    if type(e) in (Haar, Mazur) or type(e) is LinearComb and e._ints is None:
-        return e._affine
-    return None
+            other = getattr(e, "_form", None)
+            if other is None:
+                rest.append((c.numerator, c.denominator, e))
+                continue
+            # form + c other over d: two forms' entries, summed in place,
+            # are laid out as a form of the larger degree.
+            (s, poly), (t, more) = form or _ZERO_FORM, other
+            d = lcm(s, t * c.denominator)
+            f, g = d // s, c.numerator * (d // (t * c.denominator))
+            form = d, tuple(
+                tuple(f * x + g * y for x, y in zip_longest(a, b, fillvalue=0))
+                for a, b in zip_longest(poly, more, fillvalue=())
+            )
+        _set(self, "_form", None if rest else form or _ZERO_FORM)
+        _set(self, "_ints", (form, tuple(rest)) if rest else None)
 
 
 class Restrict(_Node):
@@ -277,13 +285,12 @@ class Regularize(_Node):
     `_ints` keeps alpha as (numerator, denominator), read once here, then
     alpha^k as (u, v), signed so that u > 0, raised once by the level
     kernel on the first evaluation that passes the unit check, so a large
-    k costs nothing until then, then the inner's affine form if it has one
-    (a Haar, a Mazur or a LinearComb affine throughout), else None; like
-    `_uses`, it is no field.  Over an affine inner the value is affine in
-    the rep on each run of reps that alpha * rep mod p^n does not wrap
-    round p^n, so E_(1,alpha) = Regularize(1, alpha, Mazur()) takes at
-    most |alpha| + 1 values on a level for an integer alpha, and one over
-    a Haar takes one value on a level, whatever alpha is.
+    k costs nothing until then, then the inner's `_form` or None; like
+    `_uses`, it is no field.  Over a form of degree 1 the value is affine
+    in the rep on each run of reps that alpha * rep mod p^n does not wrap
+    round p^n, so E_(1,alpha) = Regularize(1, alpha, Mazur()) takes at most
+    |alpha| + 1 values on a level for an integer alpha, and one over a Haar
+    takes one value on a level, whatever alpha is.
     """
 
     k: int
@@ -296,7 +303,7 @@ class Regularize(_Node):
         _set(self, "alpha", as_rational(self.alpha))
         if self.alpha == 1:
             raise ValueError("alpha must differ from 1")
-        form = _affine_form(self.expr)
+        form = getattr(self.expr, "_form", None)
         _set(self, "_ints", (self.alpha.numerator, self.alpha.denominator, None, None, form))
 
 
@@ -385,19 +392,11 @@ def evaluate(expr: DistExpr, ball: Ball) -> Fraction:
 # =====================================================================
 
 @lru_cache(maxsize=None)
-def _bernoulli_coefficients(k: int) -> tuple[int, tuple[int, ...]]:
-    # (L, (L * C(k, j) * B_j for j = 0..k)), L the lcm of the denominators.
-    terms = [comb(k, j) * _bernoulli_number(j) for j in range(k + 1)]
-    scale = lcm(*(t.denominator for t in terms))
-    return scale, tuple(int(t * scale) for t in terms)
-
-
-@lru_cache(maxsize=None)
 def _faulhaber(k: int) -> tuple[int, tuple[int, ...]]:
     # (D, c): the sum over 0 <= a < N of a^k is N times the polynomial c at
     # N, over D, from (B_(k+1)(N) - B_(k+1)) / (k + 1), first convention.
-    scale, coeffs = _bernoulli_coefficients(k + 1)
-    return scale * (k + 1), coeffs[:-1]
+    scale, poly = _bernoulli_form(k + 1)
+    return scale * (k + 1), tuple(c[-1] for c in poly[:0:-1])
 
 
 def evaluate_level(
@@ -411,13 +410,11 @@ def evaluate_level(
     and one held in several places once, in O(balls) integer operations
     and memory (O(p^k) for a Branch at level k > n), and nested Regularize
     nodes cost one inner request each (two plain ones over a leaf).
-    Haar, Mazur and their sums, nested to any depth, are one affine form.
-    A Regularize over one makes no inner request on a step-1 range (a
-    whole level included) whose images wrap round p^n seldom: it writes one
-    progression per run of reps between wraps.  E_(1,alpha) =
-    Regularize(1, alpha, Mazur()) with an integer alpha takes at most
-    |alpha| + 1 values per level, each run one value, and one over a Haar
-    one value on any request.
+    Haar, Mazur, Bernoulli and their sums, nested to any depth, are one
+    form, one leaf request.  A Regularize over a form of degree 1 makes no
+    inner request on a step-1 range (a whole level included) whose images
+    wrap round p^n seldom: it writes one progression per run of reps
+    between wraps, and over a Haar one value on any request.
     A Graft also finds each ball's side: n steps per ball on a rep list, and
     on a step-1 range a walk over the residue classes the range meets, at
     most n * min(p, balls) + 1 of them.
@@ -444,8 +441,8 @@ def evaluate_shared(
     exprs: Sequence[DistExpr], p: int, n: int, reps: Sequence[int]
 ) -> list[tuple[Sequence[int], int]]:
     """`evaluate_level` of each expression, first to last, on one request,
-    but nums is a list or a range: an affine level (a Haar, a Mazur, a sum
-    of them) on a range of reps stays the one range its form gives.
+    but nums is a list or a range: a form of degree 1 (a Mazur, a sum with
+    Haar terms) on a range of reps stays the one range it gives.
 
     p is prime and reps a list or a range of valid reps, as the callers
     check.  A node that two or more parents hold is evaluated once per
@@ -515,9 +512,11 @@ def _level(
     # more parents so far in one request, by (id, depth, reps).
     if not reps:
         return [], 1
-    leaf = _LEAVES.get(type(expr))
-    if leaf is not None:
-        return leaf(expr, p, m, reps)
+    form = getattr(expr, "_form", None)
+    if form is not None:
+        return _level_form(form, m, reps)
+    if type(expr) is Dirac:
+        return _level_dirac(expr, p, m, reps)
     kernel = _KERNELS.get(type(expr))
     if kernel is None:
         raise TypeError(f"not a distribution expression: {type(expr).__name__}")
@@ -529,8 +528,8 @@ def _level(
     return memo[key]
 
 
-# The leaves, by exact type, on reps of depth n, m = p^n: they hold no
-# node, so `_level` calls them past its memo.
+# The leaves, a form and a Dirac, on reps of depth n, m = p^n: they hold
+# no node, so `_level` calls them past its memo.
 
 def _dirac_rep(expr: Dirac, p: int, m: int) -> int:
     # The rep of the ball of size m that holds the point.
@@ -547,32 +546,32 @@ def _level_dirac(expr: Dirac, p: int, m: int, reps: Sequence[int]) -> tuple[list
     return nums, 1
 
 
-def _level_affine(expr: DistExpr, p: int, m: int, reps: Sequence[int]) -> tuple[Sequence, int]:
-    # (A a + B + C m) / (S m) on each ball a + (m), (A, B, C, S) = `_affine`,
-    # one range of numerators on a range of reps, never listed.
-    a, b, c, s = expr._affine
-    b += c * m
-    if not a:
-        return [b] * len(reps), s * m
-    if type(reps) is range:
-        return range(a * reps.start + b, a * reps.stop + b, a * reps.step), s * m
-    return [a * r + b for r in reps], s * m
+def _level_form(form: tuple, m: int, reps: Sequence[int]) -> tuple[Sequence, int]:
+    # P(a, m) / (S m) on each ball a + (m), (S, P) = form.  Of degree 1,
+    # A a + B + C m is one range of numerators on a range of reps, never
+    # listed; of a higher degree, P's values at m.
+    s, poly = form
+    if len(poly) == 2:
+        (b, c), (a,) = poly
+        b += c * m
+        if not a:
+            return [b] * len(reps), s * m
+        if type(reps) is range:
+            return range(a * reps.start + b, a * reps.stop + b, a * reps.step), s * m
+        return [a * r + b for r in reps], s * m
+    return polynomial_values(_at(poly, m)[::-1], reps), s * m
 
 
-def _level_bernoulli(
-    expr: Bernoulli, p: int, m: int, reps: Sequence[int]
-) -> tuple[list[int], int]:
-    # p^(n(k-1)) B_k(a/m) = sum_j C(k,j) B_j a^(k-j) m^j / m, a polynomial in a.
-    scale, coeffs = _bernoulli_coefficients(expr.k)
-    return polynomial_values([c * m**j for j, c in enumerate(coeffs)], reps), scale * m
-
-
-_LEAVES = {
-    Dirac: _level_dirac,
-    Haar: _level_affine,
-    Mazur: _level_affine,
-    Bernoulli: _level_bernoulli,
-}
+def _at(poly: tuple, m: int) -> list[int]:
+    # The form polynomial poly's coefficients in a at this m, lowest degree
+    # first, each by Horner's rule.
+    at = []
+    for cs in poly:
+        x = 0
+        for c in reversed(cs):
+            x = x * m + c
+        at.append(x)
+    return at
 
 
 def polynomial_values(coeffs: Sequence[int], reps: Sequence[int]) -> list[int]:
@@ -604,30 +603,32 @@ def polynomial_values(coeffs: Sequence[int], reps: Sequence[int]) -> list[int]:
 def _level_linear_comb(
     expr: LinearComb, p: int, n: int, m: int, reps: Sequence[int], memo: dict
 ) -> tuple[list[int], int]:
-    # Every term is evaluated in order, zero coefficients included: the
-    # affine ones as one form, a leaf by its kernel, a combinator through
-    # `_level`, a point mass as its ball's rep.  den is the running lcm of
-    # the terms' denominators, so dense terms fold in at their final scale,
-    # one pass each, and a point mass adds its scaled coefficient where it
-    # hits.  A memo entry or a range as first dense term is copied into a
-    # list before a mass adds in.
-    if expr._ints is None:
-        return _level_affine(expr, p, m, reps)
+    # The terms with a form are one form, evaluated first; every other
+    # term is evaluated in order, zero coefficients included: a combinator
+    # through `_level`, a point mass as its ball's rep.  den is the running
+    # lcm of the terms' denominators, so dense terms fold in at their final
+    # scale, one pass each, and a point mass adds its scaled coefficient
+    # where it hits.  A memo entry or a range as first dense term is copied
+    # into a list before a mass adds in.
+    form, terms = expr._ints
     den = 1
     dense, masses = [], []
-    for cn, cd, e, leaf in expr._ints:
-        if leaf is _level_dirac:
+    if form is not None:
+        tn, den = _level_form(form, m, reps)
+        dense.append((1, den, tn))
+    for cn, cd, e in terms:
+        if type(e) is Dirac:
             masses.append((cn, cd, _dirac_rep(e, p, m)))
         else:
-            tn, td = _level(e, p, n, m, reps, memo) if leaf is None else leaf(e, p, m, reps)
+            tn, td = _level(e, p, n, m, reps, memo)
             cd *= td
-            dense.append((cn, cd, tn, leaf))
+            dense.append((cn, cd, tn))
         den = lcm(den, cd)
     nums = [] if dense else [0] * len(reps)
-    for i, (cn, cd, tn, leaf) in enumerate(dense):
+    for i, (cn, cd, tn) in enumerate(dense):
         f = cn * (den // cd)
         if i == 0:
-            copy = masses and (leaf is None or type(tn) is range)
+            copy = masses and (form is None or type(tn) is range)
             nums = (list(tn) if copy else tn) if f == 1 else [f * y for y in tn]
         elif f:
             nums = [x + f * y for x, y in zip(nums, tn)]
@@ -689,11 +690,12 @@ def _level_regularize(
     u, v, scale, form = _regularize_factors(expr, p, m)
     # mu(B) - alpha^(-k) mu(alpha B) = (u mu(B) - v mu(alpha B)) with
     # alpha^k = u/v, over u * den; u > 0 keeps the denominator positive.
-    if form is not None and (
-        not form[0] or type(reps) is range and reps.step == 1 and len(reps) >= _BALLS_PER_RUN
+    if form is not None and len(form[1]) == 2 and (
+        not form[1][1][0]
+        or type(reps) is range and reps.step == 1 and len(reps) >= _BALLS_PER_RUN
     ):
-        # A Haar inner is one value on any request; a shorter range cannot
-        # hold one run: it pays no call.
+        # A constant inner is one value on any request; a shorter range
+        # cannot hold one run: it pays no call.
         runs = _regularize_runs(form, u, v, scale, m, reps, _BALLS_PER_RUN)
         if runs is not None:
             nums = []
@@ -702,20 +704,22 @@ def _level_regularize(
                     nums += range(slope * run.start + y, slope * run.stop + y, slope)
                 else:
                     nums += [y] * len(run)
-            return nums, u * form[3] * m
+            return nums, u * form[0] * m
     if len(reps) == m and _slices(reps):
         # r -> scale * r mod m permutes the level: one inner level suffices.
         inner, den = _level(expr.expr, p, n, m, reps, memo)
         return [u * x - v * inner[scale * r % m] for r, x in enumerate(inner)], u * den
     scaled = [scale * r % m for r in reps]
-    leaf = _level_affine if form is not None else _LEAVES.get(type(expr.expr))
-    if leaf is not None:
+    if form is not None or type(expr.expr) is Dirac:
         # A leaf's denominator depends on n alone, and its one error (a
-        # point outside Z_p) on no ball; an affine form, a LinearComb's
-        # included, is such a leaf: the balls and their images are two
+        # point outside Z_p) on no ball: the balls and their images are two
         # plain requests, reps kept a range where it is one.
-        inner, den = leaf(expr.expr, p, m, reps)
-        image, _ = leaf(expr.expr, p, m, scaled)
+        if form is not None:
+            inner, den = _level_form(form, m, reps)
+            image, _ = _level_form(form, m, scaled)
+        else:
+            inner, den = _level_dirac(expr.expr, p, m, reps)
+            image, _ = _level_dirac(expr.expr, p, m, scaled)
         return [u * x - v * y for x, y in zip(inner, image)], u * den
     union = list(dict.fromkeys(chain(reps, scaled)))
     try:
@@ -734,7 +738,7 @@ def _level_regularize(
 
 def _regularize_factors(expr: Regularize, p: int, m: int) -> tuple[int, int, int, tuple | None]:
     # (u, v, scale, form): alpha^k = u/v with u > 0, alpha's residue mod m
-    # and the inner's affine form or None, once alpha passes the unit check.
+    # and the inner's form or None, once alpha passes the unit check.
     a, b, u, v, form = expr._ints
     if a % p == 0 or b % p == 0:
         raise ValueError(f"alpha={expr.alpha} is not a unit of Z_p for p={p}")
@@ -751,36 +755,27 @@ def _regularize_factors(expr: Regularize, p: int, m: int) -> tuple[int, int, int
 _BALLS_PER_RUN = 4
 
 
-def _runs_fit(scale: int, m: int, start: int, stop: int, per_run: int) -> bool:
-    # Whether the reps start..stop-1 hold per_run balls or more per run of
-    # one wrap count floor(s r / m), s = scale taken in (-m/2, m/2]: the
-    # count moves by at most 1 from rep to rep, so its end values tell.
-    s = scale - m if 2 * scale > m else scale
-    return (abs(s * (stop - 1) // m - s * start // m) + 1) * per_run <= stop - start
-
-
 def _regularize_runs(
-    form: tuple[int, int, int, int], u: int, v: int, scale: int, m: int,
-    reps: Sequence[int], per_run: int,
+    form: tuple, u: int, v: int, scale: int, m: int, reps: Sequence[int], per_run: int
 ) -> list[tuple[Sequence[int], tuple[int, int]]] | None:
-    # The numerators over u S m of a Regularize over the affine form
-    # (A, B, C, S) as (run, (y, slope)), the numerator slope * r + y on each
-    # rep r of run, or None if the step-1 range reps has fewer than per_run
-    # balls per run.  With s = scale taken in (-m/2, m/2] and
+    # The numerators over u S m of a Regularize over the form of degree 1
+    # (S, ((B, C), (A,))) as (run, (y, slope)), the numerator slope * r + y
+    # on each rep r of run, or None if the step-1 range reps has fewer than
+    # per_run balls per run.  With s = scale taken in (-m/2, m/2] and
     # j = floor(s r / m), the image rep is s r - j m, so the numerator is
     # A (u - v s) r + (u - v)(B + C m) + v A m j: one progression on each
-    # run of reps with one j.  A Haar inner (A = 0) is one run of one
+    # run of reps with one j.  A constant inner (A = 0) is one run of one
     # value, whatever reps is.
-    a, b, c, _ = form
+    (b, c), (a,) = form[1]
     base = (u - v) * (b + c * m)
     if not a:
         return [(reps, (base, 0))]
     first, stop = reps.start, reps.stop
-    if not _runs_fit(scale, m, first, stop, per_run):
-        return None
     s = scale - m if 2 * scale > m else scale
-    slope, lift = a * (u - v * s), v * a * m
     j, last = s * first // m, s * (stop - 1) // m
+    if (abs(last - j) + 1) * per_run > stop - first:  # j moves by 0 or 1 a rep
+        return None
+    slope, lift = a * (u - v * s), v * a * m
     runs, r = [], first
     while j != last:
         if s > 0:
@@ -937,93 +932,83 @@ def level_pieces(
     The value on the ball a + (p^n) is (P(a) + masses.get(a, 0)) / den,
     where P is the sum of the polynomials of the pieces whose range holds
     a; den > 0.  The form exists on the family Haar, Mazur, Bernoulli(k)
-    and Dirac, closed under LinearComb and under Regularize over an affine
-    inner (a Haar, a Mazur or a LinearComb affine throughout) whose images
-    wrap round p^n seldom enough, one piece per run; for any other
-    expression it is None, decided before any piece is built.  It raises
-    what `evaluate_level` raises on the whole level.  p is prime and n a
-    depth, as the callers check; p^n may be far past any ball budget, and
-    a piece is a `range`, so its length is stop - start, never len().
+    and Dirac, closed under LinearComb and under Regularize over a form of
+    degree 1 (a Haar, a Mazur or a sum of them) whose images wrap round p^n
+    seldom enough: a node with a `_form` is one piece, a point mass a mass
+    and a Regularize one piece per run.  For any other expression it is
+    None.  It raises what `evaluate_level` raises on the whole level.  p
+    is prime and n a depth, as the callers check; p^n may be far past any
+    ball budget, and a piece is a `range`, so its length is stop - start,
+    never len().
     """
-    m = p**n
-    if not _closed(expr, p, m, {}):
-        return None
-    return _pieces(expr, p, m, {})
+    return _pieces(expr, p, p**n, {})
 
 
-def _closed(expr: DistExpr, p: int, m: int, memo: dict) -> bool:
-    # Whether expr has a piece form at depth m = p^n; a node held in
-    # several places is decided once.
-    t = type(expr)
-    if t in _LEAVES:
-        return True
-    if id(expr) in memo:
-        return memo[id(expr)]
-    if t is LinearComb:
-        ok = all(leaf is not None or _closed(e, p, m, memo) for _, _, e, leaf in expr._ints or ())
-    elif t is Regularize:
-        a, b, _, _, form = expr._ints
-        # A Haar inner builds no run, and `_pieces` raises a non-unit
-        # alpha's error in scalar order.
-        ok = form is not None and (
-            not form[0] or a % p == 0 or b % p == 0
-            or _runs_fit(_regularize_factors(expr, p, m)[2], m, 0, m, _PIECE_BALLS_PER_RUN)
-        )
-    else:
-        ok = False
-    memo[id(expr)] = ok
-    return ok
+def _piecewise(expr: DistExpr) -> bool:
+    # Whether the checkers read expr's levels from `level_pieces`: not a
+    # Restrict, a Graft or a Branch, nor a form of degree 1, one range.
+    form = getattr(expr, "_form", None)
+    return len(form[1]) > 2 if form is not None else type(expr) not in (Restrict, Graft, Branch)
 
 
-def _pieces(expr, p: int, m: int, memo: dict) -> tuple[Pieces, dict[int, int], int]:
-    # The piece form of expr, which `_closed` admits, on the level of size
-    # m.  Errors come in scalar order: LinearComb terms left to right and
-    # a Regularize's unit check before its inner.  A node held in several
-    # places is built once, and a LinearComb adds up the pieces of one
-    # range and the masses at one rep, so a chain of shared sums stays one
-    # piece per range.
+def _pieces(expr, p: int, m: int, memo: dict) -> tuple[Pieces, dict[int, int], int] | None:
+    # The piece form of expr on the level of size m, or None.  Errors come
+    # in scalar order: a Regularize's unit check before its inner, and
+    # LinearComb terms left to right up to the first without a piece form,
+    # whose enumeration then meets its errors first.  A node held in
+    # several places is built once, and a LinearComb adds up the pieces of
+    # one range and the masses at one rep, so a chain of shared sums stays
+    # one piece per range.
+    form = getattr(expr, "_form", None)
+    if form is not None:
+        return _form_pieces(form, m)
     t = type(expr)
     if t is Dirac:
         return {}, {_dirac_rep(expr, p, m): 1}, 1
-    if t is Bernoulli:
-        scale, coeffs = _bernoulli_coefficients(expr.k)
-        return {range(m): [c * m**j for j, c in enumerate(coeffs)][::-1]}, {}, scale * m
-    if t is not Regularize and (t is not LinearComb or expr._ints is None):
-        # An affine form: a Haar, a Mazur, a LinearComb affine throughout,
-        # or the holder of a LinearComb's affine terms.
-        a, b, c, s = expr._affine
-        return {range(m): [b + c * m, a]}, {}, s * m
     if id(expr) in memo:
         return memo[id(expr)]
+    found = None
     if t is Regularize:
         u, v, scale, form = _regularize_factors(expr, p, m)
-        # The first run's progression on the whole level, and on each later
-        # run the constant that its wrap count adds.
-        (_, (y, slope)), *later = _regularize_runs(
+        runs = form is not None and len(form[1]) == 2 and _regularize_runs(
             form, u, v, scale, m, range(m), _PIECE_BALLS_PER_RUN
         )
-        pieces = {range(m): [y, slope] if slope else [y]}
-        pieces.update((run, [x - y]) for run, (x, _) in later)
-        found = pieces, {}, u * form[3] * m
-    else:
-        parts, den = [], 1
-        for cn, cd, e, _ in expr._ints:
+        if runs:
+            # The first run's progression on the whole level, and on each
+            # later run the constant that its wrap count adds.
+            (_, (y, slope)), *later = runs
+            pieces = {range(m): [y, slope] if slope else [y]}
+            pieces.update((run, [x - y]) for run, (x, _) in later)
+            found = pieces, {}, u * form[0] * m
+    elif t is LinearComb:
+        form, terms = expr._ints
+        parts = [(1, 1, _form_pieces(form, m))] if form is not None else []
+        for cn, cd, e in terms:
             part = _pieces(e, p, m, memo)
-            cd *= part[2]
+            if part is None:
+                break
             parts.append((cn, cd, part))
-            den = lcm(den, cd)
-        pieces, masses = {}, {}
-        for cn, cd, (ps, ms, _) in parts:
-            f = cn * (den // cd)
-            if f:
-                for run, coeffs in ps.items():
-                    _add_into(pieces.setdefault(run, []), coeffs, f)
-                for rep, c in ms.items():
-                    masses[rep] = masses.get(rep, 0) + f * c
-        found = pieces, masses, den
+        else:
+            den = lcm(*(cd * part[2] for _, cd, part in parts))
+            pieces, masses = {}, {}
+            for cn, cd, (ps, ms, d) in parts:
+                f = cn * (den // (cd * d))
+                if f:
+                    for run, coeffs in ps.items():
+                        _add_into(pieces.setdefault(run, []), coeffs, f)
+                    for rep, c in ms.items():
+                        masses[rep] = masses.get(rep, 0) + f * c
+            found = pieces, masses, den
+    else:
+        return None
     if expr._uses > 1:
         memo[id(expr)] = found
     return found
+
+
+def _form_pieces(form: tuple, m: int) -> tuple[Pieces, dict[int, int], int]:
+    # The form (S, P) on the level of size m: one piece, P(., m) / (S m).
+    return {range(m): _at(form[1], m)}, {}, form[0] * m
 
 
 def _add_into(have: list[int], coeffs: Sequence[int], f: int = 1) -> None:

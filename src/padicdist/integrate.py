@@ -11,9 +11,10 @@ exact Fraction; the verdict is a pure function of the recorded norms and the
 test function's class.
 
 On the family S (Haar, Mazur, Bernoulli(k) and Dirac, closed under
-LinearComb and under Regularize over an affine inner) a level is a few
-pieces, ranges of reps with an integer polynomial numerator, plus point
-masses (`padicdist.distributions.level_pieces`), and S_N is summed in
+LinearComb and under Regularize over a form of degree 1) a level is a few
+pieces, ranges of reps with an integer polynomial numerator (one for each
+node's one polynomial form P(a, p^N) / (S p^N)), plus point masses
+(`padicdist.distributions.level_pieces`), and S_N is summed in
 closed form: Faulhaber's sums of powers for a polynomial, and whole periods
 plus prefix tables for a step function, with no ball enumerated
 (Washington, GTM 83, Ch. 12; Robert, GTM 198, Ch. 5).  Any other

@@ -13,7 +13,7 @@ is built only for what a report shows.
 The checkers that cover whole levels (`check_relation`, `norm_scan`)
 request each depth once; `check_relation` compares a whole level with one
 comparison and goes ball by ball only through a level that holds a
-violation; an affine level stays one range throughout.  The searches that
+violation; a level of degree 1 stays one range throughout.  The searches that
 stop at the first witness scan each depth in consecutive step-1 rep
 ranges that double in length, which the kernels serve by residue classes
 and slices as they do a whole level, so the work before a witness stays
@@ -49,11 +49,9 @@ from .distributions import (
     Branch,
     BoundednessFlag,
     DistExpr,
-    Graft,
-    Restrict,
     _add_into,
-    _affine_form,
     _faulhaber,
+    _piecewise,
     boundedness_flag,
     count_held,
     disjoint_runs,
@@ -187,13 +185,14 @@ def check_relation(
 ) -> RelationReport:
     """Verify the additivity relation on every ball of depth < max_depth.
 
-    Levels n, n+1 of the family S, less its affine members, are proved from
-    their piece forms (`_sums_to`) in steps that grow with the pieces, not
-    with p^n.  Any other pair, or one the forms do not prove, is listed,
-    each level once: the children of a + (p^n) are entry a of the child
-    level's p blocks of length p^n, added block to block, and compared with
-    the parents as whole levels over one denominator; only a level where
-    they differ is gone through ball by ball.  An affine level is one range,
+    Levels n, n+1 of the family S, less its forms of degree 1 (Haar, Mazur
+    and their sums; `distributions._piecewise`), are proved from their
+    piece forms (`_sums_to`) in steps that grow with the pieces, not with
+    p^n.  Any other pair, or one the forms do not prove, is listed, each
+    level once: the children of a + (p^n) are entry a of the child level's
+    p blocks of length p^n, added block to block, and compared with the
+    parents as whole levels over one denominator; only a level where they
+    differ is gone through ball by ball.  A level of degree 1 is one range,
     added, scaled and compared as one: O(max_depth * p) steps.
     """
     require_prime(prime)
@@ -202,7 +201,7 @@ def check_relation(
 
     violations: list[RelationViolation] = []
     checked = 0
-    forms = type(expr) not in (Restrict, Graft, Branch) and _affine_form(expr) is None
+    forms = _piecewise(expr)
     form = level_pieces(expr, prime, 0) if forms else None
     level = None  # the parent level, when the pair above was enumerated
     for n in range(max_depth):
@@ -598,15 +597,15 @@ def norm_scan(
     Over one common denominator the largest norm belongs to the numerator of
     least p-adic valuation, which is the valuation of their gcd; the first
     rep attaining it is the argmax (rep 0 when the whole level is zero).
-    A level of S, less its affine members, is read from its disjoint runs,
-    each from its first degree + 1 values (`_head`), and an affine level is
-    one range x0 + i * step, a run of degree 1.
+    A level of S, less its forms of degree 1, is read from its disjoint
+    runs, each from its first degree + 1 values (`_head`), and a level of
+    degree 1 is one range x0 + i * step, a run of degree 1.
     """
     require_prime(prime)
     require_depth(max_depth, "max_depth")
     require_budget(prime, max_depth, ball_budget)
     entries: list[NormScanEntry] = []
-    forms = type(expr) not in (Restrict, Graft, Branch) and _affine_form(expr) is None
+    forms = _piecewise(expr)
     for n in range(max_depth + 1):
         form = level_pieces(expr, prime, n) if forms else None
         if form is None:

@@ -283,6 +283,26 @@ def test_a_huge_graft_check_depth_is_refused_at_once(doc, capsys):
     assert code == 0 and out.rstrip().endswith("result: PASS")
 
 
+def _regularized_mazur(k):
+    mazur = {"type": "mazur"}
+    return {"prime": 3, "expr": {"type": "regularize", "k": k, "alpha": "2", "expr": mazur}}
+
+
+@pytest.mark.parametrize(
+    "argv", [["eval", "--ball", "1/1"], ["eval", "--ball", "1/1", "--format", "json"],
+             ["dump", "--depth", "1"]],
+)
+def test_a_value_too_long_to_write_exits_3(doc, capsys, argv):
+    # Regularize(15000, 2, Mazur) at p = 3 has values of about 4,500 digits,
+    # past the interpreter's limit for str(int), which stays in place.
+    code, _, err = run(capsys, *argv, "--spec", doc(_regularized_mazur(15000)))
+    limit = sys.get_int_max_str_digits()
+    assert code == 3
+    assert err == f"error: refusing to write or read a number of more than {limit} digits\n"
+    code, out, err = run(capsys, *argv, "--spec", doc(_regularized_mazur(14000)))
+    assert code == 0 and err == "" and len(out) > 8000
+
+
 # ---------------------------------------------------------------- graft-check
 
 def test_graft_check_pass(doc, capsys):

@@ -570,9 +570,9 @@ def test_regularize_runs_agree_with_the_general_path_and_scalar_evaluate(case):
         assert evaluate_level(expr, p, n, reps) == runs
 
 
-def _count_calls(patch, kernel, names=(), leaves=()):
-    # Wrap kernel in distributions under each of names and each _LEAVES key
-    # of leaves; the list of the first arguments it was called with.
+def _count_calls(patch, kernel, names=()):
+    # Wrap kernel in distributions under each of names; the list of the
+    # first arguments it was called with.
     calls = []
 
     def counting(e, *args):
@@ -581,8 +581,6 @@ def _count_calls(patch, kernel, names=(), leaves=()):
 
     for name in names:
         patch.setattr(distributions, name, counting)
-    for leaf in leaves:
-        patch.setitem(distributions._LEAVES, leaf, counting)
     return calls
 
 
@@ -591,9 +589,7 @@ def test_regularize_over_mazur_on_a_whole_level_calls_no_leaf_kernel(monkeypatch
     # level, so the level is two runs of one value each.
     expr, p, n = Regularize(1, 2, Mazur()), 5, 6
     expected = evaluate_level(expr, p, n, list(range(p**n)))  # a list takes no runs
-    calls = _count_calls(
-        monkeypatch, distributions._level_affine, ["_level_affine"], [Haar, Mazur]
-    )
+    calls = _count_calls(monkeypatch, distributions._level_form, ["_level_form"])
     nums, den = evaluate_level(expr, p, n)
     assert calls == []
     monkeypatch.undo()
@@ -614,6 +610,35 @@ def test_regularize_over_an_affine_linear_comb_on_a_list_makes_no_inner_request(
     assert [F(x, den) for x in nums] == [evaluate(expr, Ball(p, n, r)) for r in reps]
 
 
+# Haar, Mazur and Bernoulli(3) terms, summed into one cubic form when built.
+FOLDED = LinearComb(((F(2, 3), Haar(5)), (-3, Mazur()), (F(1, 7), Bernoulli(3))))
+
+
+@pytest.mark.parametrize(
+    "reps", [None, range(7, 90), [3, 3, 124, 0]], ids=["whole", "range", "list"]
+)
+def test_a_linear_comb_of_forms_makes_one_form_call_per_request(reps, monkeypatch):
+    p, n = 5, 3
+    calls = _count_calls(monkeypatch, distributions._level_form, ["_level_form"])
+    nums, den = evaluate_level(FOLDED, p, n, reps)
+    assert calls == [FOLDED._form]  # one call with the summed form, none per term
+    monkeypatch.undo()
+    balls = range(p**n) if reps is None else reps
+    assert [F(x, den) for x in nums] == [evaluate(FOLDED, Ball(p, n, r)) for r in balls]
+
+
+def test_regularize_over_a_folded_linear_comb_on_a_list_makes_two_leaf_requests(monkeypatch):
+    # The balls and their images are two plain requests of the one form:
+    # no union request through `_level`.
+    expr, p, n, reps = Regularize(2, 3, FOLDED), 7, 3, [10, 20, 30, 40, 50]
+    requests = _count_calls(monkeypatch, distributions._level, ["_level"])
+    leaves = _count_calls(monkeypatch, distributions._level_form, ["_level_form"])
+    nums, den = evaluate_level(expr, p, n, reps)
+    assert requests == [expr] and leaves == [FOLDED._form] * 2
+    monkeypatch.undo()
+    assert [F(x, den) for x in nums] == [evaluate(expr, Ball(p, n, r)) for r in reps]
+
+
 @pytest.mark.parametrize(
     "reps", [None, range(3, 40), [7, 7, 15000, 2]], ids=["whole", "range", "list"]
 )
@@ -623,7 +648,7 @@ def test_regularize_over_haar_is_one_value_on_any_request_for_any_alpha(reps, mo
     # (u - v)(B + C m), with no inner request and no general path.
     expr, p, n = Regularize(1, F(1, 3), Haar()), 5, 6
     requests = _count_calls(monkeypatch, distributions._level, ["_level"])
-    leaves = _count_calls(monkeypatch, distributions._level_affine, ["_level_affine"], [Haar])
+    leaves = _count_calls(monkeypatch, distributions._level_form, ["_level_form"])
     nums, den = evaluate_level(expr, p, n, reps)
     assert requests == [expr] and leaves == []  # the Regularize's own request only
     monkeypatch.undo()

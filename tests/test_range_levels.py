@@ -1,11 +1,12 @@
 """Affine levels kept as ranges, against the same levels as lists.
 
-On a range of reps, `_level_affine` gives the numerators of a Haar, a
-Mazur or a sum of them as one `range`, and the checkers add, scale, compare
-and take the gcd of such a level as a progression.  The oracle is the same
-call with the kernel made to list every entry, one per rep, as it did
-before: every report, witness and dump byte must be the same on both paths,
-and so must what a wrong progression at one depth makes them report.
+On a range of reps, `_level_form` gives the numerators of a form of
+degree 1 (a Haar, a Mazur or a sum of them) as one `range`, and the
+checkers add, scale, compare and take the gcd of such a level as a
+progression.  The oracle is the same call with the kernel made to list
+every entry, one per rep, as it did before: every report, witness and dump
+byte must be the same on both paths, and so must what a wrong progression
+at one depth makes them report.
 `evaluate_level`, the public request, returns a list whatever the path.
 """
 
@@ -52,7 +53,7 @@ from padicdist import (
     norm_scan,
 )
 from padicdist.cli import main
-from padicdist.distributions import evaluate_shared
+from padicdist.distributions import _at, evaluate_shared, polynomial_values
 from padicdist.verify import _added, _differing, _same, _scaled
 
 INTEGRATE = importlib.import_module("padicdist.integrate")
@@ -61,18 +62,23 @@ MAX_DEPTH = 3
 
 # ------------------------------------------------------- the kernels swapped
 
-def _listed_affine(expr, p, m, reps):
-    # The affine kernel with every level a list, an entry computed per rep.
-    a, b, c, s = expr._affine
+def _listed_form(form, m, reps):
+    # The form kernel with every level of degree 1 a list, an entry
+    # computed per rep.
+    s, poly = form
+    if len(poly) > 2:
+        return polynomial_values(_at(poly, m)[::-1], reps), s * m
+    (b, c), (a,) = poly
     b += c * m
     return [a * r + b for r in reps], s * m
 
 
-def _wrong_ranges(expr, p, m, reps):
-    # The affine kernel one off on every ball of depth 2, each level still
-    # a range where the request is one.
-    a, b, c, s = expr._affine
-    b += c * m + (m == p * p)
+def _wrong_ranges(form, m, reps):
+    # The form kernel of degree 1 one off on every ball of depth 2 (m = 4,
+    # 9, 25 or 49 at the primes drawn), each level still a range where the
+    # request is one.
+    s, ((b, c), (a,)) = form
+    b += c * m + (m in (4, 9, 25, 49))
     if not a:
         return [b] * len(reps), s * m
     if type(reps) is range:
@@ -80,18 +86,18 @@ def _wrong_ranges(expr, p, m, reps):
     return [a * r + b for r in reps], s * m
 
 
-def _wrong_lists(expr, p, m, reps):
+def _wrong_lists(form, m, reps):
     # The same mutant with every level a list.
-    a, b, c, s = expr._affine
-    b += c * m + (m == p * p)
+    s, ((b, c), (a,)) = form
+    b += c * m + (m in (4, 9, 25, 49))
     return [a * r + b for r in reps], s * m
 
 
 @contextmanager
-def affine_kernel(kernel):
-    """Run kernel's code wherever `_level_affine` is called: through
-    `_LEAVES`, by name, and from the LinearComb nodes that hold it."""
-    real = distributions._level_affine
+def form_kernel(kernel):
+    """Run kernel's code wherever `_level_form` is called: from `_level`,
+    from a LinearComb and from a Regularize."""
+    real = distributions._level_form
     saved, real.__code__ = real.__code__, kernel.__code__
     try:
         yield
@@ -180,7 +186,7 @@ def test_every_report_is_the_same_on_ranges_and_on_lists(spec_file, case):
     expr, other, p, depth = case
     spec = spec_file(p, expr)
     ranged = _reports(expr, other, p, depth, spec)
-    with affine_kernel(_listed_affine):
+    with form_kernel(_listed_form):
         listed = _reports(expr, other, p, depth, spec)
     assert ranged == listed
 
@@ -189,9 +195,9 @@ def test_every_report_is_the_same_on_ranges_and_on_lists(spec_file, case):
 @given(expr=affine_trees(), p=st.sampled_from(PRIMES))
 def test_a_wrong_progression_at_one_depth_is_reported_alike_on_both_paths(expr, p):
     depth = 4 if p < 7 else 3
-    with affine_kernel(_wrong_ranges):
+    with form_kernel(_wrong_ranges):
         ranged = check_relation(expr, p, depth), norm_scan(expr, p, depth)
-    with affine_kernel(_wrong_lists):
+    with form_kernel(_wrong_lists):
         listed = check_relation(expr, p, depth), norm_scan(expr, p, depth)
     assert ranged == listed
     # One off on every ball of depth 2 breaks the relation at depths 1 and 2.
