@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from itertools import chain, islice
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     ball_make,
@@ -226,13 +226,16 @@ def cmd_dump(args: argparse.Namespace) -> int:
     prime, expr = _load(args)
     require_depth(args.depth)
     require_budget(prime, args.depth, args.budget)
-    levels = (
+    # Every level is evaluated, and its values checked against the digit
+    # limit, before the first line is written, so a level that raises
+    # leaves stdout empty.  A level of degree 1 stays one range.
+    levels = [
         evaluate_shared((expr,), prime, n, range(prime**n))[0]
         for n in range(args.depth + 1)
-    )
+    ]
+    for nums, den in levels:
+        _require_writable(nums, den, prime)
     if args.format == "dot":
-        # Every level is evaluated before the first line is written, so a
-        # level that raises leaves stdout empty.
         texts = [_level_texts(nums, den, prime) for nums, den in levels]
         labels = (
             f'  "{rep}/{n}" [label="{rep}+({prime}^{n})\\n{value}"];'
@@ -255,6 +258,19 @@ def cmd_dump(args: argparse.Namespace) -> int:
                 for rep, (value, text) in enumerate(_level_texts(nums, den, prime))
             )
     return 0
+
+
+def _require_writable(nums: Sequence[int], den: int, p: int) -> None:
+    # Raise what writing the level would raise: Python's refusal to write
+    # an int of more digits than its limit.  The value and norm texts are
+    # no longer than the level's largest numerator or den, so only a level
+    # with one past the limit is formatted here to find out.  Python
+    # before 3.10.7 has no limit.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    ends = (nums[0], nums[-1]) if type(nums) is range and nums else nums
+    if limit and max(den, max(map(abs, ends), default=0)) >= 10**limit:
+        for _ in _level_texts(nums, den, p):
+            pass
 
 
 def _require_digits(count: int, work: str, budget: int) -> None:

@@ -127,11 +127,14 @@ class _Node(Record):
     A node the constructor keeps starts a count of the parents built over
     it at 0, keeps its sub-expressions that are nodes as `_kids`, once per
     place that holds them, and adds 1 to the count of each; `_level`
-    evaluates a node counted 2 or more once per request.  `_uses` and
-    `_kids` are no fields, so `==`, `repr`, pickling and the codecs never
-    see them.  A parent freed since still counts, and so does one that
-    `count_held` adds for a search, so the count can only be too high,
-    which costs an unneeded memo entry per request and never a wrong value.
+    evaluates a node counted 2 or more once per request.  `_plain` says
+    whether the node holds no Restrict, Graft or Branch, itself included:
+    such a node's value on a ball, and any error it raises, do not depend
+    on the other balls of a request.  `_uses`, `_kids` and `_plain` are no
+    fields, so `==`, `repr`, pickling and the codecs never see them.  A
+    parent freed since still counts, and so does one that `count_held`
+    adds for a search, so the count can only be too high, which costs an
+    unneeded memo entry per request and never a wrong value.
 
     A Haar, a Mazur, a Bernoulli(k) and a LinearComb of them take the value
     P(a, m) / (S m) on the ball a + (m), m = p^n; `_form` is (S, P), else
@@ -162,6 +165,7 @@ class _Node(Record):
             kids = tuple(kid for kid in kids if isinstance(kid, _Node))
             _set(node, "_uses", 0)
             _set(node, "_kids", kids)
+            _set(node, "_plain", cls not in _SPLITTERS and all(kid._plain for kid in kids))
             for kid in kids:
                 _set(kid, "_uses", kid._uses + 1)
         return kept
@@ -352,6 +356,8 @@ class Branch(_Node):
 DistExpr = Union[
     Dirac, Haar, Mazur, Bernoulli, LinearComb, Restrict, Regularize, Graft, Branch
 ]
+# The nodes that sort a request's balls into parts, one per sub-expression.
+_SPLITTERS = (Restrict, Graft, Branch)
 
 
 # =====================================================================
@@ -865,9 +871,13 @@ def _gather(
     # The values on reps put together from parts (expr, own), each expr
     # owning some of the balls: on a step-1 range, `own` lists residue
     # classes within it, else positions in reps.  Each part is one request,
-    # in order, a lone class as itself and several as one list.  The values
-    # are brought to the lcm of the parts' denominators and put back by
-    # slice or by index; a ball no part owns gets 0.
+    # in order: a lone class as itself, several classes of a `_plain` part
+    # as the whole range, sliced, since the other balls change neither its
+    # values, its den nor its errors (a form of degree 1 stays one range),
+    # and several of any other part as one list.  A part that owns no ball
+    # is not evaluated.  The values are brought to the lcm of the parts'
+    # denominators and put back by slice or by index; a ball no part owns
+    # gets 0.
     slices = _slices(reps)
     values, den = [], 1
     for e, own in parts:
@@ -875,16 +885,17 @@ def _gather(
             balls = [reps[i] for i in own]
         elif len(own) == 1:
             balls = own[0]
+        elif len(own) > 1 and getattr(e, "_plain", False):
+            balls = reps
         else:
             balls = list(chain.from_iterable(own))
         got, d = _level(e, p, n, m, balls, memo)
-        values.append((got, d, own))
+        values.append((got, d, own, balls is reps))
         den = lcm(den, d)
     nums = [0] * len(reps)
-    for got, d, own in values:
+    for got, d, own, whole in values:
         if d != den:
-            f = den // d
-            got = [f * x for x in got]
+            got = _scaled(got, den // d)
         if not slices:
             for i, x in zip(own, got):
                 nums[i] = x
@@ -893,9 +904,20 @@ def _gather(
         else:
             i = 0
             for c in own:
-                nums[c.start - reps.start :: c.step] = got[i : i + len(c)]
+                at = c.start - reps.start
+                nums[at :: c.step] = got[at :: c.step] if whole else got[i : i + len(c)]
                 i += len(c)
     return nums, den
+
+
+def _scaled(xs: Sequence[int], f: int) -> Sequence[int]:
+    # f times each of xs, a list or a range: a range stays a range unless
+    # f is 0, and f = 1 returns xs itself.
+    if f == 1:
+        return xs
+    if type(xs) is range and f:
+        return range(f * xs.start, f * xs.stop, f * xs.step)
+    return [f * x for x in xs]
 
 
 _KERNELS = {
@@ -945,10 +967,12 @@ def level_pieces(
 
 
 def _piecewise(expr: DistExpr) -> bool:
-    # Whether the checkers read expr's levels from `level_pieces`: not a
-    # Restrict, a Graft or a Branch, nor a form of degree 1, one range.
+    # Whether the checkers ask `level_pieces` for expr's levels: a `_plain`
+    # node, which may be in S, but not a form of degree 1, which is one
+    # range on a level and cheaper read as one.  `verify.check_relation`
+    # also asks it for the S leaves below a Restrict, a Graft or a Branch.
     form = getattr(expr, "_form", None)
-    return len(form[1]) > 2 if form is not None else type(expr) not in (Restrict, Graft, Branch)
+    return len(form[1]) > 2 if form is not None else getattr(expr, "_plain", False)
 
 
 def _pieces(expr, p: int, m: int, memo: dict) -> tuple[Pieces, dict[int, int], int] | None:

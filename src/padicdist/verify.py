@@ -4,7 +4,8 @@ Every checker reads balls in a fixed order (depth ascending, then
 representative ascending) and compares exact rationals, so a report is a
 pure function of its inputs: byte-identical across runs.  `check_relation`
 and `norm_scan` read a level of the family S from its pieces, visiting no
-ball; otherwise a checker requests values with `evaluate_shared`, as integer
+ball, and `check_relation` proves a Restrict, a Branch or a Graft over
+such parts part by part; otherwise a checker requests values with `evaluate_shared`, as integer
 numerators over one denominator; it evaluates a sub-expression held in
 several places (equal ones are one object) once per request, so a request
 costs the distinct sub-expressions times its balls, however often a spec's
@@ -39,6 +40,7 @@ from .core import (
     Path,
     Record,
     ball_to_json,
+    digits_to_int,
     format_rational,
     norm,
     path_to_json,
@@ -49,9 +51,17 @@ from .distributions import (
     Branch,
     BoundednessFlag,
     DistExpr,
+    Graft,
+    Restrict,
+    _SPLITTERS,
     _add_into,
+    _branch_table_size,
     _faulhaber,
+    _form_pieces,
+    _level,
+    _level_form,
     _piecewise,
+    _scaled,
     boundedness_flag,
     count_held,
     disjoint_runs,
@@ -185,15 +195,19 @@ def check_relation(
 ) -> RelationReport:
     """Verify the additivity relation on every ball of depth < max_depth.
 
-    Levels n, n+1 of the family S, less its forms of degree 1 (Haar, Mazur
-    and their sums; `distributions._piecewise`), are proved from their
-    piece forms (`_sums_to`) in steps that grow with the pieces, not with
-    p^n.  Any other pair, or one the forms do not prove, is listed, each
-    level once: the children of a + (p^n) are entry a of the child level's
-    p blocks of length p^n, added block to block, and compared with the
-    parents as whole levels over one denominator; only a level where they
-    differ is gone through ball by ball.  A level of degree 1 is one range,
-    added, scaled and compared as one: O(max_depth * p) steps.
+    Each pair of levels n, n+1 is first put to `_holds`, which proves it
+    part by part without listing a level: a Restrict, a Branch and a Graft
+    through their parts, a form of degree 1 (Haar, Mazur and their sums)
+    as one range, a constant one as one value, and any other member of S
+    from its piece forms (`_sums_to`) in steps that grow with the pieces,
+    not with p^n.  Any other pair, one below a Restrict's cell or a
+    Branch's level, and one the parts do not prove or where they raise, is
+    listed, each level once: the children of a + (p^n) are entry a of the
+    child level's p blocks of length p^n, added block to block, and
+    compared with the parents as whole levels over one denominator; only a
+    level where they differ is gone through ball by ball, and a level of
+    degree 1 is one range, added, scaled and compared as one.  So the
+    report and any error raised do not depend on which pairs are proved.
     """
     require_prime(prime)
     require_depth(max_depth, "max_depth", 1)
@@ -201,30 +215,123 @@ def check_relation(
 
     violations: list[RelationViolation] = []
     checked = 0
-    forms = _piecewise(expr)
-    form = level_pieces(expr, prime, 0) if forms else None
+    pieces: tuple[dict, dict] = ({}, {})  # the S leaves' pieces at depths n, n + 1
     level = None  # the parent level, when the pair above was enumerated
+    split = type(expr) in _SPLITTERS
     for n in range(max_depth):
         m = prime**n
-        child_form = level_pieces(expr, prime, n + 1) if forms else None
-        if form and child_form and _sums_to(form, child_form, m):
+        try:
+            if split:
+                proved = _holds(expr, prime, n, {}, pieces)
+            else:
+                proved = _leaf_holds(expr, prime, n, pieces)
+        except (ValueError, TypeError):
+            proved = False
+        if proved:
             level = None
         else:
             nums, den = level or evaluate_shared((expr,), prime, n, range(m))[0]
             level = evaluate_shared((expr,), prime, n + 1, range(m * prime))[0]
-            child_nums, child_den = level
-            sums = child_nums[:m]
-            for b in range(1, prime):
-                sums = _added(sums, child_nums[b * m : (b + 1) * m])
-            for a in _differing(nums, den, sums, child_den):
+            sums = _block_sums(level[0], m, prime)
+            for a in _differing(nums, den, sums, level[1]):
                 violations.append(
                     RelationViolation(
-                        Ball(prime, n, a), Fraction(nums[a], den), Fraction(sums[a], child_den)
+                        Ball(prime, n, a), Fraction(nums[a], den), Fraction(sums[a], level[1])
                     )
                 )
         checked += m
-        form = child_form
+        pieces = (pieces[1], {})
     return RelationReport(prime, max_depth, checked, tuple(violations))
+
+
+def _block_sums(nums: Sequence[int], m: int, p: int) -> Sequence[int]:
+    # The sum of the p blocks of length m of nums, entry by entry.
+    sums = nums[:m]
+    for b in range(1, p):
+        sums = _added(sums, nums[b * m : (b + 1) * m])
+    return sums
+
+
+def _holds(expr: DistExpr, p: int, n: int, memo: dict, pieces: tuple[dict, dict]) -> bool:
+    # Whether the pair n, n + 1 of expr is proved additive, and both levels
+    # free of errors, part by part, each part on its whole level: a Restrict
+    # from its cell's depth on by its inner, a Branch from its level on by
+    # each child, a Graft by its sides and the sum of left - right over the
+    # children of P_n right of the path (its right side read only where it
+    # owns a ball, as the kernels read it), a leaf by `_leaf_holds`.  False,
+    # or an error, leaves the pair to be listed.  memo holds the answers at
+    # this n, pieces the S leaves' piece forms at depths n and n + 1, by id.
+    key = id(expr)
+    if key in memo:
+        return memo[key]
+    t = type(expr)
+    if t is Restrict:
+        cell = expr.cell
+        held = cell.prime == p and n >= cell.depth and _holds(expr.expr, p, n, memo, pieces)
+    elif t is Branch:
+        _branch_table_size(expr, p)
+        held = n >= expr.k and all(_holds(c, p, n, memo, pieces) for c in expr.children)
+    elif t is Graft:
+        digits = expr.path.digits(n + 1) if expr.path.prime == p else None
+        held = digits is not None and _holds(expr.left, p, n, memo, pieces)
+        if held and min(digits) < p - 1:
+            i, head = digits[n], digits_to_int(digits[:n], p)
+            held = _holds(expr.right, p, n, memo, pieces) and (
+                i == p - 1
+                or _tail_sum(expr.left, p, n, head, i + 1, pieces)
+                == _tail_sum(expr.right, p, n, head, i + 1, pieces)
+            )
+    else:
+        held = _leaf_holds(expr, p, n, pieces)
+    memo[key] = held
+    return held
+
+
+def _leaf_holds(expr: DistExpr, p: int, n: int, pieces: tuple[dict, dict]) -> bool:
+    # The pair n, n + 1 of a leaf, neither a Restrict, a Graft nor a
+    # Branch, by its cheapest exact check: a form of degree 1 as one range
+    # per level, one value if it is constant, another member of S from its
+    # pieces, and anything else not at all.
+    form = getattr(expr, "_form", None)
+    m = p**n
+    if form is not None and len(form[1]) == 2:
+        size = m if form[1][1][0] else 1
+        nums, den = _level_form(form, m, range(size))
+        kids, kid_den = _level_form(form, m * p, range(size * p))
+        return next(_differing(nums, den, _block_sums(kids, size, p), kid_den), None) is None
+    if not _piecewise(expr):
+        return False
+    key, (now, after) = id(expr), pieces
+    parent = now[key] if key in now else level_pieces(expr, p, n)
+    if parent is None:
+        return False
+    children = after[key] = level_pieces(expr, p, n + 1)
+    return children is not None and _sums_to(parent, children, m)
+
+
+def _tail_sum(
+    side: DistExpr, p: int, n: int, head: int, lo: int, pieces: tuple[dict, dict]
+) -> Fraction:
+    # The sum of side over the balls head + d p^n, lo <= d < p, of depth
+    # n + 1: over each piece of a leaf of S the blocks it meets, summed by
+    # `_block_sum`, and the masses on those balls; any other side is
+    # evaluated on them.
+    m = p**n
+    form = getattr(side, "_form", None)
+    if form is not None:
+        found = _form_pieces(form, m * p)
+    else:
+        found = pieces[1].get(id(side))
+    if found is None:
+        nums, den = _level(side, p, n + 1, m * p, range(head + lo * m, head + p * m, m), {})
+        return Fraction(sum(nums), den)
+    runs, masses, den = found
+    total = sum(c for r, c in masses.items() if r % m == head and r // m >= lo)
+    for run, coeffs in runs.items():
+        b0, b1 = max(lo, -((head - run.start) // m)), min(p, -((head - run.stop) // m))
+        if b0 < b1:
+            total += polynomial_values(_block_sum(coeffs, m, b0, b1)[::-1], [head])[0]
+    return Fraction(total, den)
 
 
 def _sums_to(parent: tuple, children: tuple, m: int) -> bool:
@@ -514,15 +621,8 @@ def _differing(xs: Sequence[int], dx: int, ys: Sequence[int], dy: int) -> Iterat
 
 
 # Entry-by-entry arithmetic on numerators, a list or a range each, that
-# keeps a range a range where the result is one progression.
-
-def _scaled(xs: Sequence[int], f: int) -> Sequence[int]:
-    if f == 1:
-        return xs
-    if type(xs) is range and f:
-        return range(f * xs.start, f * xs.stop, f * xs.step)
-    return [f * x for x in xs]
-
+# keeps a range a range where the result is one progression
+# (`distributions._scaled` scales one).
 
 def _added(xs: Sequence[int], ys: Sequence[int]) -> Sequence[int]:
     # xs + ys, of one length; two ranges give a range unless their steps cancel.

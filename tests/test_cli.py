@@ -303,6 +303,16 @@ def test_a_value_too_long_to_write_exits_3(doc, capsys, argv):
     assert code == 0 and err == "" and len(out) > 8000
 
 
+@pytest.mark.parametrize("fmt", ["csv", "dot"])
+def test_a_dump_past_the_digit_limit_writes_nothing(doc, capsys, fmt):
+    # Every level is checked against the digit limit before the first
+    # line, the csv header included, is written.
+    argv = ["dump", "--depth", "1", "--format", fmt, "--spec", doc(_regularized_mazur(15000))]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and err.startswith("error: refusing to write")
+
+
 # ---------------------------------------------------------------- graft-check
 
 def test_graft_check_pass(doc, capsys):
