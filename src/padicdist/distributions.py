@@ -970,7 +970,7 @@ def _piecewise(expr: DistExpr) -> bool:
     # Whether the checkers ask `level_pieces` for expr's levels: a `_plain`
     # node, which may be in S, but not a form of degree 1, which is one
     # range on a level and cheaper read as one.  `verify.check_relation`
-    # also asks it for the S leaves below a Restrict, a Graft or a Branch.
+    # also asks it for the S leaves below a Restrict or a Branch.
     form = getattr(expr, "_form", None)
     return len(form[1]) > 2 if form is not None else getattr(expr, "_plain", False)
 

@@ -4,13 +4,13 @@ Every checker reads balls in a fixed order (depth ascending, then
 representative ascending) and compares exact rationals, so a report is a
 pure function of its inputs: byte-identical across runs.  `check_relation`
 and `norm_scan` read a level of the family S from its pieces, visiting no
-ball, and `check_relation` proves a Restrict, a Branch or a Graft over
-such parts part by part; otherwise a checker requests values with `evaluate_shared`, as integer
-numerators over one denominator; it evaluates a sub-expression held in
-several places (equal ones are one object) once per request, so a request
-costs the distinct sub-expressions times its balls, however often a spec's
-defs are used.  Values are compared by cross-multiplying, and a Fraction
-is built only for what a report shows.
+ball, and `check_relation` proves a Restrict or a Branch over such parts
+part by part; otherwise a checker requests values with `evaluate_shared`,
+as integer numerators over one denominator; it evaluates a sub-expression
+held in several places (equal ones are one object) once per request, so a
+request costs the distinct sub-expressions times its balls, however often
+a spec's defs are used.  Values are compared by cross-multiplying, and a
+Fraction is built only for what a report shows.
 The checkers that cover whole levels (`check_relation`, `norm_scan`)
 request each depth once; `check_relation` compares a whole level with one
 comparison and goes ball by ball only through a level that holds a
@@ -40,7 +40,6 @@ from .core import (
     Path,
     Record,
     ball_to_json,
-    digits_to_int,
     format_rational,
     norm,
     path_to_json,
@@ -51,14 +50,10 @@ from .distributions import (
     Branch,
     BoundednessFlag,
     DistExpr,
-    Graft,
     Restrict,
-    _SPLITTERS,
     _add_into,
     _branch_table_size,
     _faulhaber,
-    _form_pieces,
-    _level,
     _level_form,
     _piecewise,
     _scaled,
@@ -196,18 +191,19 @@ def check_relation(
     """Verify the additivity relation on every ball of depth < max_depth.
 
     Each pair of levels n, n+1 is first put to `_holds`, which proves it
-    part by part without listing a level: a Restrict, a Branch and a Graft
-    through their parts, a form of degree 1 (Haar, Mazur and their sums)
-    as one range, a constant one as one value, and any other member of S
-    from its piece forms (`_sums_to`) in steps that grow with the pieces,
-    not with p^n.  Any other pair, one below a Restrict's cell or a
-    Branch's level, and one the parts do not prove or where they raise, is
-    listed, each level once: the children of a + (p^n) are entry a of the
-    child level's p blocks of length p^n, added block to block, and
-    compared with the parents as whole levels over one denominator; only a
-    level where they differ is gone through ball by ball, and a level of
-    degree 1 is one range, added, scaled and compared as one.  So the
-    report and any error raised do not depend on which pairs are proved.
+    part by part without listing a level: a Restrict and a Branch through
+    their parts, a form of degree 1 (Haar, Mazur and their sums) as one
+    range, a constant one as one value, and any other member of S from its
+    piece forms (`_sums_to`) in steps that grow with the pieces, not with
+    p^n.  Any other pair (a Graft's among them), one below a Restrict's
+    cell or a Branch's level, and one the parts do not prove or where they
+    raise, is listed, each level once: the children of a + (p^n) are entry
+    a of the child level's p blocks of length p^n, added block to block,
+    and compared with the parents as whole levels over one denominator;
+    only a level where they differ is gone through ball by ball, and a
+    level of degree 1 is one range, added, scaled and compared as one.  So
+    the report and any error raised do not depend on which pairs are
+    proved.
     """
     require_prime(prime)
     require_depth(max_depth, "max_depth", 1)
@@ -217,7 +213,9 @@ def check_relation(
     checked = 0
     pieces: tuple[dict, dict] = ({}, {})  # the S leaves' pieces at depths n, n + 1
     level = None  # the parent level, when the pair above was enumerated
-    split = type(expr) in _SPLITTERS
+    # A root that is neither goes straight to `_leaf_holds`: `_holds` and
+    # its memo would add about 0.5 us a pair to a member of S.
+    split = type(expr) in (Restrict, Branch)
     for n in range(max_depth):
         m = prime**n
         try:
@@ -256,10 +254,8 @@ def _holds(expr: DistExpr, p: int, n: int, memo: dict, pieces: tuple[dict, dict]
     # Whether the pair n, n + 1 of expr is proved additive, and both levels
     # free of errors, part by part, each part on its whole level: a Restrict
     # from its cell's depth on by its inner, a Branch from its level on by
-    # each child, a Graft by its sides and the sum of left - right over the
-    # children of P_n right of the path (its right side read only where it
-    # owns a ball, as the kernels read it), a leaf by `_leaf_holds`.  False,
-    # or an error, leaves the pair to be listed.  memo holds the answers at
+    # each child, any other node by `_leaf_holds`.  False, or an error,
+    # leaves the pair to be listed.  memo holds the answers at
     # this n, pieces the S leaves' piece forms at depths n and n + 1, by id.
     key = id(expr)
     if key in memo:
@@ -271,16 +267,6 @@ def _holds(expr: DistExpr, p: int, n: int, memo: dict, pieces: tuple[dict, dict]
     elif t is Branch:
         _branch_table_size(expr, p)
         held = n >= expr.k and all(_holds(c, p, n, memo, pieces) for c in expr.children)
-    elif t is Graft:
-        digits = expr.path.digits(n + 1) if expr.path.prime == p else None
-        held = digits is not None and _holds(expr.left, p, n, memo, pieces)
-        if held and min(digits) < p - 1:
-            i, head = digits[n], digits_to_int(digits[:n], p)
-            held = _holds(expr.right, p, n, memo, pieces) and (
-                i == p - 1
-                or _tail_sum(expr.left, p, n, head, i + 1, pieces)
-                == _tail_sum(expr.right, p, n, head, i + 1, pieces)
-            )
     else:
         held = _leaf_holds(expr, p, n, pieces)
     memo[key] = held
@@ -288,10 +274,10 @@ def _holds(expr: DistExpr, p: int, n: int, memo: dict, pieces: tuple[dict, dict]
 
 
 def _leaf_holds(expr: DistExpr, p: int, n: int, pieces: tuple[dict, dict]) -> bool:
-    # The pair n, n + 1 of a leaf, neither a Restrict, a Graft nor a
-    # Branch, by its cheapest exact check: a form of degree 1 as one range
-    # per level, one value if it is constant, another member of S from its
-    # pieces, and anything else not at all.
+    # The pair n, n + 1 of a node that is neither a Restrict nor a Branch,
+    # by its cheapest exact check: a form of degree 1 as one range per
+    # level, one value if it is constant, another member of S from its
+    # pieces, and anything else (a Graft among them) not at all.
     form = getattr(expr, "_form", None)
     m = p**n
     if form is not None and len(form[1]) == 2:
@@ -307,31 +293,6 @@ def _leaf_holds(expr: DistExpr, p: int, n: int, pieces: tuple[dict, dict]) -> bo
         return False
     children = after[key] = level_pieces(expr, p, n + 1)
     return children is not None and _sums_to(parent, children, m)
-
-
-def _tail_sum(
-    side: DistExpr, p: int, n: int, head: int, lo: int, pieces: tuple[dict, dict]
-) -> Fraction:
-    # The sum of side over the balls head + d p^n, lo <= d < p, of depth
-    # n + 1: over each piece of a leaf of S the blocks it meets, summed by
-    # `_block_sum`, and the masses on those balls; any other side is
-    # evaluated on them.
-    m = p**n
-    form = getattr(side, "_form", None)
-    if form is not None:
-        found = _form_pieces(form, m * p)
-    else:
-        found = pieces[1].get(id(side))
-    if found is None:
-        nums, den = _level(side, p, n + 1, m * p, range(head + lo * m, head + p * m, m), {})
-        return Fraction(sum(nums), den)
-    runs, masses, den = found
-    total = sum(c for r, c in masses.items() if r % m == head and r // m >= lo)
-    for run, coeffs in runs.items():
-        b0, b1 = max(lo, -((head - run.start) // m)), min(p, -((head - run.stop) // m))
-        if b0 < b1:
-            total += polynomial_values(_block_sum(coeffs, m, b0, b1)[::-1], [head])[0]
-    return Fraction(total, den)
 
 
 def _sums_to(parent: tuple, children: tuple, m: int) -> bool:

@@ -1,14 +1,14 @@
 """Restrict, Branch and Graft in the checkers and in the gather step.
 
-`check_relation` proves a pair of levels of a Restrict, a Branch or a Graft
-part by part (`verify._holds`).  The oracle is the same call with the
-predicate patched to prove nothing, so that every pair is listed: the
-report, its checked count, its violations, their order and values, and any
-error raised must be the same.  The trees are drawn up to two combinators
-deep, over members of S and over other leaves, with grafts that fail their
-tail sum, paths of the digit p - 1 only, on which the right side owns no
-ball, cells and paths over another prime, and faulty parts that only some
-balls reach.
+`check_relation` proves a pair of levels of a Restrict or a Branch part by
+part (`verify._holds`) and lists a Graft's.  The oracle is the same call
+with the predicate patched to prove nothing, so that every pair is listed:
+the report, its checked count, its violations, their order and values, and
+any error raised must be the same.  The trees are drawn up to two
+combinators deep, over members of S and over other leaves, with grafts
+that fail their tail sum, paths of the digit p - 1 only, on which the
+right side owns no ball, cells and paths over another prime, and faulty
+parts that only some balls reach.
 
 The gather step requests a part that holds no Restrict, Graft or Branch
 once on a whole step-1 range when it owns several residue classes of it.
@@ -139,7 +139,7 @@ def cells(p):
     own = st.integers(0, 3).flatmap(
         lambda n: st.builds(Ball, st.just(p), st.just(n), st.integers(0, p**n - 1))
     )
-    return st.one_of(own, st.just(Ball(q, 1, 1)))
+    return st.one_of(own, st.sampled_from([Ball(q, 0, 0), Ball(q, 1, 1)]))
 
 
 def paths(p):
@@ -231,6 +231,7 @@ def test_proving_pairs_part_by_part_keeps_the_report_and_the_error(case):
         lambda p: Graft(Path(p, (0,), (1 % p,)), M, Haar(2)),
         lambda p: Restrict(Ball(p, 1, p - 1), Graft(Path(p, (p - 1,), (0,)), M, Dirac(F(1, p)))),
         lambda p: Restrict(Ball(_other_prime(p), 1, 1), M),
+        lambda p: Restrict(Ball(_other_prime(p), 0, 0), M),
         lambda p: Branch(1, tuple(Dirac(F(1, p)) if t else M for t in range(p))),
         lambda p: Branch(1, (M,) * (p + 1)),
         lambda p: Branch(1, tuple(Restrict(Ball(p, 2, t), Bernoulli(3)) for t in range(p))),
@@ -240,6 +241,7 @@ def test_proving_pairs_part_by_part_keeps_the_report_and_the_error(case):
     ],
     ids=["tail-sum-holds", "tail-sum-fails", "right-never-read", "right-read-late",
          "graft-of-two-forms", "faulty-side-outside-the-cell", "cell-over-another-prime",
+         "root-cell-over-another-prime",
          "faulty-child", "misfit-table", "restricted-children", "failing-right-side",
          "failing-inner", "failing-child"],
 )
@@ -272,8 +274,6 @@ _LEAVES_OF_S = (M, Haar(2), Dirac(F(1, 2)), Bernoulli(2), LinearComb(((1, M), (3
         (Restrict(Ball(3, 1, 1), LinearComb(((F(1, 2), Haar(1)), (2, Dirac(F(1, 2)))))), 1),
         (Branch(2, tuple(_LEAVES_OF_S[t % 5] for t in range(9))), 2),
         (Branch(1, (M, Haar(2), Dirac(F(1, 2)))), 1),
-        (_graft(3, Path(3, (1,), (2, 0)), True), None),
-        (Graft(Path(3, (), (2,)), Bernoulli(3), Dirac(F(1, 3))), None),
     ],
 )
 def test_a_deep_check_requests_only_the_pairs_below_its_depth(monkeypatch, expr, deepest):
@@ -281,7 +281,6 @@ def test_a_deep_check_requests_only_the_pairs_below_its_depth(monkeypatch, expr,
     # S leaves below a combinator are proved from their ranges and pieces,
     # and a request is made only for the pairs below a cell or a level.
     calls = _requests(monkeypatch)
-    monkeypatch.setattr(VERIFY, "_level", distributions._level)
     report = check_relation(expr, 3, 16, ball_budget=10**8)
     assert report.passed and report.checked_count == (3**16 - 1) // 2
     assert max((n for _, n in calls), default=None) == deepest
