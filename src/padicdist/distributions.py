@@ -967,10 +967,9 @@ def level_pieces(
 
 
 def _piecewise(expr: DistExpr) -> bool:
-    # Whether the checkers ask `level_pieces` for expr's levels: a `_plain`
-    # node, which may be in S, but not a form of degree 1, which is one
-    # range on a level and cheaper read as one.  `verify.check_relation`
-    # also asks it for the S leaves below a Restrict or a Branch.
+    # Whether `verify.norm_scan` asks `level_pieces` for expr's levels: a
+    # `_plain` node, which may be in S, but not a form of degree 1, which
+    # is one range on a level and cheaper read as one.
     form = getattr(expr, "_form", None)
     return len(form[1]) > 2 if form is not None else getattr(expr, "_plain", False)
 
@@ -1082,7 +1081,9 @@ def boundedness_flag(expr: DistExpr) -> BoundednessFlag:
     point masses and Haar(0) are bounded; any other Haar, Mazur and
     Bernoulli are unbounded; a graft is bounded iff both sides are and
     unbounded if either side is, or its left side's flag when every digit
-    of its path is p - 1, as the right side then owns no ball; a branch is
+    of its path is p - 1, as the right side then owns no ball; when every
+    digit is 0 the left side owns only the on-path balls, and counts as
+    bounded if it is and unknown otherwise; a branch is
     bounded iff all children are and unbounded if any child is, each child
     judged on its own cell t + (p^k) only; a linear combination is bounded
     if all terms are, unbounded if exactly one unbounded term survives with
@@ -1129,11 +1130,16 @@ def _flag(expr: DistExpr, cell: tuple[int, int], memo: dict) -> BoundednessFlag:
     if isinstance(expr, Regularize):
         return BoundednessFlag.UNKNOWN
     if isinstance(expr, Graft):
-        # No ball leaves a path of digits p - 1 by a larger digit.
-        path = expr.path
-        right_owns = set(path.preperiod + path.period) != {path.prime - 1}
-        sides = (expr.left, expr.right) if right_owns else (expr.left,)
-        return _join_flags(_flag_on(side, cell, memo) for side in sides)
+        # No ball leaves a path of digits p - 1 by a larger digit, nor one
+        # of digits 0 by a smaller: then the left side owns only the
+        # on-path balls, where an unbounded side may well be bounded.
+        digits = set(expr.path.preperiod + expr.path.period)
+        flags = [_flag_on(expr.left, cell, memo)]
+        if digits == {0} and flags[0] is not BoundednessFlag.BOUNDED:
+            flags = [BoundednessFlag.UNKNOWN]
+        if digits != {expr.path.prime - 1}:
+            flags.append(_flag_on(expr.right, cell, memo))
+        return _join_flags(flags)
     if isinstance(expr, Branch):
         size = len(expr.children)
         return _join_flags(

@@ -3,9 +3,9 @@
 Every checker reads balls in a fixed order (depth ascending, then
 representative ascending) and compares exact rationals, so a report is a
 pure function of its inputs: byte-identical across runs.  `check_relation`
-and `norm_scan` read a level of the family S from its pieces, visiting no
-ball, and `check_relation` proves a Restrict or a Branch over such parts
-part by part; otherwise a checker requests values with `evaluate_shared`,
+proves the pairs of levels that the constructions' lemmas make additive,
+and `norm_scan` reads a level of the family S from its pieces, visiting no
+ball; otherwise a checker requests values with `evaluate_shared`,
 as integer numerators over one denominator; it evaluates a sub-expression
 held in several places (equal ones are one object) once per request, so a
 request costs the distinct sub-expressions times its balls, however often
@@ -49,13 +49,17 @@ from .core import (
 from .distributions import (
     Branch,
     BoundednessFlag,
+    Dirac,
     DistExpr,
+    LinearComb,
+    Regularize,
     Restrict,
-    _add_into,
+    _at,
     _branch_table_size,
+    _dirac_rep,
     _faulhaber,
-    _level_form,
     _piecewise,
+    _regularize_factors,
     _scaled,
     boundedness_flag,
     count_held,
@@ -190,18 +194,17 @@ def check_relation(
 ) -> RelationReport:
     """Verify the additivity relation on every ball of depth < max_depth.
 
-    Each pair of levels n, n+1 is first put to `_holds`, which proves it
-    part by part without listing a level: a Restrict and a Branch through
-    their parts, a form of degree 1 (Haar, Mazur and their sums) as one
-    range, a constant one as one value, and any other member of S from its
-    piece forms (`_sums_to`) in steps that grow with the pieces, not with
-    p^n.  Any other pair (a Graft's among them), one below a Restrict's
-    cell or a Branch's level, and one the parts do not prove or where they
-    raise, is listed, each level once: the children of a + (p^n) are entry
-    a of the child level's p blocks of length p^n, added block to block,
-    and compared with the parents as whole levels over one denominator;
-    only a level where they differ is gone through ball by ball, and a
-    level of degree 1 is one range, added, scaled and compared as one.  So
+    Each construction is additive by a lemma, so `_proved_from` reads from
+    the expression, once, the depth from which every pair of levels n,
+    n+1 holds: a node with a form checks its one polynomial identity,
+    and the other nodes combine their parts' depths.  The pairs below that
+    depth, and every pair when it gives None or raises, are listed, each
+    level once: the children of a + (p^n) are entry a of the child level's
+    p blocks of length p^n, added block to block, and compared with the
+    parents as whole levels over one denominator; only a level where they
+    differ is gone through ball by ball, and a level of degree 1 is one
+    range, added, scaled and compared as one.  Every error the predicate
+    raises is the same at every depth, and listing depth 0 meets it, so
     the report and any error raised do not depend on which pairs are
     proved.
     """
@@ -209,36 +212,24 @@ def check_relation(
     require_depth(max_depth, "max_depth", 1)
     require_budget(prime, max_depth, ball_budget)
 
+    try:
+        start = _proved_from(expr, prime, max_depth, {})
+    except (ValueError, TypeError):
+        start = None
     violations: list[RelationViolation] = []
-    checked = 0
-    pieces: tuple[dict, dict] = ({}, {})  # the S leaves' pieces at depths n, n + 1
-    level = None  # the parent level, when the pair above was enumerated
-    # A root that is neither goes straight to `_leaf_holds`: `_holds` and
-    # its memo would add about 0.5 us a pair to a member of S.
-    split = type(expr) in (Restrict, Branch)
-    for n in range(max_depth):
+    level = None  # the parent level, read as the child level of the pair above
+    for n in range(max_depth if start is None else min(start, max_depth)):
         m = prime**n
-        try:
-            if split:
-                proved = _holds(expr, prime, n, {}, pieces)
-            else:
-                proved = _leaf_holds(expr, prime, n, pieces)
-        except (ValueError, TypeError):
-            proved = False
-        if proved:
-            level = None
-        else:
-            nums, den = level or evaluate_shared((expr,), prime, n, range(m))[0]
-            level = evaluate_shared((expr,), prime, n + 1, range(m * prime))[0]
-            sums = _block_sums(level[0], m, prime)
-            for a in _differing(nums, den, sums, level[1]):
-                violations.append(
-                    RelationViolation(
-                        Ball(prime, n, a), Fraction(nums[a], den), Fraction(sums[a], level[1])
-                    )
+        nums, den = level or evaluate_shared((expr,), prime, n, range(m))[0]
+        level = evaluate_shared((expr,), prime, n + 1, range(m * prime))[0]
+        sums = _block_sums(level[0], m, prime)
+        for a in _differing(nums, den, sums, level[1]):
+            violations.append(
+                RelationViolation(
+                    Ball(prime, n, a), Fraction(nums[a], den), Fraction(sums[a], level[1])
                 )
-        checked += m
-        pieces = (pieces[1], {})
+            )
+    checked = (prime**max_depth - 1) // (prime - 1)
     return RelationReport(prime, max_depth, checked, tuple(violations))
 
 
@@ -250,83 +241,55 @@ def _block_sums(nums: Sequence[int], m: int, p: int) -> Sequence[int]:
     return sums
 
 
-def _holds(expr: DistExpr, p: int, n: int, memo: dict, pieces: tuple[dict, dict]) -> bool:
-    # Whether the pair n, n + 1 of expr is proved additive, and both levels
-    # free of errors, part by part, each part on its whole level: a Restrict
-    # from its cell's depth on by its inner, a Branch from its level on by
-    # each child, any other node by `_leaf_holds`.  False, or an error,
-    # leaves the pair to be listed.  memo holds the answers at
-    # this n, pieces the S leaves' piece forms at depths n and n + 1, by id.
+def _proved_from(expr: DistExpr, p: int, max_depth: int, memo: dict) -> int | None:
+    # The least depth from which every pair of levels of expr is additive
+    # by its construction's lemma, or None (a Graft's, or a failing form's).
+    # A form (S, P) of degree d holds at m = p^n iff the sum over b < p of
+    # P(a + b m, p m) is p P(a, m) in Z[a]; each coefficient in a is of
+    # degree <= d in m, so d + 1 depths prove every depth.  A unit maps the
+    # children of a ball onto those of its image, and a Restrict and a
+    # Branch are their parts from the cell's depth and the level on.  Each
+    # check that raises is one that evaluating any level makes.  memo holds
+    # the answers by id.
     key = id(expr)
     if key in memo:
         return memo[key]
-    t = type(expr)
-    if t is Restrict:
-        cell = expr.cell
-        held = cell.prime == p and n >= cell.depth and _holds(expr.expr, p, n, memo, pieces)
+    t, form = type(expr), getattr(expr, "_form", None)
+    if form is not None:
+        poly = form[1]
+        holds = all(
+            _block_sum(_at(poly, p ** (n + 1)), p**n, p) == [p * c for c in _at(poly, p**n)]
+            for n in range(min(len(poly), max_depth))
+        )
+        starts = [0 if holds else None]
+    elif t is Dirac:
+        _dirac_rep(expr, p, 1)
+        starts = [0]
+    elif t is Regularize:
+        _regularize_factors(expr, p, 1)
+        starts = [_proved_from(expr.expr, p, max_depth, memo)]
+    elif t is LinearComb:
+        starts = [_proved_from(e, p, max_depth, memo) for _, e in expr.terms]
     elif t is Branch:
         _branch_table_size(expr, p)
-        held = n >= expr.k and all(_holds(c, p, n, memo, pieces) for c in expr.children)
+        starts = [expr.k, *(_proved_from(e, p, max_depth, memo) for e in expr.children)]
+    elif t is Restrict and expr.cell.prime == p:
+        starts = [expr.cell.depth, _proved_from(expr.expr, p, max_depth, memo)]
     else:
-        held = _leaf_holds(expr, p, n, pieces)
-    memo[key] = held
-    return held
+        starts = [None]
+    memo[key] = start = None if None in starts else max(starts)
+    return start
 
 
-def _leaf_holds(expr: DistExpr, p: int, n: int, pieces: tuple[dict, dict]) -> bool:
-    # The pair n, n + 1 of a node that is neither a Restrict nor a Branch,
-    # by its cheapest exact check: a form of degree 1 as one range per
-    # level, one value if it is constant, another member of S from its
-    # pieces, and anything else (a Graft among them) not at all.
-    form = getattr(expr, "_form", None)
-    m = p**n
-    if form is not None and len(form[1]) == 2:
-        size = m if form[1][1][0] else 1
-        nums, den = _level_form(form, m, range(size))
-        kids, kid_den = _level_form(form, m * p, range(size * p))
-        return next(_differing(nums, den, _block_sums(kids, size, p), kid_den), None) is None
-    if not _piecewise(expr):
-        return False
-    key, (now, after) = id(expr), pieces
-    parent = now[key] if key in now else level_pieces(expr, p, n)
-    if parent is None:
-        return False
-    children = after[key] = level_pieces(expr, p, n + 1)
-    return children is not None and _sums_to(parent, children, m)
-
-
-def _sums_to(parent: tuple, children: tuple, m: int) -> bool:
-    # Whether the piece form parent less the sum over b < p of children on
-    # a + b m vanishes on every ball a + (m): child pieces summed over their
-    # blocks as polynomials in a, child masses folded onto their reps mod m.
-    (pieces, masses, den), (kids, kid_masses, kid_den) = parent, children
-    g = gcd(den, kid_den)
-    f, h = kid_den // g, -(den // g)
-    diff = {run: [f * c for c in coeffs] for run, coeffs in pieces.items()}
-    held = {r: f * c for r, c in masses.items()}
-    for run, coeffs in kids.items():
-        # Blocks lo..hi-1, the first from rep first on, the last up to last.
-        lo, hi = run.start // m, -(-run.stop // m)
-        first, last = run.start - lo * m, run.stop - (hi - 1) * m
-        cuts = sorted({0, first, last, m})
-        for x, y in zip(cuts, cuts[1:]):
-            b0, b1 = lo + (x < first), hi - 1 + (x < last)
-            if b0 < b1:
-                _add_into(diff.setdefault(range(x, y), []), _block_sum(coeffs, m, b0, b1), h)
-    for r, c in kid_masses.items():
-        held[r % m] = held.get(r % m, 0) + h * c
-    return not any(x for run in disjoint_runs(diff, held, m) for _, x in _head(run))
-
-
-def _block_sum(coeffs: list[int], m: int, lo: int, hi: int) -> list[int]:
-    # sum over lo <= b < hi of coeffs at a + b m, lowest degree first: c_i
+def _block_sum(coeffs: list[int], m: int, p: int) -> list[int]:
+    # sum over b < p of coeffs at a + b m, lowest degree first: c_i
     # (a + b m)^i adds c_i C(i, j) m^(i-j) b^(i-j) to a^j, summed by Faulhaber.
-    def power_sum(e: int, stop: int) -> int:  # b^e over 0 <= b < stop
+    def power_sum(e: int) -> int:  # b^e over 0 <= b < p
         d, c = _faulhaber(e)
-        return polynomial_values(c, [stop])[0] * stop // d
+        return polynomial_values(c, [p])[0] * p // d
 
     d = len(coeffs)
-    sums = [m**e * (power_sum(e, hi) - power_sum(e, lo)) for e in range(d)]
+    sums = [m**e * power_sum(e) for e in range(d)]
     return [sum(comb(i, j) * coeffs[i] * sums[i - j] for i in range(j, d)) for j in range(d)]
 
 

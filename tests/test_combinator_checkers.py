@@ -1,8 +1,9 @@
 """Restrict, Branch and Graft in the checkers and in the gather step.
 
-`check_relation` proves a pair of levels of a Restrict or a Branch part by
-part (`verify._holds`) and lists a Graft's.  The oracle is the same call
-with the predicate patched to prove nothing, so that every pair is listed:
+`check_relation` proves the pairs of levels of a Restrict or a Branch from
+their parts, past the cell's depth or the level (`verify._proved_from`),
+and lists a Graft's.  The oracle is the same call with the predicate
+patched to prove nothing, so that every pair is listed:
 the report, its checked count, its violations, their order and values, and
 any error raised must be the same.  The trees are drawn up to two
 combinators deep, over members of S and over other leaves, with grafts
@@ -59,12 +60,11 @@ M = Mazur()
 @contextmanager
 def listing_every_pair():
     """`check_relation` with a predicate that proves nothing."""
-    saved = VERIFY._holds, VERIFY._leaf_holds
-    VERIFY._holds = VERIFY._leaf_holds = lambda *args: False
+    saved, VERIFY._proved_from = VERIFY._proved_from, lambda *args: None
     try:
         yield
     finally:
-        VERIFY._holds, VERIFY._leaf_holds = saved
+        VERIFY._proved_from = saved
 
 
 @contextmanager
@@ -267,6 +267,11 @@ def test_graft_reports_find_their_tail_sum_failures(p, expr, fails):
 _LEAVES_OF_S = (M, Haar(2), Dirac(F(1, 2)), Bernoulli(2), LinearComb(((1, M), (3, Dirac(4)))))
 
 
+# No form: a Regularize over a form of degree 3 plus a point mass, proved
+# from its construction at every depth.
+_E = LinearComb(((1, Regularize(1, 2, Bernoulli(3))), (F(3, 2), Dirac(F(1, 2)))))
+
+
 @pytest.mark.parametrize(
     "expr, deepest",
     [
@@ -274,15 +279,18 @@ _LEAVES_OF_S = (M, Haar(2), Dirac(F(1, 2)), Bernoulli(2), LinearComb(((1, M), (3
         (Restrict(Ball(3, 1, 1), LinearComb(((F(1, 2), Haar(1)), (2, Dirac(F(1, 2)))))), 1),
         (Branch(2, tuple(_LEAVES_OF_S[t % 5] for t in range(9))), 2),
         (Branch(1, (M, Haar(2), Dirac(F(1, 2)))), 1),
+        (_E, None),
+        (Restrict(Ball(3, 2, 5), _E), 2),
+        (Branch(1, (_E, Haar(2), _E)), 1),
     ],
 )
 def test_a_deep_check_requests_only_the_pairs_below_its_depth(monkeypatch, expr, deepest):
-    # To depth 16 at p = 3 a listed pair would hold 43 million balls: the
-    # S leaves below a combinator are proved from their ranges and pieces,
-    # and a request is made only for the pairs below a cell or a level.
+    # To depth 40 at p = 3 a listed pair would hold 10^19 balls: the parts
+    # below a combinator are proved from their constructions, and a
+    # request is made only for the pairs below a cell or a level.
     calls = _requests(monkeypatch)
-    report = check_relation(expr, 3, 16, ball_budget=10**8)
-    assert report.passed and report.checked_count == (3**16 - 1) // 2
+    report = check_relation(expr, 3, 40, ball_budget=10**30)
+    assert report.passed and report.checked_count == (3**40 - 1) // 2
     assert max((n for _, n in calls), default=None) == deepest
 
 

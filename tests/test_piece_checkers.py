@@ -4,18 +4,21 @@ read from the piece forms, against the same calls enumerating every ball.
 On S (Haar, Mazur, Bernoulli(k) and Dirac, closed under LinearComb and
 under Regularize over an affine inner) `padicdist.distributions.level_pieces`
 gives a level as ranges of reps with an integer polynomial numerator plus
-point masses, and the checkers take a level from that form.  The oracle is
-the same call with `level_pieces` patched to give no form, so that every
+point masses, and `norm_scan` takes a level from that form;
+`check_relation` proves S additive from its forms' polynomial identities
+(`verify._proved_from`).  The oracle is the same call with `level_pieces`
+patched to give no form and `_proved_from` to prove no pair, so that every
 level is evaluated ball by ball: every report must be the same, and on a
-faulty expression the same exception, type and message.  The forms must
-also prove the relation on every pair of levels that has them, since every
-member of S is additive, and a wrong form may cost an enumeration but can
-never change an additivity report.
+faulty expression the same exception, type and message.  Every form in S
+must pass its identity, since every member of S is additive, and a failing
+identity may cost an enumeration but can never change an additivity
+report.
 """
 
 import importlib
 from contextlib import contextmanager
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +36,7 @@ from padicdist import (
     Mazur,
     Path,
     Regularize,
+    Restrict,
     boundedness_verdict,
     check_relation,
     distributions,
@@ -52,12 +56,14 @@ DEPTHS = {2: 7, 3: 5, 5: 3, 7: 3, 1009: 1}
 
 @contextmanager
 def enumerating():
-    """The checkers with no piece form, so that they enumerate every level."""
-    saved, VERIFY.level_pieces = VERIFY.level_pieces, lambda *args: None
+    """The checkers with no piece form and no pair proved, so that they
+    enumerate every level."""
+    saved = VERIFY.level_pieces, VERIFY._proved_from
+    VERIFY.level_pieces = VERIFY._proved_from = lambda *args: None
     try:
         yield
     finally:
-        VERIFY.level_pieces = saved
+        VERIFY.level_pieces, VERIFY._proved_from = saved
 
 
 def level_runs(expr, p, n):
@@ -165,13 +171,27 @@ def test_faulty_members_raise_what_the_enumerating_checkers_raise(case):
 @settings(SETTINGS, max_examples=100)
 @given(case=cases())
 def test_the_forms_prove_every_pair_of_levels_that_has_them(case):
-    # Every member of S is additive: a pair the forms fail to prove would
-    # be enumerated, which costs time without changing any report.
+    # Every member of S is additive: each form in it passes its identity,
+    # so the whole member is proved from depth 0.  A form that failed
+    # would cost an enumeration without changing any report.
     expr, p, depth = case
-    forms = [level_pieces(expr, p, n) for n in range(depth + 2)]
-    for n, (parent, children) in enumerate(zip(forms, forms[1:])):
-        if parent and children:
-            assert VERIFY._sums_to(parent, children, p**n), n
+    for node in distributions._walk([expr]):
+        if node._form is not None:
+            assert VERIFY._proved_from(node, p, depth + 1, {}) == 0, node
+    assert VERIFY._proved_from(expr, p, depth + 1, {}) == 0
+
+
+def test_the_identity_fails_for_bernoulli_3_with_one_coefficient_changed():
+    # Adding 1 to the coefficient of a^i m^j breaks the identity unless
+    # i = j = 0, which adds a Haar measure, itself additive.
+    scale, poly = Bernoulli(3)._form
+    for i, coeffs in enumerate(poly):
+        for j in range(len(coeffs)):
+            changed = list(map(list, poly))
+            changed[i][j] += 1
+            form = SimpleNamespace(_form=(scale, tuple(map(tuple, changed))))
+            want = 0 if (i, j) == (0, 0) else None
+            assert VERIFY._proved_from(form, 3, 8, {}) == want, (i, j)
 
 
 @settings(SETTINGS, max_examples=100)
@@ -262,25 +282,40 @@ def test_the_checkers_make_no_level_request_on_the_family(monkeypatch):
 
 @pytest.mark.parametrize("expr", [
     Bernoulli(3),
-    Dirac(F(1, 4)),
+    Restrict(Ball(3, 1, 1), LinearComb(((F(1), Dirac(F(1, 4))), (F(-2), Bernoulli(2))))),
     LinearComb((
         (F(3, 2), Bernoulli(2)), (F(-1), Dirac(5)), (F(2), Regularize(1, F(1, 2), Haar())),
     )),
 ])
 def test_a_wrong_form_costs_an_enumeration_never_a_wrong_report(monkeypatch, expr):
-    # The form of depth 2 is one off at rep 1: the pairs (1, 2) and (2, 3)
-    # are not proved, so they are enumerated, and the report is the true one.
-    real = level_pieces
+    # The identity check is one off at depth 2: no pair is proved, so all
+    # are listed, and the report is the true one.
+    real = VERIFY._block_sum
 
-    def wrong(e, p, n):
-        pieces, masses, den = real(e, p, n)
-        if n == 2:
-            masses = {**masses, 1: masses.get(1, 0) + 1}
-        return pieces, masses, den
+    def wrong(coeffs, m, p):
+        sums = real(coeffs, m, p)
+        return [sums[0] + (m == 9), *sums[1:]]
 
     with enumerating():
         want = check_relation(expr, 3, 4)
-    monkeypatch.setattr(VERIFY, "level_pieces", wrong)
+    monkeypatch.setattr(VERIFY, "_block_sum", wrong)
     calls = _requests(monkeypatch)
     assert check_relation(expr, 3, 4) == want and want.passed
-    assert sorted({n for e, n in calls if e is expr}) == [1, 2, 3]
+    assert sorted({n for e, n in calls if e is expr}) == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("k, depth, checked", [(200, 8, 8), (3, 40, 4), (1, 1, 1)])
+def test_a_form_of_degree_d_checks_its_identity_at_min_d_plus_1_and_depth_pairs(
+    monkeypatch, k, depth, checked
+):
+    real, pairs = VERIFY._block_sum, []
+
+    def counting(coeffs, m, p):
+        pairs.append(m)
+        return real(coeffs, m, p)
+
+    monkeypatch.setattr(VERIFY, "_block_sum", counting)
+    calls = _requests(monkeypatch)
+    report = check_relation(Bernoulli(k), 3, depth, ball_budget=10**30)
+    assert report.passed and calls == []
+    assert pairs == [3**n for n in range(checked)]

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scalar_oracle import evaluate
+from test_combinator_checkers import listing_every_pair
 from test_evaluate_level import (
     NODE_TYPES,
     PRIMES,
@@ -195,9 +196,10 @@ def test_every_report_is_the_same_on_ranges_and_on_lists(spec_file, case):
 @given(expr=affine_trees(), p=st.sampled_from(PRIMES))
 def test_a_wrong_progression_at_one_depth_is_reported_alike_on_both_paths(expr, p):
     depth = 4 if p < 7 else 3
-    with form_kernel(_wrong_ranges):
+    # The identity proves affine trees without a level: list every pair.
+    with listing_every_pair(), form_kernel(_wrong_ranges):
         ranged = check_relation(expr, p, depth), norm_scan(expr, p, depth)
-    with form_kernel(_wrong_lists):
+    with listing_every_pair(), form_kernel(_wrong_lists):
         listed = check_relation(expr, p, depth), norm_scan(expr, p, depth)
     assert ranged == listed
     # One off on every ball of depth 2 breaks the relation at depths 1 and 2.

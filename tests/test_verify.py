@@ -365,6 +365,21 @@ def test_boundedness_flag_of_a_graft_whose_right_side_owns_no_ball():
     assert boundedness_flag(Graft(Path(3, (2,), (2, 0)), Dirac(0), Mazur())) is BoundednessFlag.UNBOUNDED
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_boundedness_flag_of_a_graft_whose_left_side_owns_only_the_path(p):
+    # No digit is below the path's 0, so the left side owns only the balls
+    # 0 + (p^n): the graft is -1/2 delta_0, of norm 1 at every depth.
+    zero = Path(p, (), (0,))
+    verdict = boundedness_verdict(Graft(zero, Mazur(), Haar(0)), p, 4)
+    assert verdict.flag is BoundednessFlag.UNKNOWN and verdict.note is None
+    assert [e.max_norm for e in verdict.scan.entries] == [1] * 5
+    # A bounded left side keeps its flag; the right side is judged as ever.
+    assert boundedness_flag(Graft(zero, Dirac(0), Haar(0))) is BoundednessFlag.BOUNDED
+    assert boundedness_flag(Graft(zero, Dirac(0), Mazur())) is BoundednessFlag.UNBOUNDED
+    off_zero = Graft(Path(p, (0,), (1,)), Mazur(), Haar(0))
+    assert boundedness_flag(off_zero) is BoundednessFlag.UNBOUNDED
+
+
 def test_boundedness_verdict_of_haar_0_is_bounded_without_note():
     # Every value of Haar(0) is 0.
     verdict = boundedness_verdict(Haar(0), 3, 4)
