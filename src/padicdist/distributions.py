@@ -260,18 +260,22 @@ class LinearComb(_Node):
             other = getattr(e, "_form", None)
             if other is None:
                 rest.append((c.numerator, c.denominator, e))
-                continue
-            # form + c other over d: two forms' entries, summed in place,
-            # are laid out as a form of the larger degree.
-            (s, poly), (t, more) = form or _ZERO_FORM, other
-            d = lcm(s, t * c.denominator)
-            f, g = d // s, c.numerator * (d // (t * c.denominator))
-            form = d, tuple(
-                tuple(f * x + g * y for x, y in zip_longest(a, b, fillvalue=0))
-                for a, b in zip_longest(poly, more, fillvalue=())
-            )
+            else:
+                form = _add_form(form, c, other)
         _set(self, "_form", None if rest else form or _ZERO_FORM)
         _set(self, "_ints", (form, tuple(rest)) if rest else None)
+
+
+def _add_form(form: tuple | None, c: Fraction, other: tuple) -> tuple:
+    # form (None for 0) + c other over the lcm of their denominators, laid
+    # out as a form of the larger degree.
+    (s, poly), (t, more) = form or _ZERO_FORM, other
+    d = lcm(s, t * c.denominator)
+    f, g = d // s, c.numerator * (d // (t * c.denominator))
+    return d, tuple(
+        tuple(f * x + g * y for x, y in zip_longest(a, b, fillvalue=0))
+        for a, b in zip_longest(poly, more, fillvalue=())
+    )
 
 
 class Restrict(_Node):

@@ -30,8 +30,9 @@ of thrashing.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from operator import add
 from typing import Iterator, Sequence
 
@@ -43,8 +44,10 @@ from .core import (
     format_rational,
     norm,
     path_to_json,
+    path_to_point,
     require_depth,
     require_prime,
+    valuation,
 )
 from .distributions import (
     Branch,
@@ -54,6 +57,7 @@ from .distributions import (
     LinearComb,
     Regularize,
     Restrict,
+    _add_form,
     _at,
     _branch_table_size,
     _dirac_rep,
@@ -247,10 +251,11 @@ def _proved_from(expr: DistExpr, p: int, max_depth: int, memo: dict) -> int | No
     # A form (S, P) of degree d holds at m = p^n iff the sum over b < p of
     # P(a + b m, p m) is p P(a, m) in Z[a]; each coefficient in a is of
     # degree <= d in m, so d + 1 depths prove every depth.  A unit maps the
-    # children of a ball onto those of its image, and a Restrict and a
-    # Branch are their parts from the cell's depth and the level on.  Each
-    # check that raises is one that evaluating any level makes.  memo holds
-    # the answers by id.
+    # children of a ball onto those of its image.  A Restrict is additive
+    # below its cell's depth and a Branch below its level whatever their
+    # parts are, so they start where their parts do, at 0.  Each check
+    # that raises is one that evaluating any level makes.  memo holds the
+    # answers by id.
     key = id(expr)
     if key in memo:
         return memo[key]
@@ -272,9 +277,9 @@ def _proved_from(expr: DistExpr, p: int, max_depth: int, memo: dict) -> int | No
         starts = [_proved_from(e, p, max_depth, memo) for _, e in expr.terms]
     elif t is Branch:
         _branch_table_size(expr, p)
-        starts = [expr.k, *(_proved_from(e, p, max_depth, memo) for e in expr.children)]
+        starts = [_proved_from(e, p, max_depth, memo) for e in expr.children]
     elif t is Restrict and expr.cell.prime == p:
-        starts = [expr.cell.depth, _proved_from(expr.expr, p, max_depth, memo)]
+        starts = [_proved_from(expr.expr, p, max_depth, memo)]
     else:
         starts = [None]
     memo[key] = start = None if None in starts else max(starts)
@@ -390,6 +395,9 @@ def check_graft_precondition(
     numerators over one denominator, a sub-expression held in several
     places once (`evaluate_shared`); a faulty request raises the error of
     its first failing ball, left side before right.
+    When left - right is point masses only, the levels where they cannot
+    fail are skipped (`_graft_levels`) and P_n is then requested alone;
+    such sides raise on every ball or none, and level 0 is never skipped.
     """
     require_depth(max_depth, "max_depth")
     p = path.prime
@@ -400,10 +408,16 @@ def check_graft_precondition(
     on_path: list[OnPathFailure] = []
     tails: list[TailSumFailure] = []
     count_held((left, right))
-    rep, q = 0, 1
-    (lnums, ld), (rnums, rd) = evaluate_shared((left, right), p, 0, [rep])
+    rep, q, lnums = 0, 1, None
+    masses = _mass_difference(left, right)
+    levels = range(max_depth + 1) if masses is None else _graft_levels(masses, path, max_depth)
     for n, i_n in enumerate(path.digits(max_depth + 1)):
-        # The last ball of the previous request is P_n; q is p^n.
+        if n not in levels:
+            rep, q, lnums = rep + i_n * q, q * p, None
+            continue
+        if lnums is None:
+            (lnums, ld), (rnums, rd) = evaluate_shared((left, right), p, n, [rep])
+        # P_n is the last ball of the previous request; q is p^n.
         lv, rv = lnums[-1], rnums[-1]
         if lv * rd != rv * ld:
             on_path.append(OnPathFailure(n, Fraction(lv, ld), Fraction(rv, rd)))
@@ -419,6 +433,57 @@ def check_graft_precondition(
             den = ld * rd
             tails.append(TailSumFailure(n, Fraction(below, den), Fraction(above, den)))
     return GraftPreconditionReport(p, path, max_depth, tuple(on_path), tuple(tails))
+
+
+def _graft_levels(masses: dict, path: Path, max_depth: int) -> set[int]:
+    # The levels where sum c_y delta_y can fail: 0, each d(y) = v_p(y - x)
+    # <= max_depth where y leaves the path of x (tail sums), and each n
+    # where the sum over d(y) >= n is not 0 (on-path values).
+    x, p, leave = path_to_point(path), path.prime, Counter()
+    for y, c in masses.items():
+        leave[min(valuation(y - x, p), max_depth + 1)] += c
+    levels, on, n = {0}, sum(leave.values()), 0
+    for d in sorted(leave):
+        levels.update(range(n if on else d, min(d, max_depth) + 1))
+        on, n = on - leave[d], d + 1
+    return levels
+
+
+def _mass_difference(left: DistExpr, right: DistExpr) -> dict | None:
+    # left - right as its nonzero point masses {point: c}, the c times one
+    # factor > 0, or None unless both are `_plain` and the rest cancels:
+    # LinearCombs with no form are flattened (one met twice gives None, so
+    # the walk is linear), the forms must sum to 0 and any other node, one
+    # object however built, weigh 0.  It builds no node (that bumps `_uses`).
+    terms, seen, stack = [], set(), [(1, 1, left), (-1, 1, right)]
+    while stack:
+        n, d, e = stack.pop()
+        if not getattr(e, "_plain", False):
+            return None
+        if type(e) is not LinearComb or e._form is not None:
+            terms.append((n, d, e if e._form is None else e._form))
+        elif id(e) in seen:
+            return None
+        else:
+            seen.add(id(e))
+            form, rest = e._ints
+            if form is not None:
+                terms.append((n, d, form))
+            stack += ((n * cn, d * cd, x) for cn, cd, x in rest)
+    den, sums = lcm(*(d for _, d, _ in terms)), Counter()
+    for n, d, key in terms:
+        sums[key] += n * (den // d)
+    form, masses = None, {}
+    for key, c in sums.items():
+        if not c:
+            continue
+        if type(key) is tuple:
+            form = _add_form(form, c, key)
+        elif type(key) is Dirac:
+            masses[key.point] = c
+        else:
+            return None
+    return None if form is not None and any(map(any, form[1])) else masses
 
 
 # =====================================================================
@@ -487,7 +552,8 @@ def distinctness_witness(
     """First ball (by depth, then rep) where the two evaluations differ.
 
     None means no differing ball up to max_depth, not that the distributions
-    are equal.
+    are equal.  Depths where the two differ by point masses that cancel
+    on every class are skipped.
     """
     require_prime(prime)
     require_depth(max_depth, "max_depth")
@@ -508,11 +574,15 @@ def _first_difference(sides: Sequence[DistExpr], p: int, lo: int, hi: int) -> Ba
     of the two times its balls.  A range that raises is scanned again one
     rep at a time, which returns a witness before its first faulty ball or
     raises what that ball raises.
+    After the first range, sides that differ by point masses only skip
+    the depths where those cancel (`_first_live`); such sides raise on
+    every ball or on none.
     """
+    floor = None  # the first depth that can differ, once read
     for n in range(lo, hi + 1):
         m = p**n
         start, stop = 0, max(1, m // p)
-        while start < m:
+        while start < m and (floor is None or n >= floor):
             reps = range(start, stop)
             try:
                 r = _first_differing(sides, p, n, reps)
@@ -521,8 +591,26 @@ def _first_difference(sides: Sequence[DistExpr], p: int, lo: int, hi: int) -> Ba
                 r = next(alone, None)
             if r is not None:
                 return Ball(p, n, r)
+            if floor is None:
+                floor = _first_live(sides, p, n, hi)
             start, stop = stop, min(2 * stop, m)
     return None
+
+
+def _first_live(sides: Sequence[DistExpr], p: int, lo: int, hi: int) -> int:
+    # The first depth of lo..hi where the point masses of the sides'
+    # difference do not cancel on some class y mod p^n, nor then deeper:
+    # hi + 1 if none, lo if they differ by more than point masses.
+    masses = _mass_difference(*sides)
+    if masses is None:
+        return lo
+    for n in range(lo, hi + 1):
+        m, classes = p**n, Counter()
+        for y, c in masses.items():
+            classes[y.numerator * pow(y.denominator, -1, m) % m] += c
+        if any(classes.values()):
+            return n
+    return hi + 1
 
 
 def _first_differing(sides: Sequence[DistExpr], p: int, n: int, reps: Sequence[int]) -> int | None:

@@ -272,8 +272,11 @@ _LEAVES_OF_S = (M, Haar(2), Dirac(F(1, 2)), Bernoulli(2), LinearComb(((1, M), (3
 _E = LinearComb(((1, Regularize(1, 2, Bernoulli(3))), (F(3, 2), Dirac(F(1, 2)))))
 
 
+# Each case with the depth below which its root is additive by its own
+# construction, whatever its parts: a Restrict's cell depth, a Branch's
+# level, None for neither.
 @pytest.mark.parametrize(
-    "expr, deepest",
+    "expr, below",
     [
         (Restrict(Ball(3, 2, 5), Bernoulli(3)), 2),
         (Restrict(Ball(3, 1, 1), LinearComb(((F(1, 2), Haar(1)), (2, Dirac(F(1, 2)))))), 1),
@@ -284,14 +287,24 @@ _E = LinearComb(((1, Regularize(1, 2, Bernoulli(3))), (F(3, 2), Dirac(F(1, 2))))
         (Branch(1, (_E, Haar(2), _E)), 1),
     ],
 )
-def test_a_deep_check_requests_only_the_pairs_below_its_depth(monkeypatch, expr, deepest):
+def test_a_deep_check_requests_only_the_pairs_below_its_depth(monkeypatch, expr, below):
     # To depth 40 at p = 3 a listed pair would hold 10^19 balls: the parts
-    # below a combinator are proved from their constructions, and a
-    # request is made only for the pairs below a cell or a level.
+    # below a combinator are proved from their constructions, and so are
+    # the pairs below a cell or a level, so no pair is requested, not even
+    # in a check that stops below the cell or the level.
     calls = _requests(monkeypatch)
     report = check_relation(expr, 3, 40, ball_budget=10**30)
     assert report.passed and report.checked_count == (3**40 - 1) // 2
-    assert max((n for _, n in calls), default=None) == deepest
+    if below is not None:
+        assert check_relation(expr, 3, below).passed
+    assert calls == []
+
+
+def test_a_restrict_to_a_deep_cell_of_a_proved_measure_requests_no_level(monkeypatch):
+    # The 12 pairs above the cell carry Mazur's value on it or 0.
+    calls = _requests(monkeypatch)
+    report = check_relation(Restrict(Ball(3, 12, 5), Mazur()), 3, 13, ball_budget=10**7)
+    assert report.passed and calls == []
 
 
 # ------------------------------------------------------------ the gather step
