@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import inf, lcm
-from typing import Sequence
+from typing import Mapping, Sequence
 
 
 class NotPAdicIntegerError(ValueError):
@@ -644,6 +644,15 @@ def path_from_json(obj: dict, prime: int) -> Path:
             f"a path must be an object with keys 'preperiod' and 'period', got {obj!r}"
         )
     return Path(prime, tuple(obj["preperiod"]), tuple(obj["period"]))
+
+
+def int_keyed_table(table: object, what: str) -> tuple:
+    """A Mapping keyed exactly 0..len-1 as a tuple in key order, else tuple(table)."""
+    if isinstance(table, Mapping):
+        if sorted(table) != list(range(len(table))):
+            raise ValueError(f"{what} keys must be exactly 0..len-1")
+        return tuple(table[i] for i in range(len(table)))
+    return tuple(table)
 
 
 def table_from_json(table: object, what: str) -> list:

@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat, zip_longest
 from math import comb, lcm
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 from weakref import WeakValueDictionary
 
 from .core import (
@@ -52,6 +52,7 @@ from .core import (
     as_rational,
     bind_fields,
     digits_to_int,
+    int_keyed_table,
     is_int,
     require_depth,
     require_prime,
@@ -345,13 +346,7 @@ class Branch(_Node):
     def __post_init__(self) -> None:
         if not is_int(self.k) or self.k < 1:
             raise ValueError(f"branch level must be an integer >= 1, got {self.k!r}")
-        ch = self.children
-        if isinstance(ch, Mapping):
-            if sorted(ch) != list(range(len(ch))):
-                raise ValueError("branch children keys must be exactly 0..len-1")
-            ch = tuple(ch[i] for i in range(len(ch)))
-        else:
-            ch = tuple(ch)
+        ch = int_keyed_table(self.children, "branch children")
         if not ch:
             raise ValueError("branch needs at least one child")
         _set(self, "children", ch)
@@ -419,7 +414,7 @@ def evaluate_level(
     0..p^n-1 in order.  Each node is evaluated over all the balls at once,
     and one held in several places once, in O(balls) integer operations
     and memory (O(p^k) for a Branch at level k > n), and nested Regularize
-    nodes cost one inner request each (two plain ones over a leaf).
+    nodes cost one inner request each (two plain ones over a form).
     Haar, Mazur, Bernoulli and their sums, nested to any depth, are one
     form, one leaf request.  A Regularize over a form of degree 1 makes no
     inner request on a step-1 range (a whole level included) whose images
@@ -498,14 +493,15 @@ def count_held(exprs: Sequence[DistExpr]) -> None:
 
 
 def _walk(roots: Iterable[DistExpr]) -> Iterator[_Node]:
-    # Each distinct node among roots and the nodes below them, once.
+    # Each distinct node among roots and below them, once, but no form's terms.
     seen, stack = set(), list(roots)
     while stack:
         x = stack.pop()
         if id(x) not in seen:
             seen.add(id(x))
             yield x
-            stack += x._kids
+            if x._form is None:
+                stack += x._kids
 
 
 # =====================================================================
@@ -715,21 +711,13 @@ def _level_regularize(
                 else:
                     nums += [y] * len(run)
             return nums, u * form[0] * m
-    if len(reps) == m and _slices(reps):
-        # r -> scale * r mod m permutes the level: one inner level suffices.
-        inner, den = _level(expr.expr, p, n, m, reps, memo)
-        return [u * x - v * inner[scale * r % m] for r, x in enumerate(inner)], u * den
     scaled = [scale * r % m for r in reps]
-    if form is not None or type(expr.expr) is Dirac:
-        # A leaf's denominator depends on n alone, and its one error (a
-        # point outside Z_p) on no ball: the balls and their images are two
-        # plain requests, reps kept a range where it is one.
-        if form is not None:
-            inner, den = _level_form(form, m, reps)
-            image, _ = _level_form(form, m, scaled)
-        else:
-            inner, den = _level_dirac(expr.expr, p, m, reps)
-            image, _ = _level_dirac(expr.expr, p, m, scaled)
+    if form is not None:
+        # A form's denominator depends on n alone, and it raises nothing:
+        # the balls and their images are two plain requests, reps kept a
+        # range where it is one.
+        inner, den = _level_form(form, m, reps)
+        image, _ = _level_form(form, m, scaled)
         return [u * x - v * y for x, y in zip(inner, image)], u * den
     union = list(dict.fromkeys(chain(reps, scaled)))
     try:

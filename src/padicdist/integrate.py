@@ -35,6 +35,7 @@ from .core import (
     Record,
     as_rational,
     format_rational,
+    int_keyed_table,
     is_int,
     norm,
     parse_rational,
@@ -92,11 +93,7 @@ class StepFn(Record):
     def __post_init__(self) -> None:
         if not is_int(self.depth) or self.depth < 0:
             raise ValueError(f"step depth must be an integer >= 0, got {self.depth!r}")
-        table = self.values
-        if isinstance(table, Mapping):
-            if sorted(table) != list(range(len(table))):
-                raise ValueError("step values keys must be exactly 0..len-1")
-            table = tuple(table[i] for i in range(len(table)))
+        table = int_keyed_table(self.values, "step values")
         object.__setattr__(self, "values", tuple(as_rational(v) for v in table))
         if not self.values:
             raise ValueError("step table must be nonempty")

@@ -12,9 +12,9 @@ request costs the distinct sub-expressions times its balls, however often
 a spec's defs are used.  Values are compared by cross-multiplying, and a
 Fraction is built only for what a report shows.
 The checkers that cover whole levels (`check_relation`, `norm_scan`)
-request each depth once; `check_relation` compares a whole level with one
-comparison and goes ball by ball only through a level that holds a
-violation; a level of degree 1 stays one range throughout.  The searches that
+request each depth once; `check_relation` lists no level of a proved
+expression, and compares a listed level whole, going ball by ball only
+through one that holds a violation.  The searches that
 stop at the first witness scan each depth in consecutive step-1 rep
 ranges that double in length, which the kernels serve by residue classes
 and slices as they do a whole level, so the work before a witness stays
@@ -62,9 +62,11 @@ from .distributions import (
     _branch_table_size,
     _dirac_rep,
     _faulhaber,
+    _parts,
     _piecewise,
     _regularize_factors,
     _scaled,
+    _walk,
     boundedness_flag,
     count_held,
     disjoint_runs,
@@ -198,31 +200,25 @@ def check_relation(
 ) -> RelationReport:
     """Verify the additivity relation on every ball of depth < max_depth.
 
-    Each construction is additive by a lemma, so `_proved_from` reads from
-    the expression, once, the depth from which every pair of levels n,
-    n+1 holds: a node with a form checks its one polynomial identity,
-    and the other nodes combine their parts' depths.  The pairs below that
-    depth, and every pair when it gives None or raises, are listed, each
-    level once: the children of a + (p^n) are entry a of the child level's
-    p blocks of length p^n, added block to block, and compared with the
-    parents as whole levels over one denominator; only a level where they
-    differ is gone through ball by ball, and a level of degree 1 is one
-    range, added, scaled and compared as one.  Every error the predicate
-    raises is the same at every depth, and listing depth 0 meets it, so
-    the report and any error raised do not depend on which pairs are
-    proved.
+    Each construction but a Graft is additive by a lemma, so `_proved`
+    checks each distinct node once, on its own: a form its polynomial
+    identity, which covers the terms folded into it, and any other node
+    its own condition.  When all pass, no level is listed; else every pair
+    is, each level once: the children of a + (p^n) are entry a of the
+    child level's p blocks of length p^n, added block to block, and
+    compared with the parents as whole levels over one denominator; only
+    a level where they differ is gone through ball by ball.  Every error
+    the predicate raises is the same at every depth, and listing depth 0
+    meets it, so the report and any error raised do not depend on whether
+    the expression is proved.
     """
     require_prime(prime)
     require_depth(max_depth, "max_depth", 1)
     require_budget(prime, max_depth, ball_budget)
 
-    try:
-        start = _proved_from(expr, prime, max_depth, {})
-    except (ValueError, TypeError):
-        start = None
     violations: list[RelationViolation] = []
     level = None  # the parent level, read as the child level of the pair above
-    for n in range(max_depth if start is None else min(start, max_depth)):
+    for n in range(0 if _proved(expr, prime, max_depth) else max_depth):
         m = prime**n
         nums, den = level or evaluate_shared((expr,), prime, n, range(m))[0]
         level = evaluate_shared((expr,), prime, n + 1, range(m * prime))[0]
@@ -237,53 +233,50 @@ def check_relation(
     return RelationReport(prime, max_depth, checked, tuple(violations))
 
 
-def _block_sums(nums: Sequence[int], m: int, p: int) -> Sequence[int]:
+def _block_sums(nums: Sequence[int], m: int, p: int) -> list[int]:
     # The sum of the p blocks of length m of nums, entry by entry.
     sums = nums[:m]
     for b in range(1, p):
-        sums = _added(sums, nums[b * m : (b + 1) * m])
+        sums = list(map(add, sums, nums[b * m : (b + 1) * m]))
     return sums
 
 
-def _proved_from(expr: DistExpr, p: int, max_depth: int, memo: dict) -> int | None:
-    # The least depth from which every pair of levels of expr is additive
-    # by its construction's lemma, or None (a Graft's, or a failing form's).
-    # A form (S, P) of degree d holds at m = p^n iff the sum over b < p of
-    # P(a + b m, p m) is p P(a, m) in Z[a]; each coefficient in a is of
-    # degree <= d in m, so d + 1 depths prove every depth.  A unit maps the
-    # children of a ball onto those of its image.  A Restrict is additive
-    # below its cell's depth and a Branch below its level whatever their
-    # parts are, so they start where their parts do, at 0.  Each check
-    # that raises is one that evaluating any level makes.  memo holds the
-    # answers by id.
-    key = id(expr)
-    if key in memo:
-        return memo[key]
-    t, form = type(expr), getattr(expr, "_form", None)
+def _proved(expr: DistExpr, p: int, max_depth: int) -> bool:
+    # Whether every pair of levels of expr is additive, each distinct node
+    # by its construction's lemma (`_holds`), once; a check that raises fails.
+    try:
+        return all(_holds(e, p, max_depth) for e in _walk([expr]))
+    except (ValueError, TypeError):
+        return False
+
+
+def _holds(e: DistExpr, p: int, max_depth: int) -> bool:
+    # Whether e keeps additivity from its parts.  A form (S, P) of degree d
+    # holds at m = p^n iff the sum over b < p of P(a + b m, p m) is p P(a, m)
+    # in Z[a]; each coefficient in a is of degree <= d in m, so d + 1 depths
+    # prove every depth.  A unit maps the children of a ball onto those of
+    # its image.  Below its cell's depth a Restrict's one child that meets
+    # the cell carries its value, and below its level a Branch is defined
+    # as sums.  A Graft, a Restrict over another prime and a node whose
+    # fields hold a non-node, which `_kids` leaves out, answer no.  Each
+    # check that raises is one that evaluating any level makes.
+    t, form = type(e), getattr(e, "_form", None)
     if form is not None:
         poly = form[1]
-        holds = all(
+        return all(
             _block_sum(_at(poly, p ** (n + 1)), p**n, p) == [p * c for c in _at(poly, p**n)]
             for n in range(min(len(poly), max_depth))
         )
-        starts = [0 if holds else None]
-    elif t is Dirac:
-        _dirac_rep(expr, p, 1)
-        starts = [0]
-    elif t is Regularize:
-        _regularize_factors(expr, p, 1)
-        starts = [_proved_from(expr.expr, p, max_depth, memo)]
-    elif t is LinearComb:
-        starts = [_proved_from(e, p, max_depth, memo) for _, e in expr.terms]
+    if t is Dirac:
+        _dirac_rep(e, p, 1)
+        return True
+    if t is Regularize:
+        _regularize_factors(e, p, 1)
     elif t is Branch:
-        _branch_table_size(expr, p)
-        starts = [_proved_from(e, p, max_depth, memo) for e in expr.children]
-    elif t is Restrict and expr.cell.prime == p:
-        starts = [_proved_from(expr.expr, p, max_depth, memo)]
-    else:
-        starts = [None]
-    memo[key] = start = None if None in starts else max(starts)
-    return start
+        _branch_table_size(e, p)
+    elif t is not LinearComb and not (t is Restrict and e.cell.prime == p):
+        return False
+    return len(e._kids) == len(_parts(e)[1])
 
 
 def _block_sum(coeffs: list[int], m: int, p: int) -> list[int]:
@@ -630,18 +623,6 @@ def _differing(xs: Sequence[int], dx: int, ys: Sequence[int], dy: int) -> Iterat
     for i, (x, y) in enumerate(zip(xs, ys)):
         if x * dy != y * dx:
             yield i
-
-
-# Entry-by-entry arithmetic on numerators, a list or a range each, that
-# keeps a range a range where the result is one progression
-# (`distributions._scaled` scales one).
-
-def _added(xs: Sequence[int], ys: Sequence[int]) -> Sequence[int]:
-    # xs + ys, of one length; two ranges give a range unless their steps cancel.
-    if type(xs) is range and type(ys) is range and xs.step + ys.step:
-        start, step = xs.start + ys.start, xs.step + ys.step
-        return range(start, start + len(xs) * step, step)
-    return list(map(add, xs, ys))
 
 
 def _same(xs: Sequence[int], ys: Sequence[int]) -> bool:

@@ -1,9 +1,9 @@
 """Restrict, Branch and Graft in the checkers and in the gather step.
 
-`check_relation` proves the pairs of levels of a Restrict or a Branch from
-their parts, past the cell's depth or the level (`verify._proved_from`),
-and lists a Graft's.  The oracle is the same call with the predicate
-patched to prove nothing, so that every pair is listed:
+`check_relation` proves a Restrict or a Branch additive from its own
+condition and its parts' (`verify._proved`), and lists a Graft's levels.
+The oracle is the same call with the predicate patched to prove nothing,
+so that every pair is listed:
 the report, its checked count, its violations, their order and values, and
 any error raised must be the same.  The trees are drawn up to two
 combinators deep, over members of S and over other leaves, with grafts
@@ -60,11 +60,11 @@ M = Mazur()
 @contextmanager
 def listing_every_pair():
     """`check_relation` with a predicate that proves nothing."""
-    saved, VERIFY._proved_from = VERIFY._proved_from, lambda *args: None
+    saved, VERIFY._proved = VERIFY._proved, lambda *args: False
     try:
         yield
     finally:
-        VERIFY._proved_from = saved
+        VERIFY._proved = saved
 
 
 @contextmanager

@@ -34,7 +34,7 @@ from padicdist import (
     expr_to_json,
     remark_pair,
 )
-from padicdist.distributions import MAX_BERNOULLI_K
+from padicdist.distributions import MAX_BERNOULLI_K, _walk
 
 HALF = F(1, 2)
 
@@ -321,7 +321,7 @@ def test_branch_validation():
         Branch(0, (Mazur(),))
     with pytest.raises(ValueError):
         Branch(1, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^branch children keys must be exactly 0\.\.len-1$"):
         Branch(1, {0: Mazur(), 2: Haar()})
     with pytest.raises(ValueError):
         Branch(True, (Mazur(), Haar()))
@@ -332,16 +332,21 @@ def test_branch_validation():
         evaluate(Branch(1, (Mazur(), Mazur(), Mazur())), Ball(5, 1, 0))
 
 
+# Objects that are no expression, alone and inside a node (which builds,
+# and fails where the object is evaluated), with the type name reported.
+FOREIGN = [
+    ("mazur", "str"),
+    (LinearComb(((1, "x"),)), "str"),
+    (Restrict(Ball(5, 1, 4), 5), "int"),
+    (Graft(Path(5, (), (1,)), Mazur(), None), "NoneType"),
+    (Branch(1, (Mazur(),) * 4 + ([],)), "list"),
+]
+
+
 def test_evaluate_rejects_foreign_objects():
     with pytest.raises(TypeError, match="^not a distribution expression: str$"):
         evaluate("mazur", Ball(3, 1, 0))
-    # Inside a node, a foreign object builds and fails where it is evaluated.
-    for node, kind in [
-        (LinearComb(((1, "x"),)), "str"),
-        (Restrict(Ball(5, 1, 4), 5), "int"),
-        (Graft(Path(5, (), (1,)), Mazur(), None), "NoneType"),
-        (Branch(1, (Mazur(),) * 4 + ([],)), "list"),
-    ]:
+    for node, kind in FOREIGN:
         with pytest.raises(TypeError, match=f"^not a distribution expression: {kind}$"):
             evaluate(node, Ball(5, 1, 4))
 
@@ -522,6 +527,15 @@ def test_evaluate_walks_a_dag_once():
     (num,), den = evaluate_level(top, 5, 3, [7])
     assert middle - start < 1 and time.perf_counter() - middle < 1
     assert value == F(num, den) == 2**40 * evaluate(Mazur(), ball)
+
+
+def test_walk_does_not_enter_a_form():
+    # A form is evaluated, and proved, as one node: the walk lists none of
+    # the terms folded into it, so the 41 nodes of the chain are one.
+    top = chain(40)
+    assert list(_walk([top])) == [top]
+    outer = Regularize(1, 2, LinearComb(((1, top), (1, Dirac(0)))))
+    assert len(list(_walk([outer]))) == 4
 
 
 # -------------------------------------------------------------- remark_pair

@@ -72,7 +72,7 @@ def test_step_fn_lookup():
 
 def test_step_fn_accepts_dict_table():
     assert StepFn(1, {0: F(1), 1: F(2)}) == StepFn(1, (F(1), F(2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^step values keys must be exactly 0\.\.len-1$"):
         StepFn(1, {0: F(1), 2: F(2)})
     with pytest.raises(ValueError):
         StepFn(-1, (F(1),))

@@ -6,8 +6,8 @@ under Regularize over an affine inner) `padicdist.distributions.level_pieces`
 gives a level as ranges of reps with an integer polynomial numerator plus
 point masses, and `norm_scan` takes a level from that form;
 `check_relation` proves S additive from its forms' polynomial identities
-(`verify._proved_from`).  The oracle is the same call with `level_pieces`
-patched to give no form and `_proved_from` to prove no pair, so that every
+(`verify._proved`).  The oracle is the same call with `level_pieces`
+patched to give no form and `_proved` to prove nothing, so that every
 level is evaluated ball by ball: every report must be the same, and on a
 faulty expression the same exception, type and message.  Every form in S
 must pass its identity, since every member of S is additive, and a failing
@@ -58,12 +58,12 @@ DEPTHS = {2: 7, 3: 5, 5: 3, 7: 3, 1009: 1}
 def enumerating():
     """The checkers with no piece form and no pair proved, so that they
     enumerate every level."""
-    saved = VERIFY.level_pieces, VERIFY._proved_from
-    VERIFY.level_pieces = VERIFY._proved_from = lambda *args: None
+    saved = VERIFY.level_pieces, VERIFY._proved
+    VERIFY.level_pieces, VERIFY._proved = (lambda *args: None), (lambda *args: False)
     try:
         yield
     finally:
-        VERIFY.level_pieces, VERIFY._proved_from = saved
+        VERIFY.level_pieces, VERIFY._proved = saved
 
 
 def level_runs(expr, p, n):
@@ -172,13 +172,13 @@ def test_faulty_members_raise_what_the_enumerating_checkers_raise(case):
 @given(case=cases())
 def test_the_forms_prove_every_pair_of_levels_that_has_them(case):
     # Every member of S is additive: each form in it passes its identity,
-    # so the whole member is proved from depth 0.  A form that failed
-    # would cost an enumeration without changing any report.
+    # so the whole member is proved.  A form that failed would cost an
+    # enumeration without changing any report.
     expr, p, depth = case
     for node in distributions._walk([expr]):
         if node._form is not None:
-            assert VERIFY._proved_from(node, p, depth + 1, {}) == 0, node
-    assert VERIFY._proved_from(expr, p, depth + 1, {}) == 0
+            assert VERIFY._holds(node, p, depth + 1), node
+    assert VERIFY._proved(expr, p, depth + 1)
 
 
 def test_the_identity_fails_for_bernoulli_3_with_one_coefficient_changed():
@@ -190,8 +190,7 @@ def test_the_identity_fails_for_bernoulli_3_with_one_coefficient_changed():
             changed = list(map(list, poly))
             changed[i][j] += 1
             form = SimpleNamespace(_form=(scale, tuple(map(tuple, changed))))
-            want = 0 if (i, j) == (0, 0) else None
-            assert VERIFY._proved_from(form, 3, 8, {}) == want, (i, j)
+            assert VERIFY._holds(form, 3, 8) == ((i, j) == (0, 0)), (i, j)
 
 
 @settings(SETTINGS, max_examples=100)

@@ -2,7 +2,7 @@
 
 On a range of reps, `_level_form` gives the numerators of a form of
 degree 1 (a Haar, a Mazur or a sum of them) as one `range`, and the
-checkers add, scale, compare and take the gcd of such a level as a
+checkers scale, compare and take the gcd of such a level as a
 progression.  The oracle is the same call with the kernel made to list
 every entry, one per rep, as it did before: every report, witness and dump
 byte must be the same on both paths, and so must what a wrong progression
@@ -55,7 +55,7 @@ from padicdist import (
 )
 from padicdist.cli import main
 from padicdist.distributions import _at, evaluate_shared, polynomial_values
-from padicdist.verify import _added, _differing, _same, _scaled
+from padicdist.verify import _differing, _same, _scaled
 
 INTEGRATE = importlib.import_module("padicdist.integrate")
 MAX_DEPTH = 3
@@ -227,15 +227,6 @@ def test_point_masses_add_into_a_copy_of_a_range_first_term(coef):
             assert [F(x, den) for x in nums] == [evaluate(expr, Ball(3, n, r)) for r in reps]
         (alone, _), = evaluate_shared((first,), 3, 2, range(9))
         assert list(alone) == evaluate_level(first, 3, 2)[0]
-
-
-def test_added_keeps_ranges_and_falls_back_to_a_list_where_steps_cancel():
-    assert _added(range(1, 11, 3), range(5, 1, -1)) == range(6, 14, 2)
-    cancel = _added(range(0, 12, 3), range(7, -5, -3))
-    assert type(cancel) is list and cancel == [7, 7, 7, 7]
-    assert _added(range(2, 3), range(-4, 4, 9)) == range(-2, -1)
-    assert _added([1, 2, 3], range(0, -3, -1)) == [1, 1, 1]
-    assert _added(range(0), range(5, 5)) == range(0)
 
 
 def test_scaled_and_same_on_ranges_and_lists():

@@ -5,6 +5,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from test_distributions import FOREIGN
 
 from padicdist import (
     Ball,
@@ -26,6 +27,7 @@ from padicdist import (
     check_graft_precondition,
     check_relation,
     distinctness_witness,
+    evaluate,
     evaluate_level,
     integrate,
     norm_scan,
@@ -161,6 +163,26 @@ def test_relation_budget():
     with pytest.raises(BallBudgetError):
         check_relation(Mazur(), 5, 2, ball_budget=10)
     check_relation(Mazur(), 5, 2, ball_budget=25)
+
+
+def test_relation_proves_a_chain_deeper_than_the_recursion_limit():
+    # e_i = e_(i-1) + delta_i / 2 over Mazur: 3,000 nested sums, each node
+    # checked once by an iterative walk, and no level listed.
+    e = Mazur()
+    for i in range(1, 3001):
+        e = LinearComb(((F(1), e), (F(1, 2), Dirac(i))))
+    report = check_relation(e, 3, 4)
+    assert report.passed and report.checked_count == 40
+
+
+@pytest.mark.parametrize("node, kind", FOREIGN, ids=[type(node).__name__ for node, _ in FOREIGN])
+def test_relation_raises_what_evaluate_raises_on_a_foreign_object(node, kind):
+    # The walk sees only nodes, so a node holding a non-node proves nothing
+    # and the listed levels raise evaluate's error.
+    with pytest.raises(TypeError, match=f"^not a distribution expression: {kind}$") as raised:
+        evaluate(node, Ball(5, 1, 4))
+    with pytest.raises(TypeError, match=f"^{re.escape(str(raised.value))}$"):
+        check_relation(node, 5, 3)
 
 
 # --------------------------------------------------------- graft precondition
