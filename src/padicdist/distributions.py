@@ -128,14 +128,16 @@ class _Node(Record):
     A node the constructor keeps starts a count of the parents built over
     it at 0, keeps its sub-expressions that are nodes as `_kids`, once per
     place that holds them, and adds 1 to the count of each; `_level`
-    evaluates a node counted 2 or more once per request.  `_plain` says
-    whether the node holds no Restrict, Graft or Branch, itself included:
-    such a node's value on a ball, and any error it raises, do not depend
-    on the other balls of a request.  `_uses`, `_kids` and `_plain` are no
-    fields, so `==`, `repr`, pickling and the codecs never see them.  A
-    parent freed since still counts, and so does one that `count_held`
-    adds for a search, so the count can only be too high, which costs an
-    unneeded memo entry per request and never a wrong value.
+    evaluates a node counted 2 or more once per request.  `_foreign` says
+    whether a field holds a sub-expression that is no node, which `_kids`
+    leaves out.  `_plain` says whether the node holds no Restrict, Graft or
+    Branch, itself included: such a node's value on a ball, and any error
+    it raises, do not depend on the other balls of a request.  `_uses`,
+    `_kids`, `_foreign` and `_plain` are no fields, so `==`, `repr`,
+    pickling and the codecs never see them.  A parent freed since still
+    counts, and so does one that `count_held` adds for a search, so the
+    count can only be too high, which costs an unneeded memo entry per
+    request and never a wrong value.
 
     A Haar, a Mazur, a Bernoulli(k) and a LinearComb of them take the value
     P(a, m) / (S m) on the ball a + (m), m = p^n; `_form` is (S, P), else
@@ -163,11 +165,12 @@ class _Node(Record):
         plain, kids = _parts(node)
         kept = _INTERNED.setdefault((cls, *plain, *map(id, kids)), node)
         if kept is node:
-            kids = tuple(kid for kid in kids if isinstance(kid, _Node))
+            nodes = tuple(kid for kid in kids if isinstance(kid, _Node))
             _set(node, "_uses", 0)
-            _set(node, "_kids", kids)
-            _set(node, "_plain", cls not in _SPLITTERS and all(kid._plain for kid in kids))
-            for kid in kids:
+            _set(node, "_kids", nodes)
+            _set(node, "_foreign", len(nodes) < len(kids))
+            _set(node, "_plain", cls not in _SPLITTERS and all(kid._plain for kid in nodes))
+            for kid in nodes:
                 _set(kid, "_uses", kid._uses + 1)
         return kept
 
@@ -696,21 +699,15 @@ def _level_regularize(
     u, v, scale, form = _regularize_factors(expr, p, m)
     # mu(B) - alpha^(-k) mu(alpha B) = (u mu(B) - v mu(alpha B)) with
     # alpha^k = u/v, over u * den; u > 0 keeps the denominator positive.
-    if form is not None and len(form[1]) == 2 and (
-        not form[1][1][0]
-        or type(reps) is range and reps.step == 1 and len(reps) >= _BALLS_PER_RUN
-    ):
-        # A constant inner is one value on any request; a shorter range
-        # cannot hold one run: it pays no call.
-        runs = _regularize_runs(form, u, v, scale, m, reps, _BALLS_PER_RUN)
-        if runs is not None:
-            nums = []
-            for run, (y, slope) in runs:
-                if slope:
-                    nums += range(slope * run.start + y, slope * run.stop + y, slope)
-                else:
-                    nums += [y] * len(run)
-            return nums, u * form[0] * m
+    runs = _regularize_runs(form, u, v, scale, m, reps)
+    if runs is not None:
+        nums = []
+        for run, (y, slope) in runs:
+            if slope:
+                nums += range(slope * run.start + y, slope * run.stop + y, slope)
+            else:
+                nums += [y] * len(run)
+        return nums, u * form[0] * m
     scaled = [scale * r % m for r in reps]
     if form is not None:
         # A form's denominator depends on n alone, and it raises nothing:
@@ -749,29 +746,41 @@ def _regularize_factors(expr: Regularize, p: int, m: int) -> tuple[int, int, int
 # `_regularize_runs` serves a range holding at least this many balls per
 # run.  At 4 it took 0.4-1.0 times the general path's time (p = 3, 5, 7,
 # k = 1 and 2, whole levels and a third of one); at 2, up to 2.6 times
-# with k = 2, whose runs are progressions of larger ints.
+# with k = 2, whose runs are progressions of larger ints.  Over 18
+# integrations of Regularize(1, alpha, Mazur()) from `level_pieces` (p = 3,
+# 5 and 7 to depths 7, 5 and 4; alpha the units among -3, -2, 2, 3, 4, 7
+# and 11), the closed sums of a depth-2 step function took 0.97 times the
+# enumerating path's time at 4 balls a run, 0.92 at 32 and 0.93 at 64; of
+# a quadratic, 0.32, 0.32 and 0.35 times.
 _BALLS_PER_RUN = 4
 
 
 def _regularize_runs(
-    form: tuple, u: int, v: int, scale: int, m: int, reps: Sequence[int], per_run: int
+    form: tuple | None, u: int, v: int, scale: int, m: int, reps: Sequence[int]
 ) -> list[tuple[Sequence[int], tuple[int, int]]] | None:
-    # The numerators over u S m of a Regularize over the form of degree 1
-    # (S, ((B, C), (A,))) as (run, (y, slope)), the numerator slope * r + y
-    # on each rep r of run, or None if the step-1 range reps has fewer than
-    # per_run balls per run.  With s = scale taken in (-m/2, m/2] and
-    # j = floor(s r / m), the image rep is s r - j m, so the numerator is
-    # A (u - v s) r + (u - v)(B + C m) + v A m j: one progression on each
-    # run of reps with one j.  A constant inner (A = 0) is one run of one
-    # value, whatever reps is.
+    # The numerators over u S m of a Regularize over the inner form
+    # (S, ((B, C), (A,))) of degree 1 as disjoint runs (run, (y, slope)),
+    # the numerator slope * r + y on each rep r of run, or None where runs
+    # do not serve: an inner with no form of degree 1, or reps other than a
+    # step-1 range of at least _BALLS_PER_RUN balls per run.  With s = scale
+    # taken in (-m/2, m/2] and j = floor(s r / m), the image rep is
+    # s r - j m, so the numerator is A (u - v s) r + (u - v)(B + C m)
+    # + v A m j: one progression on each run of reps with one j.  A
+    # constant inner (A = 0) is one run of one value, whatever reps is.  A
+    # range is measured as stop - start: `level_pieces` asks for
+    # range(p^n), which may be too long for len().
+    if form is None or len(form[1]) != 2:
+        return None
     (b, c), (a,) = form[1]
     base = (u - v) * (b + c * m)
     if not a:
         return [(reps, (base, 0))]
+    if not _slices(reps):
+        return None
     first, stop = reps.start, reps.stop
     s = scale - m if 2 * scale > m else scale
     j, last = s * first // m, s * (stop - 1) // m
-    if (abs(last - j) + 1) * per_run > stop - first:  # j moves by 0 or 1 a rep
+    if (abs(last - j) + 1) * _BALLS_PER_RUN > stop - first:  # j moves by 0 or 1 a rep
         return None
     slope, lift = a * (u - v * s), v * a * m
     runs, r = [], first
@@ -929,15 +938,6 @@ _KERNELS = {
 # coefficients, lowest degree first, of the numerator polynomial on it.
 Pieces = dict[range, list[int]]
 
-# `level_pieces` takes a Regularize's runs where they hold at least this
-# many balls each.  Over 18 integrations of Regularize(1, alpha, Mazur())
-# (p = 3, 5 and 7 to depths 7, 5 and 4; alpha the units among -3, -2, 2,
-# 3, 4, 7 and 11), the closed sums of a depth-2 step function took 0.97
-# times the enumerating path's time at 4 balls a run, 0.92 at 32 and 0.93
-# at 64; of a quadratic, 0.32, 0.32 and 0.35 times.
-_PIECE_BALLS_PER_RUN = 32
-
-
 def level_pieces(
     expr: DistExpr, p: int, n: int
 ) -> tuple[Pieces, dict[int, int], int] | None:
@@ -985,15 +985,9 @@ def _pieces(expr, p: int, m: int, memo: dict) -> tuple[Pieces, dict[int, int], i
     found = None
     if t is Regularize:
         u, v, scale, form = _regularize_factors(expr, p, m)
-        runs = form is not None and len(form[1]) == 2 and _regularize_runs(
-            form, u, v, scale, m, range(m), _PIECE_BALLS_PER_RUN
-        )
-        if runs:
-            # The first run's progression on the whole level, and on each
-            # later run the constant that its wrap count adds.
-            (_, (y, slope)), *later = runs
-            pieces = {range(m): [y, slope] if slope else [y]}
-            pieces.update((run, [x - y]) for run, (x, _) in later)
+        runs = _regularize_runs(form, u, v, scale, m, range(m))
+        if runs is not None:
+            pieces = {run: [y, slope] if slope else [y] for run, (y, slope) in runs}
             found = pieces, {}, u * form[0] * m
     elif t is LinearComb:
         form, terms = expr._ints

@@ -62,7 +62,6 @@ from .distributions import (
     _branch_table_size,
     _dirac_rep,
     _faulhaber,
-    _parts,
     _piecewise,
     _regularize_factors,
     _scaled,
@@ -258,8 +257,8 @@ def _holds(e: DistExpr, p: int, max_depth: int) -> bool:
     # its image.  Below its cell's depth a Restrict's one child that meets
     # the cell carries its value, and below its level a Branch is defined
     # as sums.  A Graft, a Restrict over another prime and a node whose
-    # fields hold a non-node, which `_kids` leaves out, answer no.  Each
-    # check that raises is one that evaluating any level makes.
+    # fields hold a non-node (`_foreign`) answer no.  Each check that
+    # raises is one that evaluating any level makes.
     t, form = type(e), getattr(e, "_form", None)
     if form is not None:
         poly = form[1]
@@ -276,7 +275,7 @@ def _holds(e: DistExpr, p: int, max_depth: int) -> bool:
         _branch_table_size(e, p)
     elif t is not LinearComb and not (t is Restrict and e.cell.prime == p):
         return False
-    return len(e._kids) == len(_parts(e)[1])
+    return not e._foreign
 
 
 def _block_sum(coeffs: list[int], m: int, p: int) -> list[int]:

@@ -270,7 +270,7 @@ def test_closed_sums_on_the_family_match_the_enumerated_level(case):
     want = dotted_sums(expr, fn, p, depth)
     assert integrate(expr, fn, p, depth).partial_sums == want
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(distributions, "_PIECE_BALLS_PER_RUN", 1)
+        patch.setattr(distributions, "_BALLS_PER_RUN", 1)
         assert integrate(expr, fn, p, depth).partial_sums == want
 
 

@@ -249,6 +249,19 @@ def test_named_levels_give_the_enumerated_reports(case):
 def test_the_named_levels_are_what_their_names_say():
     runs = level_pieces(Regularize(1, 2, Mazur()), 3, 4)[0]
     assert 41 in {run.start for run in runs}
+    # E_(1,2) at p = 5, depth 2: 2a wraps round 25 from a = 13 on, so the
+    # level is two disjoint runs, of 13 and 12 balls, with its values.
+    expr = Regularize(1, 2, Mazur())
+    assert set(level_pieces(expr, 5, 2)[0]) == {range(0, 13), range(13, 25)}
+    runs, den = level_runs(expr, 5, 2)
+    assert [(start, stop) for start, stop, _ in runs] == [(0, 13), (13, 25)]
+    values = [
+        F(sum(c * a**i for i, c in enumerate(coeffs)), den)
+        for start, stop, coeffs in runs
+        for a in range(start, stop)
+    ]
+    nums, level_den = evaluate_level(expr, 5, 2)
+    assert values == [F(x, level_den) for x in nums]
     assert all(evaluate(MASS_CASES["a mass that cancels the polynomial at its rep"][0],
                         Ball(3, n, 0)) == 0 for n in range(5))
     zero = norm_scan(MASS_CASES["an all-zero level of pieces"][0], 3, 4)
